@@ -46,7 +46,7 @@ sys.path.insert(
 from repro.planner import DEFAULT_PLANNER  # noqa: E402
 from repro.quantum.kernels import gate_census  # noqa: E402
 from repro.quantum.stabilizer import STABILIZER_STATS  # noqa: E402
-from repro.runtime.engine import build_spec, evaluate_spec  # noqa: E402
+from repro.runtime.engine import build_spec, evaluate_spec_batch  # noqa: E402
 from repro.vqa import ghz_circuit, ghz_observable  # noqa: E402
 
 RESULT_PATH = os.path.join(
@@ -97,8 +97,8 @@ def _run_wide_clifford(config: Dict[str, object]) -> List[Dict[str, float]]:
         start = time.perf_counter()
         exact = True
         for round_index in range(config["rounds"]):
-            value = evaluate_spec(
-                spec, _EMPTY, shots=config["shots"], seed=SEED + round_index
+            (value,) = evaluate_spec_batch(
+                spec, [_EMPTY], config["shots"], [SEED + round_index]
             )
             exact = exact and value == float(width - 1)
         elapsed = time.perf_counter() - start
@@ -140,7 +140,7 @@ def _run_overhead(config: Dict[str, object]) -> Dict[str, float]:
 
     start = time.perf_counter()
     for round_index in range(config["rounds"]):
-        evaluate_spec(spec, _EMPTY, shots=config["shots"], seed=round_index)
+        evaluate_spec_batch(spec, [_EMPTY], config["shots"], [round_index])
     eval_s = (time.perf_counter() - start) / config["rounds"]
 
     job_s = build_s + JOB_EVALS * eval_s
@@ -172,7 +172,7 @@ def _run_parity(config: Dict[str, object]) -> Dict[str, object]:
     histories: Dict[str, List[float]] = {}
     for label, spec in [("planned", auto)] + sorted(forced.items()):
         histories[label] = [
-            evaluate_spec(spec, _EMPTY, shots=config["shots"], seed=SEED + i)
+            evaluate_spec_batch(spec, [_EMPTY], config["shots"], [SEED + i])[0]
             for i in range(config["parity_rounds"])
         ]
     identical = (

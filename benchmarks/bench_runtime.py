@@ -19,8 +19,9 @@ bit-identical cost histories:
 
 Two more scenarios: a fixed parameter batch replayed to measure the
 steady-state cache hit rate, and a cross-probe comparison of the
-batched replay (``evaluate_spec_batch``) against the PR 5 per-probe
-loop — the batched path must win even serially.
+batched replay (one ``evaluate_spec_batch`` call over all probes)
+against a per-probe loop of K=1 calls — the batched path must win even
+serially.
 
 Results persist to ``BENCH_runtime.json`` at the repo root so the
 perf trajectory is tracked across PRs; ``--smoke`` re-measures a
@@ -53,7 +54,7 @@ sys.path.insert(
 )
 
 from repro import EvalCache, EvaluationEngine, HybridRunner, QtenonSystem  # noqa: E402
-from repro.runtime import build_spec, evaluate_spec, evaluate_spec_batch  # noqa: E402
+from repro.runtime import build_spec, evaluate_spec_batch  # noqa: E402
 from repro.runtime.cache import evaluation_keys  # noqa: E402
 from repro.vqa import make_optimizer  # noqa: E402
 from repro.vqa.ansatz import hardware_efficient_ansatz  # noqa: E402
@@ -187,10 +188,11 @@ def _run_repeated_sweep(config: Dict[str, int]) -> Dict[str, float]:
 
 
 def _run_batched_replay(config: Dict[str, int]) -> Dict[str, float]:
-    """Cross-probe batching vs the PR 5 per-probe replay, same probes.
+    """Cross-probe batching vs per-probe replay, same probes.
 
     One gradient step's 2P+1 probe batch, evaluated (a) probe by probe
-    through ``evaluate_spec`` — program re-traversed per probe — and
+    as K=1 ``evaluate_spec_batch`` calls — program re-traversed per
+    probe — and
     (b) in one ``evaluate_spec_batch`` pass over the stacked ``(K,
     2**n)`` state array.  Values must match bit for bit; the batched
     pass must be faster even on one core.
@@ -214,7 +216,7 @@ def _run_batched_replay(config: Dict[str, int]) -> Dict[str, float]:
     start = time.perf_counter()
     for _ in range(rounds):
         per_probe = [
-            evaluate_spec(spec, vector, shots, seed)
+            evaluate_spec_batch(spec, [vector], shots, [seed])[0]
             for vector, seed in zip(vectors, seeds)
         ]
     per_probe_s = time.perf_counter() - start

@@ -17,22 +17,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.analysis.breakdown import ExecutionReport
 from repro.baseline.fpga import FpgaConfig, FpgaController
 from repro.baseline.jit import JitCompiler
 from repro.baseline.network import LinkModel, LinkTracker, UDP_100GBE
-from repro.compiler.transpile import transpile
+from repro.core.platform import PlatformModel
+from repro.core.scheduler import shot_record_bytes
 from repro.host.cores import CoreModel, INTEL_I9
-from repro.host.workloads import DEFAULT_COSTS, HostWorkloadModel, WorkloadCosts
+from repro.host.workloads import DEFAULT_COSTS, WorkloadCosts
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.device import QuantumDevice
 from repro.quantum.pauli import MeasurementGroup, PauliSum
 from repro.quantum.parameters import Parameter
-from repro.quantum.sampler import Sampler
-from repro.core.scheduler import shot_record_bytes
 
 
-class DecoupledSystem:
+class DecoupledSystem(PlatformModel):
     """Decoupled host + FPGA + quantum chip platform model."""
 
     def __init__(
@@ -49,53 +46,21 @@ class DecoupledSystem:
         readout_noise=None,
         fault_injector=None,
     ) -> None:
-        self.n_qubits = n_qubits
-        self.core = core
-        self.fault_injector = fault_injector
+        super().__init__(
+            "decoupled", n_qubits, n_qubits, core, costs, seed,
+            exact_limit, backend, timing_only, readout_noise, fault_injector,
+        )
         self.link = LinkTracker(link, fault_injector=fault_injector)
         self.fpga = FpgaController(fpga_config)
-        self.device = QuantumDevice(n_qubits, readout_noise=readout_noise)
-        self.sampler = Sampler(
-            seed=seed,
-            exact_limit=exact_limit,
-            force_backend=backend,
-            readout_noise=self.device.readout_noise,
-        )
-        self._base_readout = self.device.readout_noise
-        self.workload = HostWorkloadModel(core, costs)
         self.jit = JitCompiler(self.workload)
-        #: timing-only mode (see QtenonSystem): identical modelled
-        #: times, no functional compilation or sampling.
-        self.timing_only = timing_only
-
-        self.report = ExecutionReport(platform=f"decoupled-{core.name}")
-        self.now: int = 0
-        self._groups: List[MeasurementGroup] = []
         self._group_templates: List[QuantumCircuit] = []
-        self._observable: Optional[PauliSum] = None
-        self._ansatz: Optional[QuantumCircuit] = None
-        self._ansatz_gates = 0
-        self._prepared = False
 
     # ------------------------------------------------------------------
     # platform protocol
     # ------------------------------------------------------------------
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None:
         """Store templates; decoupled stacks compile at evaluate time."""
-        if ansatz.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"ansatz has {ansatz.n_qubits} qubits, system built for {self.n_qubits}"
-            )
-        self._observable = observable
-        self._ansatz = ansatz.copy()
-        self._ansatz_gates = ansatz.gate_count(include_measure=False)
-        self._groups = observable.grouped_qubitwise() or [MeasurementGroup()]
-        self._group_templates = []
-        for group in self._groups:
-            variant = ansatz.copy()
-            variant.extend(group.basis_change_circuit(ansatz.n_qubits))
-            variant.measure_all()
-            self._group_templates.append(transpile(variant))
+        self._group_templates = self._bind_workload(ansatz, observable)
         self._prepared = True
 
     def evaluate(self, values: Dict[Parameter, float], shots: int) -> float:
@@ -105,72 +70,25 @@ class DecoupledSystem:
             raise ValueError(f"shots must be non-negative, got {shots}")
         if shots == 0:
             return self._evaluate_analytic(values)
-        if self.fault_injector is not None and self._base_readout is not None:
-            # Calibration drift: the assignment errors grow with the
-            # evaluation index until the next (modelled) recalibration.
-            self.sampler.readout_noise = self.fault_injector.drifted_readout(
-                self._base_readout, self.report.evaluations
-            )
-        self.report.evaluations += 1
-        self.report.total_shots += shots * len(self._groups)
+        self._begin_sampled(shots)
 
         value = self._observable.constant
         for group, template in zip(self._groups, self._group_templates):
             value += self._run_group(group, template, values, shots)
         if self.timing_only:
-            from repro.core.system import _surrogate_energy
-
-            value = _surrogate_energy(self._observable, values)
+            value = self._surrogate_energy(values)
         self.report.energies.append(float(value))
         return float(value)
 
-    def _evaluate_analytic(self, values: Dict[Parameter, float]) -> float:
-        """``shots=0``: exact host-side expectation, no FPGA round trip."""
-        self.report.evaluations += 1
-        if self.timing_only:
-            from repro.core.system import _surrogate_energy
-
-            value = _surrogate_energy(self._observable, values)
-        else:
-            value, _ = self.sampler.expectation(
-                self._ansatz.bind(values), self._observable, 0
-            )
-        self._charge(
-            "host_compute",
-            self.workload.analytic_expectation_ps(
-                self._ansatz_gates, len(self._observable.terms), self.n_qubits
-            ),
-        )
-        self.report.energies.append(float(value))
-        return float(value)
-
-    def charge_optimizer_step(self, n_params: int, method: str) -> None:
-        self._charge("host_compute", self.workload.optimizer_step_ps(n_params, method))
-
-    def charge_adjoint_gradient(self, n_params: int, energy: float) -> None:
-        """Account one adjoint-mode gradient pass (pure host compute)."""
-        self.report.evaluations += 1
-        self._charge(
-            "host_compute",
-            self.workload.adjoint_gradient_ps(self._ansatz_gates, self.n_qubits),
-        )
-        self.report.energies.append(float(energy))
-
-    def finish(self) -> ExecutionReport:
-        self.report.end_to_end_ps = self.now
-        self.report.extra.setdefault("link_messages", float(self.link.messages))
-        self.report.extra.setdefault("jit_compilations", float(self.jit.compilations))
+    def _extras(self) -> Dict[str, float]:
+        extras = {
+            "link_messages": float(self.link.messages),
+            "jit_compilations": float(self.jit.compilations),
+        }
         if self.fault_injector is not None:
-            self.report.extra.setdefault(
-                "link_retransmits", float(self.link.retransmits)
-            )
-            self.report.extra.setdefault(
-                "link_recovery_ps", float(self.link.recovery_ps)
-            )
-        if self._base_readout is not None:
-            self.report.extra.setdefault("readout_p01", self._base_readout.p01)
-            self.report.extra.setdefault("readout_p10", self._base_readout.p10)
-        return self.report
+            extras["link_retransmits"] = float(self.link.retransmits)
+            extras["link_recovery_ps"] = float(self.link.recovery_ps)
+        return extras
 
     # ------------------------------------------------------------------
     def _run_group(
@@ -189,7 +107,7 @@ class DecoupledSystem:
         self._count_instr("static_quantum", output.instruction_count)
 
         # 2. binary upload over the link.
-        self._charge("comm", self.link.send(output.binary_bytes), kind="upload")
+        self._charge("comm", self.link.send(output.binary_bytes), instr_kind="upload")
 
         # 3. FPGA regenerates every pulse (no reuse).
         pulses = output.bound_circuit.gate_count(include_measure=False)
@@ -204,7 +122,7 @@ class DecoupledSystem:
 
         # 5. results travel back in one message.
         result_bytes = shots * shot_record_bytes(self.n_qubits)
-        self._charge("comm", self.link.send(result_bytes), kind="download")
+        self._charge("comm", self.link.send(result_bytes), instr_kind="download")
 
         # 6. host post-processing.
         post = self.workload.post_process_ps(shots, self.n_qubits)
@@ -215,19 +133,3 @@ class DecoupledSystem:
             return 0.0
         counts = self.sampler.run(output.bound_circuit, shots).counts
         return group.expectation_from_counts(counts)
-
-    # ------------------------------------------------------------------
-    def _charge(self, category: str, duration_ps: int, kind: Optional[str] = None) -> None:
-        # Strictly sequential execution: exposed time == busy time.
-        self.report.breakdown.add(category, duration_ps)
-        self.report.busy.add(category, duration_ps)
-        if kind is not None:
-            self.report.comm_by_instruction[kind] = (
-                self.report.comm_by_instruction.get(kind, 0) + duration_ps
-            )
-        self.now += duration_ps
-
-    def _count_instr(self, mnemonic: str, n: int) -> None:
-        self.report.instruction_counts[mnemonic] = (
-            self.report.instruction_counts.get(mnemonic, 0) + n
-        )

@@ -35,23 +35,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.analysis.breakdown import ExecutionReport
 from repro.analysis.trace import TraceRecorder
 from repro.compiler.incremental import IncrementalCompiler, UpdatePlan
 from repro.compiler.lowering import QtenonProgram, WORDS_PER_ENTRY, lower
 from repro.compiler.optimize import optimize as peephole_optimize
-from repro.compiler.transpile import transpile
 from repro.core.config import QtenonConfig
 from repro.core.controller import QuantumController, RunResult
+from repro.core.platform import PlatformModel
 from repro.host.cores import BOOM_LARGE, CoreModel
-from repro.host.workloads import HostWorkloadModel, WorkloadCosts, DEFAULT_COSTS
+from repro.host.workloads import WorkloadCosts, DEFAULT_COSTS
 from repro.isa.instructions import QAcquire
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.pauli import MeasurementGroup, PauliSum
-from repro.quantum.device import QuantumDevice
 from repro.quantum.parameters import Parameter
-from repro.quantum.sampler import Sampler
 from repro.sim.clock import HOST_CLOCK
 from repro.sim.kernel import Simulator
 
@@ -92,15 +89,7 @@ class QtenonFeatures:
         )
 
 
-
-_TRACE_TRACK = {
-    "quantum": "quantum",
-    "pulse_gen": "controller",
-    "host_compute": "host",
-    "comm": "bus",
-}
-
-class QtenonSystem:
+class QtenonSystem(PlatformModel):
     """Tightly coupled platform model."""
 
     def __init__(
@@ -127,30 +116,18 @@ class QtenonSystem:
             raise ValueError(
                 f"config supports {self.config.n_qubits} qubits, workload needs {n_qubits}"
             )
-        self.n_qubits = n_qubits
-        self.core = core
+        super().__init__(
+            "qtenon", n_qubits, self.config.n_qubits, core, costs, seed,
+            exact_limit, backend, timing_only, readout_noise, fault_injector,
+        )
         self.features = features
         self.overlap_mode = overlap_mode
-        #: timing-only mode: full architectural timeline, no quantum
-        #: state — large sweep benches (Fig. 11/12/17) use this; the
-        #: objective seen by the optimizer is a smooth deterministic
-        #: surrogate so parameter trajectories stay realistic.
-        self.timing_only = timing_only
         #: run the peephole optimiser before lowering (off by default so
         #: reported entry counts match the raw workload definitions).
         self.optimize_circuits = optimize_circuits
         self.clock = HOST_CLOCK
 
         self.hierarchy = MemoryHierarchy()
-        self.fault_injector = fault_injector
-        self.device = QuantumDevice(self.config.n_qubits, readout_noise=readout_noise)
-        self.sampler = Sampler(
-            seed=seed,
-            exact_limit=exact_limit,
-            force_backend=backend,
-            readout_noise=self.device.readout_noise,
-        )
-        self._base_readout = self.device.readout_noise
         self.controller = QuantumController(
             self.config,
             self.hierarchy,
@@ -158,47 +135,19 @@ class QtenonSystem:
             self.sampler,
             fault_injector=fault_injector,
         )
-        self.workload = HostWorkloadModel(core, costs)
-
-        self.report = ExecutionReport(platform=f"qtenon-{core.name}")
-        #: optional Chrome-trace timeline (see repro.analysis.trace)
-        self.trace: Optional[TraceRecorder] = (
-            TraceRecorder(f"qtenon-{core.name}") if trace_events else None
-        )
-        self.now: int = 0
+        if trace_events:
+            self.trace = TraceRecorder(f"qtenon-{core.name}")
         self._program: Optional[QtenonProgram] = None
         self._incremental: Optional[IncrementalCompiler] = None
-        self._groups: List[MeasurementGroup] = []
-        self._observable: Optional[PauliSum] = None
-        self._ansatz: Optional[QuantumCircuit] = None
-        self._ansatz_gates = 0
-        self._prepared = False
 
     # ------------------------------------------------------------------
     # platform protocol
     # ------------------------------------------------------------------
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None:
         """Transpile + lower the workload and upload it once."""
-        if ansatz.n_qubits != self.n_qubits:
-            raise ValueError(
-                f"ansatz has {ansatz.n_qubits} qubits, system built for {self.n_qubits}"
-            )
-        self._observable = observable
-        self._ansatz = ansatz.copy()
-        self._ansatz_gates = ansatz.gate_count(include_measure=False)
-        self._groups = observable.grouped_qubitwise() or [
-            # observable with only a constant: still run & measure
-            MeasurementGroup()
-        ]
-        group_circuits = []
-        for group in self._groups:
-            variant = ansatz.copy()
-            variant.extend(group.basis_change_circuit(ansatz.n_qubits))
-            variant.measure_all()
-            native = transpile(variant)
-            if self.optimize_circuits:
-                native = peephole_optimize(native)
-            group_circuits.append(native)
+        group_circuits = self._bind_workload(ansatz, observable)
+        if self.optimize_circuits:
+            group_circuits = [peephole_optimize(c) for c in group_circuits]
         self._program = lower(group_circuits, self.config)
         self.controller.attach_program(self._program)
         self._incremental = IncrementalCompiler(self._program)
@@ -221,14 +170,7 @@ class QtenonSystem:
             # Analytic path: no device run, no RNG consumption — the
             # exact expectation is pure host compute.
             return self._evaluate_analytic(values)
-        if self.fault_injector is not None and self._base_readout is not None:
-            # Calibration drift: assignment errors grow with the
-            # evaluation index until the next (modelled) recalibration.
-            self.sampler.readout_noise = self.fault_injector.drifted_readout(
-                self._base_readout, self.report.evaluations
-            )
-        self.report.evaluations += 1
-        self.report.total_shots += shots * len(self._groups)
+        self._begin_sampled(shots)
 
         plan = self._compile_step(values)
         self._issue_updates(plan)
@@ -254,69 +196,19 @@ class QtenonSystem:
                 value += group.expectation_from_counts(run.counts)
             self._account_run(run, shots, group)
         if self.timing_only:
-            value = _surrogate_energy(self._observable, values)
+            value = self._surrogate_energy(values)
         self.report.energies.append(float(value))
         return float(value)
 
-    def _evaluate_analytic(self, values: Dict[Parameter, float]) -> float:
-        """``shots=0``: exact ⟨observable⟩ as a host-side simulation.
-
-        Bypasses the controller run loop entirely — there is nothing to
-        stream, batch or post-process — and charges the statevector
-        pass as host compute instead.
-        """
-        self.report.evaluations += 1
-        if self.timing_only:
-            value = _surrogate_energy(self._observable, values)
-        else:
-            value, _ = self.sampler.expectation(
-                self._ansatz.bind(values), self._observable, 0
-            )
-        self._charge(
-            "host_compute",
-            self.workload.analytic_expectation_ps(
-                self._ansatz_gates, len(self._observable.terms), self.n_qubits
-            ),
-        )
-        self.report.energies.append(float(value))
-        return float(value)
-
-    def charge_optimizer_step(self, n_params: int, method: str) -> None:
-        """Host-side optimiser update between evaluations."""
-        self._charge("host_compute", self.workload.optimizer_step_ps(n_params, method))
-
-    def charge_adjoint_gradient(self, n_params: int, energy: float) -> None:
-        """Account one adjoint-mode gradient evaluation.
-
-        The adjoint pass is pure host compute — one forward simulation
-        plus one reverse sweep, no quantum shots — so the charge is
-        independent of ``n_params`` and no device phases are touched.
-        The analytic energy from the forward pass lands in the report
-        exactly like a sampled evaluation's would.
-        """
-        self.report.evaluations += 1
-        self._charge(
-            "host_compute",
-            self.workload.adjoint_gradient_ps(self._ansatz_gates, self.n_qubits),
-        )
-        self.report.energies.append(float(energy))
-
-    def finish(self) -> ExecutionReport:
-        self.report.end_to_end_ps = self.now
-        self.report.extra.setdefault("slt_hit_rate", self._slt_hit_rate())
+    def _extras(self) -> Dict[str, float]:
+        extras = {"slt_hit_rate": self._slt_hit_rate()}
         if self.fault_injector is not None:
             stats = self.controller.stats
-            self.report.extra.setdefault(
-                "put_retransmits", float(stats.counter("put_retransmits").value)
+            extras["put_retransmits"] = float(stats.counter("put_retransmits").value)
+            extras["acquire_watchdog_fires"] = float(
+                stats.counter("acquire_watchdog_fires").value
             )
-            self.report.extra.setdefault(
-                "acquire_watchdog_fires",
-                float(stats.counter("acquire_watchdog_fires").value),
-            )
-        if self._base_readout is not None:
-            self.report.extra.setdefault("readout_p01", self._base_readout.p01)
-            self.report.extra.setdefault("readout_p10", self._base_readout.p10)
-        return self.report
+        return extras
 
     # ------------------------------------------------------------------
     # phases
@@ -471,23 +363,6 @@ class QtenonSystem:
     # ------------------------------------------------------------------
     # accounting helpers
     # ------------------------------------------------------------------
-    def _charge(self, category: str, duration_ps: int, instr_kind: Optional[str] = None) -> None:
-        """Sequential phase: exposed == busy; advances the cursor."""
-        self.report.breakdown.add(category, duration_ps)
-        self.report.busy.add(category, duration_ps)
-        if self.trace is not None:
-            self.trace.record(
-                _TRACE_TRACK[category],
-                instr_kind or category,
-                self.now,
-                self.now + duration_ps,
-            )
-        if instr_kind is not None:
-            self.report.comm_by_instruction[instr_kind] = (
-                self.report.comm_by_instruction.get(instr_kind, 0) + duration_ps
-            )
-        self.now += duration_ps
-
     def _charge_at(self, category: str, duration_ps: int, instr_kind: Optional[str] = None) -> None:
         """Bucket accounting without advancing the cursor (the caller
         sets ``self.now`` from the overlap computation)."""
@@ -497,30 +372,9 @@ class QtenonSystem:
                 self.report.comm_by_instruction.get(instr_kind, 0) + duration_ps
             )
 
-    def _count_instr(self, mnemonic: str, n: int) -> None:
-        self.report.instruction_counts[mnemonic] = (
-            self.report.instruction_counts.get(mnemonic, 0) + n
-        )
-
     def _slt_hit_rate(self) -> float:
         hits = sum(slt.hits for slt in self.controller.slts)
         misses = sum(slt.misses for slt in self.controller.slts)
         total = hits + misses
         return hits / total if total else 0.0
 
-
-def _surrogate_energy(observable: PauliSum, values: Dict[Parameter, float]) -> float:
-    """Smooth deterministic stand-in objective for timing-only mode.
-
-    Keeps optimizer trajectories (and hence SLT reuse patterns)
-    realistic without simulating quantum state: a separable cosine
-    landscape scaled to the observable's coefficient mass.
-    """
-    import math
-
-    scale = sum(abs(coeff) for coeff, _ in observable.terms) or 1.0
-    phase = sum(
-        math.cos(value + 0.37 * i) for i, value in enumerate(values.values())
-    )
-    n = max(1, len(values))
-    return observable.constant - scale * phase / n

@@ -76,10 +76,8 @@ def derive_backend_id(backend: str, readout_noise=None) -> str:
     The returned id feeds :func:`repro.runtime.cache.evaluation_key`
     digests (and therefore content-derived sampler seeds), so planner
     and ``build_spec`` call sites must never drift: a readout-noise
-    model that is not ideal suffixes the id, reference mode
-    deliberately shares the id of the kernel path (value-identical by
-    contract), and a planner-chosen backend produces the same id as the
-    same backend forced explicitly.
+    model that is not ideal suffixes the id, and a planner-chosen
+    backend produces the same id as the same backend forced explicitly.
     """
     backend_id = backend
     if readout_noise is not None and not readout_noise.is_ideal:

@@ -17,15 +17,14 @@ buffer — no ``tensordot``, no ``moveaxis``, no full-state
 ``ascontiguousarray`` copy per gate.  Diagonal gates (RZ/CZ/RZZ and
 friends, the bulk of transpiled circuits) skip the scratch entirely.
 
-Numerical contract: the kernel path agrees with the reference
-``tensordot`` path to ~1e-12 elementwise (fusion reorders a handful of
+Numerical contract: the kernel path agrees with a ``tensordot``
+contraction oracle to ~1e-12 elementwise (fusion reorders a handful of
 floating-point operations), and replaying a compiled program is
 **bit-identical** to freshly compiling the same structure — both are
-pinned by the hypothesis property tests.  The reference implementation
-stays available via ``reference=True`` escape hatches on
-:class:`~repro.quantum.statevector.StatevectorBackend`,
-:class:`~repro.quantum.sampler.Sampler` and
-:func:`repro.runtime.engine.build_spec`.
+pinned by the hypothesis property tests.  These kernels are the only
+statevector implementation in the package; the contraction oracle
+lives in the test suite, and ``benchmarks/bench_kernels.py`` keeps a
+frozen copy of it as the baseline it times.
 """
 
 from __future__ import annotations
@@ -802,13 +801,10 @@ class ReplayCache:
         self,
         circuit: QuantumCircuit,
         parameters: Optional[Sequence[Parameter]] = None,
-        fuse: bool = True,
     ) -> CompiledProgram:
         from repro.runtime.cache import circuit_structure_hash
 
-        key = circuit_structure_hash(circuit, parameters) + (
-            "+fused" if fuse else "+plain"
-        )
+        key = circuit_structure_hash(circuit, parameters)
         program = self._entries.get(key)
         if program is not None:
             self._entries.move_to_end(key)
@@ -816,7 +812,7 @@ class ReplayCache:
             _PROGRAM_CACHE_HITS.increment()
             return program
         self._misses.increment()
-        program = compile_circuit(circuit, parameters, fuse=fuse)
+        program = compile_circuit(circuit, parameters)
         program.key = key
         self._entries[key] = program
         self._evict_over_bound()

@@ -290,6 +290,18 @@ class MeasurementGroup:
         return total
 
 
+def measurement_circuits(
+    circuit: QuantumCircuit, groups: Iterable[MeasurementGroup]
+) -> List[QuantumCircuit]:
+    """One ``circuit + basis change + measure_all`` copy per group."""
+    return [
+        circuit.copy()
+        .extend(group.basis_change_circuit(circuit.n_qubits))
+        .measure_all()
+        for group in groups
+    ]
+
+
 def _string_expectation(state: Statevector, string: PauliString) -> float:
     working = state.copy()
     for qubit, pauli in string.terms:

@@ -18,7 +18,7 @@ import numpy as np
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.kernels import CompiledProgram
 from repro.quantum.noise import ReadoutNoise
-from repro.quantum.pauli import PauliSum
+from repro.quantum.pauli import PauliSum, measurement_circuits
 from repro.quantum.product_state import ProductStateBackend
 from repro.quantum.stabilizer import StabilizerBackend, is_clifford_circuit
 from repro.quantum.statevector import StatevectorBackend
@@ -61,14 +61,12 @@ class Sampler:
         exact_limit: int = DEFAULT_EXACT_LIMIT,
         force_backend: Optional[str] = None,
         readout_noise: Optional["ReadoutNoise"] = None,
-        reference: bool = False,
     ) -> None:
         self.rng = np.random.default_rng(seed)
         self.exact_limit = exact_limit
         self.force_backend = force_backend
         self.readout_noise = readout_noise
-        self.reference = reference
-        self._exact = StatevectorBackend(reference=reference)
+        self._exact = StatevectorBackend()
         self._product = ProductStateBackend()
         self._stabilizer = StabilizerBackend()
         self._stub = StubBackend()
@@ -118,36 +116,6 @@ class Sampler:
             backend_name=backend.name,
         )
 
-    def run_program(
-        self,
-        program: "CompiledProgram",
-        vector: Optional[np.ndarray],
-        shots: int,
-    ) -> SampleResult:
-        """Replay a compiled statevector program at ``vector`` and sample.
-
-        The fast-path twin of :meth:`run` for the evaluation runtime:
-        identical RNG consumption order (shot draw, then readout
-        corruption), so histories match the circuit path draw for draw.
-        """
-        if shots <= 0:
-            raise ValueError(f"shots must be positive, got {shots}")
-        state = program.execute(vector)
-        measured = program.measured_qubits() or list(range(program.n_qubits))
-        counts = state.sample_counts(shots, self.rng, qubits=measured)
-        if self.readout_noise is not None and not self.readout_noise.is_ideal:
-            counts = self.readout_noise.apply_to_counts(
-                counts, len(set(measured)), self.rng
-            )
-        self.executions += 1
-        self.total_shots += shots
-        return SampleResult(
-            counts=counts,
-            shots=shots,
-            n_qubits=program.n_qubits,
-            backend_name=self._exact.name,
-        )
-
     def run_program_batch(
         self,
         program: "CompiledProgram",
@@ -155,16 +123,16 @@ class Sampler:
         shots: int,
         rngs: Optional[List[np.random.Generator]] = None,
     ) -> List[SampleResult]:
-        """Replay a program once over a ``(K, n_slots)`` batch and sample.
+        """Replay a compiled program over a ``(K, n_slots)`` batch and sample.
 
-        The cross-probe twin of :meth:`run_program`: one
-        :meth:`~repro.quantum.kernels.CompiledProgram.execute_batch`
+        The fast-path twin of :meth:`run` for the evaluation runtime:
+        one :meth:`~repro.quantum.kernels.CompiledProgram.execute_batch`
         pass produces all K states, then each row is sampled with its
         own generator (``rngs[k]``; defaults to the sampler's shared
         stream) in row order — shot draw first, readout corruption
-        second, exactly the per-probe consumption order, so row ``k``'s
-        counts are bit-identical to ``run_program(program, vectors[k])``
-        under the same generator state.
+        second, the same consumption order as :meth:`run`, so row
+        ``k``'s counts match the circuit path bound at ``vectors[k]``
+        draw for draw under the same generator state.
         """
         if shots <= 0:
             raise ValueError(f"shots must be positive, got {shots}")
@@ -222,10 +190,7 @@ class Sampler:
         groups = observable.grouped_qubitwise()
         value = observable.constant
         results: List[SampleResult] = []
-        for group in groups:
-            prepared = circuit.copy()
-            prepared.extend(group.basis_change_circuit(circuit.n_qubits))
-            prepared.measure_all()
+        for group, prepared in zip(groups, measurement_circuits(circuit, groups)):
             result = self.run(prepared, shots)
             results.append(result)
             value += group.expectation_from_counts(result.counts)

@@ -5,9 +5,8 @@ counts (the paper obtained its quantum I/O from Qiskit's simulator; we
 implement the equivalent ourselves since no quantum SDK is available
 offline).  Gates are applied by the in-place bit-sliced kernels of
 :mod:`repro.quantum.kernels` (single-qubit fusion included when a whole
-circuit runs); the original tensor-contraction implementation is kept
-as the ``reference=True`` escape hatch and is what the kernel path is
-property-tested against.
+circuit runs); the test suite property-tests them against an
+independent ``tensordot`` contraction oracle.
 
 Bit convention: qubit 0 is the least significant bit of a basis index,
 so basis state ``|q_{n-1} ... q_1 q_0>`` has index ``sum q_i << i``.
@@ -32,11 +31,8 @@ class StatevectorBackend:
     name = "statevector"
     exact = True
 
-    def __init__(
-        self, max_qubits: int = MAX_EXACT_QUBITS, reference: bool = False
-    ) -> None:
+    def __init__(self, max_qubits: int = MAX_EXACT_QUBITS) -> None:
         self.max_qubits = max_qubits
-        self.reference = reference
 
     # ------------------------------------------------------------------
     def run(self, circuit: QuantumCircuit) -> "Statevector":
@@ -50,18 +46,11 @@ class StatevectorBackend:
                 f"{circuit.n_qubits} qubits exceeds exact-backend limit "
                 f"{self.max_qubits}; use ProductStateBackend"
             )
-        if not self.reference:
-            # Bound circuits compile to all-fixed programs: one pass of
-            # in-place bit-sliced applies with adjacent 1q gates fused.
-            from repro.quantum.kernels import compile_circuit
+        # Bound circuits compile to all-fixed programs: one pass of
+        # in-place bit-sliced applies with adjacent 1q gates fused.
+        from repro.quantum.kernels import compile_circuit
 
-            return compile_circuit(circuit).execute()
-        state = Statevector.zero_state(circuit.n_qubits)
-        for op in circuit.operations:
-            if op.is_measurement:
-                continue  # terminal measurement; sampling reads probabilities
-            state.apply(op, reference=True)
-        return state
+        return compile_circuit(circuit).execute()
 
     def sample(
         self,
@@ -114,13 +103,10 @@ class Statevector:
     # ------------------------------------------------------------------
     # gate application
     # ------------------------------------------------------------------
-    def apply(self, op: Operation, reference: bool = False) -> None:
+    def apply(self, op: Operation) -> None:
         matrix = op.spec.matrix(*(float(p) for p in op.params))
         if op.spec.n_qubits not in (1, 2):  # pragma: no cover - no >2q gates
             raise NotImplementedError(f"{op.spec.n_qubits}-qubit gates")
-        if reference:
-            self._apply_matrix(matrix, op.qubits)
-            return
         from repro.quantum.kernels import apply_1q, apply_2q, scratch_size
 
         self._probs_cache = None
@@ -132,25 +118,6 @@ class Statevector:
             apply_2q(
                 self._amplitudes, matrix, op.qubits[0], op.qubits[1], self._scratch
             )
-
-    def _apply_matrix(self, matrix: np.ndarray, qubits: Sequence[int]) -> None:
-        """Reference path: contract ``matrix`` over the axes of ``qubits``.
-
-        The state is viewed as a tensor with axis 0 = qubit ``n-1`` ...
-        axis ``n-1`` = qubit 0 (C-order reshape of the little-endian
-        vector).  A gate on qubit ``q`` therefore acts on axis
-        ``n - 1 - q``.
-        """
-        n = self.n_qubits
-        k = len(qubits)
-        axes = [n - 1 - q for q in qubits]
-        tensor = self._amplitudes.reshape((2,) * n)
-        gate = matrix.reshape((2,) * (2 * k))
-        # tensordot contracts gate's *input* axes (last k) with the state.
-        moved = np.tensordot(gate, tensor, axes=(list(range(k, 2 * k)), axes))
-        # tensordot puts the gate's output axes first; move them home.
-        tensor = np.moveaxis(moved, list(range(k)), axes)
-        self.amplitudes = np.ascontiguousarray(tensor).reshape(-1)
 
     # ------------------------------------------------------------------
     # inspection & sampling

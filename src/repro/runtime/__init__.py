@@ -7,9 +7,13 @@ without touching the architectural model:
 * :class:`EvaluationEngine` — a platform wrapper that fans a batch of
   independent evaluations across persistent shared-memory workers
   (:class:`SharedMemoryPool`) and replays the platform's timing model
-  serially; the serial path itself is batched
-  (:func:`evaluate_spec_batch` amortises program traversal across the
-  2P+1 probes of an optimizer step);
+  serially;
+* :func:`evaluate_spec_batch` — the one functional energy entry: a
+  single probe is a batch of one, and sampled, routed (product /
+  stabilizer) and ``shots=0`` rows all go through it, so the serial
+  path, the pool workers and one-off callers agree bit for bit
+  (:func:`~repro.runtime.engine.evaluate_spec_gradients` is its
+  adjoint-mode twin);
 * :class:`EvalCache` — a bounded LRU keyed on the content address of
   an evaluation (circuit structure, parameters, shots, seed, backend),
   so repeated requests are served bit-identically without recompute;
@@ -31,7 +35,6 @@ from repro.runtime.engine import (
     EvaluationEngine,
     EvaluationSpec,
     build_spec,
-    evaluate_spec,
     evaluate_spec_batch,
 )
 from repro.runtime.workers import PoolBroken, SharedMemoryPool
@@ -48,7 +51,6 @@ __all__ = [
     "SharedMemoryPool",
     "build_spec",
     "circuit_structure_hash",
-    "evaluate_spec",
     "evaluate_spec_batch",
     "evaluation_key",
     "evaluation_keys",

@@ -71,9 +71,8 @@ from repro.quantum.adjoint import adjoint_gradient_batch, supports_program
 from repro.quantum.kernels import PROGRAM_CACHE, CompiledProgram, gate_census
 from repro.quantum.noise import ReadoutNoise
 from repro.quantum.parameters import Parameter
-from repro.quantum.pauli import MeasurementGroup, PauliSum
+from repro.quantum.pauli import MeasurementGroup, PauliSum, measurement_circuits
 from repro.quantum.sampler import DEFAULT_EXACT_LIMIT, Sampler
-from repro.quantum.statevector import StatevectorBackend
 from repro.runtime.breaker import CircuitBreaker
 from repro.runtime.cache import (
     EvalCache,
@@ -109,7 +108,6 @@ class EvaluationSpec:
     structure_hash: str
     backend_id: str
     programs: Optional[List[CompiledProgram]] = None
-    reference: bool = False
     #: the planner's routing decision for this spec (kept for
     #: telemetry/span attributes; the operative outputs are
     #: ``force_backend`` and ``backend_id`` above).
@@ -129,25 +127,19 @@ def build_spec(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     force_backend: Optional[str] = None,
     readout_noise: Optional[ReadoutNoise] = None,
-    reference: bool = False,
 ) -> EvaluationSpec:
     """Build the picklable functional-evaluation spec for a workload.
 
     Mirrors the platforms' preparation: one transpiled
     ansatz + basis-change + measure-all circuit per qubit-wise-commuting
-    measurement group.  ``reference=True`` disables the vectorized
-    kernels and the compiled replay programs — every evaluation then
-    re-binds and re-simulates through the original tensor-contraction
-    path (the escape hatch the kernel tests compare against).
+    measurement group.  Statevector-routed specs also carry one compiled
+    replay program per group (and the adjoint program when supported).
     """
     order = list(parameters) if parameters is not None else ansatz.parameters
     groups = observable.grouped_qubitwise() or [MeasurementGroup()]
-    group_circuits: List[QuantumCircuit] = []
-    for group in groups:
-        variant = ansatz.copy()
-        variant.extend(group.basis_change_circuit(ansatz.n_qubits))
-        variant.measure_all()
-        group_circuits.append(transpile(variant))
+    group_circuits = [
+        transpile(circuit) for circuit in measurement_circuits(ansatz, groups)
+    ]
 
     # The planner replaces the old bare width check: it classifies the
     # job from the group circuits' gate censuses (Clifford circuits of
@@ -166,10 +158,6 @@ def build_spec(
     )
     backend = derive_backend_id(plan.backend, readout_noise)
 
-    # Reference mode deliberately shares the backend id (and thus cache
-    # keys and derived sampler seeds) with the kernel path: the two are
-    # asserted value-identical, and seed parity is what lets the bench
-    # compare their energy histories bit for bit.
     # Programs come from the process-wide replay cache so they carry a
     # content-address ``key`` — that is what lets persistent pool
     # workers adopt shipped programs into *their* cache (dedup across
@@ -178,7 +166,7 @@ def build_spec(
     programs: Optional[List[CompiledProgram]] = None
     adjoint_program: Optional[CompiledProgram] = None
     adjoint_observable: Optional[PauliSum] = None
-    if not reference and backend.startswith("statevector"):
+    if backend.startswith("statevector"):
         programs = [
             PROGRAM_CACHE.get_or_compile(circuit, order)
             for circuit in group_circuits
@@ -203,83 +191,10 @@ def build_spec(
         structure_hash=circuit_structure_hash(ansatz, order),
         backend_id=backend,
         programs=programs,
-        reference=reference,
         plan=plan,
         adjoint_program=adjoint_program,
         observable=adjoint_observable,
     )
-
-
-def evaluate_spec(
-    spec: EvaluationSpec, vector: np.ndarray, shots: int, seed: int
-) -> float:
-    """Pure functional evaluation: bind, sample, estimate ⟨observable⟩.
-
-    Shared verbatim by the serial path and the pool workers, which is
-    what makes the two bit-identical.  When the spec carries compiled
-    replay programs, each probe re-executes them with the fresh vector
-    (no circuit traversal); otherwise every evaluation re-binds the
-    group circuits and runs the sampler's circuit path.
-
-    ``shots=0`` selects the analytic path: exact expectations straight
-    from the post-rotation probability vectors, no sampling, no RNG
-    consumption (the seed is ignored).  Statevector jobs only —
-    approximate backends have no exact expectation to offer.
-    """
-    if shots < 0:
-        raise ValueError(f"shots must be non-negative, got {shots}")
-    if shots == 0:
-        return _evaluate_spec_exact(spec, vector)
-    sampler = Sampler(
-        seed=seed,
-        exact_limit=spec.exact_limit,
-        force_backend=spec.force_backend,
-        readout_noise=spec.readout_noise,
-        reference=spec.reference,
-    )
-    value = spec.constant
-    if spec.programs is not None:
-        for group, program in zip(spec.groups, spec.programs):
-            result = sampler.run_program(program, vector, shots)
-            if group.members:
-                value += group.expectation_from_counts(result.counts)
-        return float(value)
-    values = {p: float(v) for p, v in zip(spec.parameters, vector)}
-    for group, circuit in zip(spec.groups, spec.group_circuits):
-        bound = circuit.bind(values)
-        result = sampler.run(bound, shots)
-        if group.members:
-            value += group.expectation_from_counts(result.counts)
-    return float(value)
-
-
-def _require_statevector(spec: EvaluationSpec) -> None:
-    if not spec.backend_id.startswith("statevector"):
-        raise ValueError(
-            f"shots=0 needs the exact statevector backend, "
-            f"job routed to {spec.backend_id!r}"
-        )
-
-
-def _evaluate_spec_exact(spec: EvaluationSpec, vector: np.ndarray) -> float:
-    """Analytic ``shots=0`` expectation at one slot vector."""
-    _require_statevector(spec)
-    value = spec.constant
-    if spec.programs is not None:
-        for group, program in zip(spec.groups, spec.programs):
-            if group.members:
-                state = program.execute(vector)
-                value += group.expectation_from_probabilities(
-                    state.probabilities()
-                )
-        return float(value)
-    backend = StatevectorBackend(reference=spec.reference)
-    values = {p: float(v) for p, v in zip(spec.parameters, vector)}
-    for group, circuit in zip(spec.groups, spec.group_circuits):
-        if group.members:
-            state = backend.run(circuit.bind(values))
-            value += group.expectation_from_probabilities(state.probabilities())
-    return float(value)
 
 
 def evaluate_spec_batch(
@@ -288,48 +203,72 @@ def evaluate_spec_batch(
     shots: int,
     seeds: Sequence[int],
 ) -> List[float]:
-    """Evaluate K probes in one pass, amortising program traversal.
+    """Pure functional evaluation of ⟨observable⟩ at K slot vectors.
 
-    The cross-probe twin of :func:`evaluate_spec`: the K parameter
-    vectors are stacked into a ``(K, 2**n)`` state batch and each
-    compiled program is replayed *once* over the whole batch
-    (:meth:`~repro.quantum.sampler.Sampler.run_program_batch`), instead
-    of K separate traversals.  Determinism is preserved exactly: row
-    ``k`` samples from its own ``default_rng(seeds[k])`` in the same
-    group order (shot draw, then readout corruption, per group) as a
-    fresh per-probe ``Sampler(seed=seeds[k])`` would, so the returned
-    energies are bit-identical to ``[evaluate_spec(spec, v, shots, s)
-    for v, s in zip(vectors, seeds)]`` — the serial path, one pool
-    worker's slice, and the old per-probe loop all agree.
+    The one functional energy entry, shared verbatim by the serial path
+    and the pool workers, which is what makes the two bit-identical.
+    Row ``k`` draws only from its own ``default_rng(seeds[k])``, so
+    every row equals its own K=1 call and results never depend on the
+    batch composition.  Three row kinds:
 
-    Specs without compiled programs (product/stub backends, reference
-    mode) fall back to that per-probe loop verbatim.
+    * sampled, with compiled programs (statevector routing): the K
+      vectors are stacked into a ``(K, 2**n)`` state batch and each
+      program is replayed *once* over the whole batch
+      (:meth:`~repro.quantum.sampler.Sampler.run_program_batch`) — the
+      classical mirror of the paper's §6.1 parameter-only update path;
+    * sampled, without programs (product, stabilizer or stub routing):
+      each row re-binds the group circuits and runs a fresh
+      ``Sampler(seed=seeds[k])`` over them;
+    * ``shots=0``: exact expectations straight from the replayed
+      post-rotation probability vectors — no sampling, no RNG
+      consumption (the seeds are ignored).  Statevector jobs only;
+      approximate backends have no exact expectation to offer.
     """
     if len(vectors) != len(seeds):
         raise ValueError(f"got {len(seeds)} seeds for {len(vectors)} vectors")
+    if shots < 0:
+        raise ValueError(f"shots must be non-negative, got {shots}")
     if not len(vectors):
         return []
-    if spec.programs is None or shots == 0:
-        # The analytic path has no RNG to interleave, so the per-probe
-        # loop *is* the batch semantics (and the exact branch of
-        # evaluate_spec already replays compiled programs when present).
-        return [
-            evaluate_spec(spec, vector, shots, seed)
-            for vector, seed in zip(vectors, seeds)
-        ]
+    if shots == 0 and not spec.backend_id.startswith("statevector"):
+        raise ValueError(
+            f"shots=0 needs the exact statevector backend, "
+            f"job routed to {spec.backend_id!r}"
+        )
+    totals = [float(spec.constant)] * len(vectors)
+    if spec.programs is None:
+        for k, (vector, seed) in enumerate(zip(vectors, seeds)):
+            sampler = Sampler(
+                seed=seed,
+                exact_limit=spec.exact_limit,
+                force_backend=spec.force_backend,
+                readout_noise=spec.readout_noise,
+            )
+            values = {p: float(v) for p, v in zip(spec.parameters, vector)}
+            for group, circuit in zip(spec.groups, spec.group_circuits):
+                result = sampler.run(circuit.bind(values), shots)
+                if group.members:
+                    totals[k] += group.expectation_from_counts(result.counts)
+        return [float(total) for total in totals]
+    batch = np.asarray(
+        [np.asarray(vector, dtype=np.float64) for vector in vectors],
+        dtype=np.float64,
+    )
+    if shots == 0:
+        for group, program in zip(spec.groups, spec.programs):
+            if group.members:
+                for k, state in enumerate(program.execute_batch(batch)):
+                    totals[k] += group.expectation_from_probabilities(
+                        state.probabilities()
+                    )
+        return [float(total) for total in totals]
     sampler = Sampler(
         seed=0,  # unused: every row draws from its own seeded generator
         exact_limit=spec.exact_limit,
         force_backend=spec.force_backend,
         readout_noise=spec.readout_noise,
-        reference=spec.reference,
     )
     rngs = [np.random.default_rng(int(seed)) for seed in seeds]
-    batch = np.asarray(
-        [np.asarray(vector, dtype=np.float64) for vector in vectors],
-        dtype=np.float64,
-    )
-    totals = [float(spec.constant)] * len(vectors)
     for group, program in zip(spec.groups, spec.programs):
         results = sampler.run_program_batch(program, batch, shots, rngs=rngs)
         if group.members:
@@ -347,8 +286,8 @@ def evaluate_spec_gradients(
     the parameter count — over the spec's bare ansatz program.  Shared
     verbatim by the serial path and the pool workers, so the two are
     bit-identical.  Raises :class:`ValueError` when the spec carries no
-    adjoint program (non-statevector routing, reference mode, or a gate
-    without a known generator); callers that can fall back to
+    adjoint program (non-statevector routing or a gate without a known
+    generator); callers that can fall back to
     parameter-shift should check ``spec.adjoint_program`` first.
     """
     if spec.adjoint_program is None or spec.observable is None:
@@ -377,7 +316,6 @@ class EvaluationEngine:
         seed: int = 0,
         breaker: Optional[CircuitBreaker] = None,
         fault_injector=None,
-        reference: bool = False,
     ) -> None:
         if max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
@@ -385,9 +323,6 @@ class EvaluationEngine:
         self.max_workers = max_workers
         self.cache = cache
         self.seed = seed
-        #: disable the vectorized kernels / compiled replay programs and
-        #: evaluate through the original tensor-contraction path.
-        self.reference = reference
         self.breaker = breaker if breaker is not None else CircuitBreaker()
         self.fault_injector = fault_injector
         self.stats = StatGroup("runtime")
@@ -451,7 +386,6 @@ class EvaluationEngine:
             exact_limit=getattr(sampler, "exact_limit", DEFAULT_EXACT_LIMIT),
             force_backend=getattr(sampler, "force_backend", None),
             readout_noise=getattr(sampler, "readout_noise", None),
-            reference=self.reference,
         )
         # The planner's routing decision rides on the prepare span (the
         # counter side lives in the process-wide PLANNER_STATS group).
@@ -528,20 +462,7 @@ class EvaluationEngine:
             ]
             out = self._evaluate_many(values_list, shots)
         else:
-            order = self._spec.parameters
-            index = {id(p): i for i, p in enumerate(parameters)}
-            try:
-                perm = [index[id(p)] for p in order]
-            except KeyError:
-                missing = next(p for p in order if id(p) not in index)
-                raise KeyError(
-                    f"no value bound for circuit parameter {missing.name!r}"
-                ) from None
-            identity = perm == list(range(len(perm)))
-            arranged = []
-            for vector in vectors:
-                array = np.asarray(vector, dtype=np.float64)
-                arranged.append(array if identity else array[perm])
+            _, arranged = self._slot_order(parameters, vectors)
             out = self._evaluate_vector_batch(arranged, shots, None)
         self._trace_span(
             self._next_eval_name(),
@@ -560,9 +481,9 @@ class EvaluationEngine:
 
         Returns ``None`` when the adjoint path cannot serve this
         workload — sampled shots requested (the adjoint pass is
-        analytic by construction), non-statevector routing, reference
-        mode, a parameterised gate without a known generator, or a
-        timing-only platform — so the caller can fall back to
+        analytic by construction), non-statevector routing, a
+        parameterised gate without a known generator, or a timing-only
+        platform — so the caller can fall back to
         parameter-shift.  Each returned energy is the exact
         ⟨observable⟩ from that gradient's own forward pass; the
         platform is charged one host-compute adjoint sweep per vector
@@ -581,22 +502,9 @@ class EvaluationEngine:
         ):
             return None
         start_ps = self._trace_start()
-        order = spec.parameters
-        index = {id(p): i for i, p in enumerate(parameters)}
-        try:
-            perm = [index[id(p)] for p in order]
-        except KeyError:
-            missing = next(p for p in order if id(p) not in index)
-            raise KeyError(
-                f"no value bound for circuit parameter {missing.name!r}"
-            ) from None
-        identity = perm == list(range(len(perm)))
-        arranged = []
-        for vector in vectors:
-            array = np.asarray(vector, dtype=np.float64)
-            arranged.append(array if identity else array[perm])
+        perm, arranged = self._slot_order(parameters, vectors)
         energies, grad_slots = self._run_gradient_tasks(arranged)
-        if identity:
+        if perm is None:
             grads = grad_slots
         else:
             grads = []
@@ -607,7 +515,7 @@ class EvaluationEngine:
         charge = getattr(self.platform, "charge_adjoint_gradient", None)
         if charge is not None:
             for energy in energies:
-                charge(len(order), float(energy))
+                charge(len(spec.parameters), float(energy))
         self.stats.counter("adjoint_gradients").increment(len(vectors))
         self._trace_span(
             f"adjoint_gradients[{self._eval_index}]",
@@ -615,6 +523,31 @@ class EvaluationEngine:
             args={"batch": len(vectors)},
         )
         return energies, grads
+
+    def _slot_order(
+        self, parameters: Sequence[Parameter], vectors: Sequence[np.ndarray]
+    ) -> Tuple[Optional[List[int]], List[np.ndarray]]:
+        """Permute caller-ordered vectors into the spec's slot order.
+
+        Returns ``(perm, arranged)``: ``perm[slot]`` is the caller
+        index feeding that slot, or ``None`` when the orders already
+        agree (the vectors then pass through unpermuted).
+        """
+        index = {id(p): i for i, p in enumerate(parameters)}
+        try:
+            perm = [index[id(p)] for p in self._spec.parameters]
+        except KeyError:
+            missing = next(p for p in self._spec.parameters if id(p) not in index)
+            raise KeyError(
+                f"no value bound for circuit parameter {missing.name!r}"
+            ) from None
+        if perm == list(range(len(perm))):
+            perm = None
+        arranged = []
+        for vector in vectors:
+            array = np.asarray(vector, dtype=np.float64)
+            arranged.append(array if perm is None else array[perm])
+        return perm, arranged
 
     def _run_gradient_tasks(
         self, vectors: List[np.ndarray]

@@ -543,6 +543,12 @@ class SessionServer:
     def stop(self) -> None:
         self._stop.set()
         try:
+            # close() alone does not wake the thread blocked in
+            # accept(2); shutdown(2) does, so the join below is prompt.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass

@@ -6,10 +6,10 @@ The load-bearing contracts, in order of strictness:
   compiling the same structure at the same vector;
 * the vectorized ``expectation_from_counts`` is **bit-identical** to
   the scalar reference loop (integer eigenvalue accumulation);
-* the kernel statevector agrees with the reference ``tensordot`` path
-  to 1e-12 elementwise (fusion reorders a handful of fp operations);
-* the ``reference=True`` escape hatches produce the same energies as
-  the kernel path end to end.
+* the kernel statevector agrees with two independent oracles defined
+  here — a ``tensordot`` contraction and, up to 8 qubits, a dense
+  ``2**n`` unitary — to 1e-12 elementwise (fusion reorders a handful
+  of fp operations).
 """
 
 import math
@@ -24,7 +24,6 @@ from repro.quantum import (
     QuantumCircuit,
     Sampler,
     Statevector,
-    StatevectorBackend,
     compile_circuit,
     gate_spec,
     parameter_vector,
@@ -48,12 +47,62 @@ _1Q_PARAM = ("rx", "ry", "rz")
 _2Q = ("cx", "cz", "rzz")
 
 
-def _reference_state(circuit: QuantumCircuit) -> Statevector:
-    return StatevectorBackend(reference=True).run(circuit)
+def _gate_matrix(op) -> np.ndarray:
+    return op.spec.matrix(*(float(p) for p in op.params))
+
+
+def _contract(amps: np.ndarray, matrix: np.ndarray, qubits) -> np.ndarray:
+    """Oracle: contract ``matrix`` over the axes of ``qubits``.
+
+    The state is viewed as a tensor with axis 0 = qubit ``n-1`` ...
+    axis ``n-1`` = qubit 0 (C-order reshape of the little-endian
+    vector), so a gate on qubit ``q`` acts on axis ``n - 1 - q``.
+    """
+    n = amps.size.bit_length() - 1
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits]
+    gate = matrix.reshape((2,) * (2 * k))
+    # tensordot contracts the gate's *input* axes (last k) with the
+    # state and puts its output axes first; move them home.
+    moved = np.tensordot(gate, amps.reshape((2,) * n), axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(moved, list(range(k)), axes).reshape(-1)
+
+
+def _embed(matrix: np.ndarray, qubits, n: int) -> np.ndarray:
+    """Dense ``2**n`` unitary of one gate; ``qubits[0]`` is its high bit."""
+    index = np.arange(1 << n)
+    local = np.zeros_like(index)
+    mask = 0
+    for qubit in qubits:
+        local = (local << 1) | ((index >> qubit) & 1)
+        mask |= 1 << qubit
+    rest = index & ~mask
+    return matrix[local[:, None], local[None, :]] * (rest[:, None] == rest[None, :])
+
+
+def _oracle_amplitudes(circuit: QuantumCircuit, dense: bool = False) -> np.ndarray:
+    """|0...0> evolved by a bound circuit, without the kernels.
+
+    ``dense=True`` (at most 8 qubits) multiplies the full unitary out
+    instead of contracting gate by gate.
+    """
+    n = circuit.n_qubits
+    ops = [op for op in circuit.operations if not op.is_measurement]
+    if dense:
+        assert n <= 8, "dense oracle is for small circuits"
+        unitary = np.eye(1 << n, dtype=complex)
+        for op in ops:
+            unitary = _embed(_gate_matrix(op), op.qubits, n) @ unitary
+        return unitary[:, 0]
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
+    for op in ops:
+        amps = _contract(amps, _gate_matrix(op), op.qubits)
+    return amps
 
 
 # ----------------------------------------------------------------------
-# property tests: kernel vs reference, replay vs fresh compile
+# property tests: kernel vs oracles, replay vs fresh compile
 # ----------------------------------------------------------------------
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
@@ -96,8 +145,9 @@ def test_kernel_matches_reference_on_random_circuits(data):
     vector = np.array(values, dtype=np.float64)
     fast = compile_circuit(circuit, parameters).execute(vector)
     bound = circuit.bind(dict(zip(parameters, values))) if parameters else circuit
-    reference = _reference_state(bound)
-    assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= TOL
+    for dense in (False, True):
+        oracle = _oracle_amplitudes(bound, dense=dense)
+        assert np.max(np.abs(fast.amplitudes - oracle)) <= TOL
 
 
 @given(data=st.data())
@@ -142,8 +192,8 @@ def test_parameter_expression_binding_matches_bind():
     circuit.append("cz", (0, 1))
     vector = np.array([0.81])
     fast = compile_circuit(circuit, [theta]).execute(vector)
-    reference = _reference_state(circuit.bind({theta: 0.81}))
-    assert np.max(np.abs(fast.amplitudes - reference.amplitudes)) <= TOL
+    oracle = _oracle_amplitudes(circuit.bind({theta: 0.81}))
+    assert np.max(np.abs(fast.amplitudes - oracle)) <= TOL
 
 
 def test_compile_rejects_unknown_parameter():
@@ -208,8 +258,8 @@ def test_fusion_preserves_application_order():
     circuit.append("h", (0,))
     circuit.append("x", (0,))
     state = compile_circuit(circuit).execute()
-    reference = _reference_state(circuit)
-    assert np.max(np.abs(state.amplitudes - reference.amplitudes)) <= TOL
+    oracle = _oracle_amplitudes(circuit)
+    assert np.max(np.abs(state.amplitudes - oracle)) <= TOL
 
 
 def test_two_qubit_gate_flushes_only_its_wires():
@@ -225,13 +275,8 @@ def test_two_qubit_gate_flushes_only_its_wires():
     # rotations stay mergeable across it: 2 + 1(cz) + 2 + 1(fused) = 6.
     assert program.n_nodes == 6
     vector = np.array([0.1, 0.2, 0.3])
-    reference = _reference_state(
-        circuit.bind(dict(zip(theta, vector)))
-    )
-    assert (
-        np.max(np.abs(program.execute(vector).amplitudes - reference.amplitudes))
-        <= TOL
-    )
+    oracle = _oracle_amplitudes(circuit.bind(dict(zip(theta, vector))))
+    assert np.max(np.abs(program.execute(vector).amplitudes - oracle)) <= TOL
 
 
 def test_diagonal_run_of_param_gates_marked_diagonal():
@@ -269,11 +314,10 @@ def test_apply_1q_matches_reference(qubit, seed):
     amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     amps /= np.linalg.norm(amps)
     matrix = gate_spec("ry").matrix(rng.uniform(-3, 3))
-    state = Statevector(amps.copy(), n)
-    state._apply_matrix(matrix, (qubit,))
+    oracle = _contract(amps, matrix, (qubit,))
     fast = amps.copy()
     apply_1q(fast, matrix, qubit, np.empty(scratch_size(n), dtype=complex))
-    assert np.max(np.abs(fast - state.amplitudes)) <= TOL
+    assert np.max(np.abs(fast - oracle)) <= TOL
 
 
 @given(
@@ -289,11 +333,10 @@ def test_apply_2q_matches_reference(seed, name):
     amps /= np.linalg.norm(amps)
     spec = gate_spec(name)
     matrix = spec.matrix(*([rng.uniform(-3, 3)] * spec.n_params))
-    state = Statevector(amps.copy(), n)
-    state._apply_matrix(matrix, (int(q0), int(q1)))
+    oracle = _contract(amps, matrix, (int(q0), int(q1)))
     fast = amps.copy()
     apply_2q(fast, matrix, int(q0), int(q1), np.empty(scratch_size(n), dtype=complex))
-    assert np.max(np.abs(fast - state.amplitudes)) <= TOL
+    assert np.max(np.abs(fast - oracle)) <= TOL
 
 
 # ----------------------------------------------------------------------
@@ -317,15 +360,6 @@ def test_replay_cache_hits_on_structural_identity():
     stats = cache.stats.as_dict()
     assert stats["replay_cache.hits"] == 1
     assert stats["replay_cache.misses"] == 1
-
-
-def test_replay_cache_distinguishes_fused_and_plain():
-    cache = ReplayCache()
-    circuit, params = _rotation_circuit()
-    fused = cache.get_or_compile(circuit, params)
-    plain = cache.get_or_compile(circuit, params, fuse=False)
-    assert fused is not plain
-    assert len(cache) == 2
 
 
 def test_replay_cache_evicts_lru():
@@ -402,7 +436,7 @@ def test_eigenvalues_for_matches_scalar_eigenvalue():
 
 
 # ----------------------------------------------------------------------
-# end-to-end parity: sampler + engine escape hatches
+# end-to-end parity: sampler + engine
 # ----------------------------------------------------------------------
 def test_run_program_matches_circuit_path_draw_for_draw():
     circuit, params = _rotation_circuit(4)
@@ -411,34 +445,12 @@ def test_run_program_matches_circuit_path_draw_for_draw():
     program = compile_circuit(circuit, params)
 
     sampler_a = Sampler(seed=11)
-    counts_a = sampler_a.run_program(program, vector, 400).counts
+    (result,) = sampler_a.run_program_batch(program, vector[None, :], 400)
+    counts_a = result.counts
     sampler_b = Sampler(seed=11)
     bound = circuit.bind(dict(zip(params, vector)))
     counts_b = sampler_b.run(bound, 400).counts
     assert counts_a == counts_b
-
-
-def test_engine_reference_mode_bit_identical_end_to_end():
-    from repro import EvaluationEngine, HybridRunner, QtenonSystem
-    from repro.vqa import make_optimizer
-    from repro.vqa.ansatz import hardware_efficient_ansatz
-    from repro.vqa.hamiltonians import molecular_hamiltonian
-
-    ansatz, parameters = hardware_efficient_ansatz(4, n_layers=1)
-    observable = molecular_hamiltonian(4, seed=0)
-
-    def history(reference: bool):
-        platform = QtenonSystem(4, seed=3)
-        engine = EvaluationEngine(platform, seed=3, reference=reference)
-        runner = HybridRunner(
-            engine, ansatz, parameters, observable,
-            make_optimizer("gd"), shots=300, iterations=2,
-        )
-        result = runner.run(seed=3)
-        engine.close()
-        return result.cost_history
-
-    assert history(False) == history(True)
 
 
 def test_evaluate_vectors_matches_evaluate_many():

@@ -31,7 +31,7 @@ from repro.quantum import Parameter, QuantumCircuit
 from repro.quantum.kernels import GateCensus, gate_census
 from repro.quantum.noise import ReadoutNoise
 from repro.runtime.cache import evaluation_key
-from repro.runtime.engine import build_spec, evaluate_spec
+from repro.runtime.engine import build_spec, evaluate_spec_batch
 from repro.vqa import ghz_circuit, ghz_observable, ghz_workload
 
 
@@ -264,13 +264,14 @@ class TestBuildSpecRouting:
         )
         assert spec.backend_id == "statevector+readout(0.01,0.02)"
 
-    def test_reference_shares_backend_id(self):
+    def test_forced_backend_carries_no_programs(self):
         kernel = build_spec(parametric_ansatz(4), ghz_observable(4))
-        reference = build_spec(
-            parametric_ansatz(4), ghz_observable(4), reference=True
+        forced = build_spec(
+            parametric_ansatz(4), ghz_observable(4), force_backend="product"
         )
-        assert reference.backend_id == kernel.backend_id
-        assert reference.programs is None
+        assert forced.backend_id == "product"
+        assert forced.structure_hash == kernel.structure_hash
+        assert forced.programs is None and forced.adjoint_program is None
 
     def test_planned_equals_forced_cache_keys(self):
         auto = build_spec(ghz_circuit(8), ghz_observable(8))
@@ -293,7 +294,7 @@ class TestBuildSpecRouting:
         spec = build_spec(ghz_circuit(64), ghz_observable(64))
         assert spec.backend_id == "stabilizer"
         for seed in (0, 1, 2):
-            value = evaluate_spec(spec, np.zeros(0), shots=300, seed=seed)
+            (value,) = evaluate_spec_batch(spec, [np.zeros(0)], 300, [seed])
             assert value == 63.0  # exact: zero shot noise on a GHZ state
 
     def test_planned_equals_forced_histories(self):
@@ -301,10 +302,10 @@ class TestBuildSpecRouting:
         forced = build_spec(
             ghz_circuit(8), ghz_observable(8), force_backend="stabilizer"
         )
-        for seed in (0, 7):
-            assert evaluate_spec(auto, np.zeros(0), 50, seed) == evaluate_spec(
-                forced, np.zeros(0), 50, seed
-            )
+        vectors = [np.zeros(0), np.zeros(0)]
+        assert evaluate_spec_batch(auto, vectors, 50, [0, 7]) == (
+            evaluate_spec_batch(forced, vectors, 50, [0, 7])
+        )
 
 
 # ----------------------------------------------------------------------

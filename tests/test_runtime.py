@@ -19,7 +19,7 @@ from repro.runtime import (
     PoolBroken,
     build_spec,
     circuit_structure_hash,
-    evaluate_spec,
+    evaluate_spec_batch,
     evaluation_key,
 )
 from repro.quantum import Parameter, QuantumCircuit
@@ -171,8 +171,8 @@ class TestEvaluateSpec:
         ansatz, parameters, observable = workload
         spec = build_spec(ansatz, observable, parameters=parameters)
         vector = np.linspace(-0.4, 0.4, len(parameters))
-        first = evaluate_spec(spec, vector, SHOTS, seed=9)
-        second = evaluate_spec(spec, vector, SHOTS, seed=9)
+        first = evaluate_spec_batch(spec, [vector], SHOTS, [9])
+        second = evaluate_spec_batch(spec, [vector], SHOTS, [9])
         assert first == second
 
     def test_spec_survives_pickling(self, workload):
@@ -180,8 +180,8 @@ class TestEvaluateSpec:
         spec = build_spec(ansatz, observable, parameters=parameters)
         clone = pickle.loads(pickle.dumps(spec, protocol=pickle.HIGHEST_PROTOCOL))
         vector = np.linspace(-0.3, 0.3, len(parameters))
-        assert evaluate_spec(clone, vector, SHOTS, seed=2) == evaluate_spec(
-            spec, vector, SHOTS, seed=2
+        assert evaluate_spec_batch(clone, [vector], SHOTS, [2]) == (
+            evaluate_spec_batch(spec, [vector], SHOTS, [2])
         )
 
 

@@ -12,6 +12,7 @@ import concurrent.futures
 import math
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -479,6 +480,15 @@ class TestSessionServerProtocol:
                     break
                 deadline.wait(0.05)
             assert drained()
+
+    def test_stop_on_idle_server_is_prompt(self):
+        server = SessionServer(fake_manager()).start()
+        accept_thread = server._accept_thread
+        time.sleep(0.2)  # let the accept thread block in accept(2)
+        started = time.perf_counter()
+        server.stop()
+        assert time.perf_counter() - started < 1.0
+        assert not accept_thread.is_alive()
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,14 @@
 """Persistent shared-memory workers + cross-probe batching (PR 6).
 
-Three schedules must return bit-identical energies — per-probe serial
-(`evaluate_spec`), cross-probe batched (`evaluate_spec_batch`, built on
-`CompiledProgram.execute_batch`), and the persistent
-:class:`SharedMemoryPool` — because every probe's sampler seed is its
-content address, not a position in a shared stream.  On top of parity,
-the pool must never leak ``/dev/shm`` segments (clean close, GC, or a
-crashed worker), must survive workload changes without respawning, and
-the engine's timing replay must be idempotent across a mid-batch
-failure + retry.
+Three schedules must return bit-identical energies — one probe at a
+time (`evaluate_spec_batch` with K=1), cross-probe batched (the same
+call over K rows, built on `CompiledProgram.execute_batch`), and the
+persistent :class:`SharedMemoryPool` — because every probe's sampler
+seed is its content address, not a position in a shared stream.  On
+top of parity, the pool must never leak ``/dev/shm`` segments (clean
+close, GC, or a crashed worker), must survive workload changes without
+respawning, and the engine's timing replay must be idempotent across a
+mid-batch failure + retry.
 """
 
 import os
@@ -23,7 +23,6 @@ from repro.runtime import (
     PoolBroken,
     SharedMemoryPool,
     build_spec,
-    evaluate_spec,
     evaluate_spec_batch,
     evaluation_key,
     evaluation_keys,
@@ -102,7 +101,7 @@ class TestScheduleParity:
         seeds = _content_seeds(spec, vectors, SHOTS)
 
         serial = [
-            evaluate_spec(spec, vector, SHOTS, seed)
+            evaluate_spec_batch(spec, [vector], SHOTS, [seed])[0]
             for vector, seed in zip(vectors, seeds)
         ]
         batched = evaluate_spec_batch(spec, vectors, SHOTS, seeds)
@@ -115,16 +114,51 @@ class TestScheduleParity:
             pooled = pool.run_batch(vectors, SHOTS, seeds)
         assert pooled == serial
 
+    @given(data=st.data())
+    @settings(max_examples=12, deadline=None)
+    def test_batch_rows_are_independent(self, data):
+        """Every row of a batch equals its own K=1 call, for all three
+        row kinds: sampled with replay programs, sampled on product or
+        stabilizer routing (no programs), and exact ``shots=0``."""
+        route = data.draw(
+            st.sampled_from(("statevector", "product", "stabilizer", "exact")),
+            label="route",
+        )
+        n_qubits = data.draw(st.integers(2, 4), label="n_qubits")
+        rows = data.draw(st.integers(1, 10), label="rows")
+        ansatz, parameters, observable = _workload(n_qubits)
+        force = route if route in ("product", "stabilizer") else None
+        spec = build_spec(
+            ansatz, observable, parameters=parameters, force_backend=force
+        )
+        assert (spec.programs is None) == (force is not None)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="vec_seed"))
+        if route == "stabilizer":
+            # Clifford points only: every angle a multiple of pi/2.
+            vectors = [
+                rng.integers(-4, 4, len(parameters)) * (np.pi / 2)
+                for _ in range(rows)
+            ]
+        else:
+            vectors = [rng.normal(size=len(parameters)) for _ in range(rows)]
+        shots = 0 if route == "exact" else SHOTS
+        seeds = [int(seed) for seed in rng.integers(0, 2**31, rows)]
+        batched = evaluate_spec_batch(spec, vectors, shots, seeds)
+        assert batched == [
+            evaluate_spec_batch(spec, [vector], shots, [seed])[0]
+            for vector, seed in zip(vectors, seeds)
+        ]
+
     def test_batch_falls_back_without_programs(self):
         ansatz, parameters, observable = _workload()
         spec = build_spec(
-            ansatz, observable, parameters=parameters, reference=True
+            ansatz, observable, parameters=parameters, force_backend="product"
         )
         assert spec.programs is None
         vectors = [np.full(len(parameters), 0.2), np.full(len(parameters), -0.1)]
         seeds = _content_seeds(spec, vectors, SHOTS)
         assert evaluate_spec_batch(spec, vectors, SHOTS, seeds) == [
-            evaluate_spec(spec, vector, SHOTS, seed)
+            evaluate_spec_batch(spec, [vector], SHOTS, [seed])[0]
             for vector, seed in zip(vectors, seeds)
         ]
 
