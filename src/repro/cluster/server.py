@@ -21,6 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.cluster import wire
 from repro.cluster.master import ClusterMaster
+from repro.faults.protocol import StreamDecoder, StreamError, StreamWriter, recv_frames
 
 DEFAULT_TICK_INTERVAL_S = 0.1
 
@@ -45,7 +46,7 @@ class MasterServer:
         self._listener.listen(32)
         self.host, self.port = self._listener.getsockname()[:2]
         #: node_id -> (socket, per-connection sequence stamper)
-        self._links: Dict[str, Tuple[socket.socket, wire.MessageWriter]] = {}
+        self._links: Dict[str, Tuple[socket.socket, StreamWriter]] = {}
         self._threads: list = []
 
     # ------------------------------------------------------------------
@@ -72,16 +73,17 @@ class MasterServer:
             self._threads.append(thread)
 
     def _reader(self, conn: socket.socket) -> None:
-        decoder = wire.FrameDecoder()
+        decoder = StreamDecoder(wire.MAX_PAYLOAD_BYTES)
         node_id: Optional[str] = None
         try:
             while not self._stop.is_set():
-                messages = wire.recv_frames(conn, decoder)
-                if messages is None:
+                frames = recv_frames(conn, decoder)
+                if frames is None:
                     break
-                for message in messages:
+                for _seq, kind, body in frames:
+                    message = wire.unpack_message(kind, body)
                     node_id = self._handle(conn, message, node_id)
-        except (OSError, wire.WireError):
+        except (OSError, StreamError):
             pass
         finally:
             if node_id is not None:
@@ -107,10 +109,9 @@ class MasterServer:
     ) -> Optional[str]:
         with self._lock:
             # The wire layer only guarantees a well-framed dict with a
-            # "type" key; fields are still untrusted.  A message with
-            # missing or wrongly-typed fields (or a hello the master
-            # refuses) is counted and dropped — it must not kill the
-            # reader thread and take the whole connection with it.
+            # "type" key; fields are still untrusted.  An unknown type,
+            # missing or wrongly-typed fields, or a refused hello is
+            # counted and dropped — it must not kill the reader thread.
             try:
                 kind = message["type"]
                 if kind == wire.MSG_HELLO:
@@ -132,7 +133,7 @@ class MasterServer:
                             stale[0].close()
                         except OSError:
                             pass
-                    self._links[hello_id] = (conn, wire.MessageWriter())
+                    self._links[hello_id] = (conn, StreamWriter(wire.MAX_PAYLOAD_BYTES))
                     node_id = hello_id
                 elif kind == wire.MSG_HEARTBEAT:
                     self.master.heartbeat(str(message["node_id"]))
@@ -148,6 +149,8 @@ class MasterServer:
                         str(message["job_id"]),
                         str(message.get("error", "worker error")),
                     )
+                else:
+                    raise ValueError(f"unknown message type {kind!r}")
             except (KeyError, TypeError, ValueError):
                 self.master.stats.counter("malformed_messages").increment()
         return node_id
@@ -168,8 +171,9 @@ class MasterServer:
                     self.master.node_lost(target_node)
                     continue
                 sock, writer = link
+                frame = writer.encode(wire.KIND_MESSAGE, wire.pack_message(message))
                 try:
-                    sock.sendall(writer.encode(message))
+                    sock.sendall(frame)
                 except OSError:
                     self._links.pop(target_node, None)
                     self.master.node_lost(target_node)
@@ -212,9 +216,10 @@ class MasterServer:
     def shutdown(self) -> None:
         """Tell workers to drain, then stop serving."""
         with self._lock:
+            body = wire.pack_message(wire.shutdown())
             for node_id, (sock, writer) in list(self._links.items()):
                 try:
-                    sock.sendall(writer.encode(wire.shutdown()))
+                    sock.sendall(writer.encode(wire.KIND_MESSAGE, body))
                 except OSError:
                     pass
         self._stop.set()

@@ -1,36 +1,28 @@
-"""Length-prefixed framed messages for the master↔worker link.
+"""Typed messages for the master↔worker link.
 
-The cluster speaks a compact, self-checking protocol built on the same
-primitives as the controller's measurement path
-(:mod:`repro.faults.protocol`): every frame carries a monotonically
-increasing per-direction **sequence number** (a gap means a lost or
-replayed frame — on TCP that signals a desynchronised or hostile peer)
-and an **Adler-32 checksum** over the payload (a mismatch means
-corruption in flight or a framing bug; the frame is rejected, never
-parsed).  Layout::
-
-    <u32 payload length> <u32 sequence> <u32 adler32> <payload bytes>
-
-Payloads are UTF-8 JSON objects with a ``type`` field — small enough
-that JSON wins on debuggability, and floats round-trip exactly through
-Python's shortest-repr JSON encoding, which keeps cost histories
-bit-identical across the wire.
+The cluster frames with the stream codec of :mod:`repro.faults.protocol`
+under one kind, :data:`KIND_MESSAGE`, whose body is a canonical-JSON
+object with a ``type`` field: debuggable at these message rates, and
+floats round-trip bit-exactly through the shared encoder, which keeps
+cost histories bit-identical across the wire.  This module owns the
+message vocabulary, the cluster's payload bound and the body codec
+(:func:`pack_message` / :func:`unpack_message`).
 """
 
 from __future__ import annotations
 
-import json
-import struct
-from typing import Dict, List, Optional
+from typing import Dict
 
-from repro.faults.protocol import checksum32, dumps_wire
+from repro.faults.protocol import StreamError, pack_json, unpack_json
 
-#: Frame header: payload length, sequence number, Adler-32 checksum.
-HEADER = struct.Struct("<III")
+#: The one frame kind on the cluster wire (the session kinds end at 0x09).
+KIND_MESSAGE = 0x0A
 
-#: Upper bound on a single payload.  A length prefix beyond this is a
-#: desynchronised stream (or garbage), not a real message — reject it
-#: before trying to allocate the buffer it claims to need.
+#: Upper bound on a single payload, for the cluster's writers and
+#: decoders.  Larger than the session stream's: a result carries one
+#: cost-history entry per iteration and ``JobSpec.iterations`` has no
+#: upper limit.  A length prefix beyond this is a desynchronised stream
+#: (or garbage), not a real message.
 MAX_PAYLOAD_BYTES = 16 * 1024 * 1024
 
 # -- message types ------------------------------------------------------
@@ -42,89 +34,22 @@ MSG_ERROR = "error"          #: worker -> master: job_id, error string
 MSG_SHUTDOWN = "shutdown"    #: master -> worker: drain and exit
 
 
-class WireError(ValueError):
-    """A frame failed validation (checksum, sequence, length, JSON)."""
+#: :data:`KIND_MESSAGE` body: canonical JSON (byte-deterministic).
+pack_message = pack_json
 
 
-def encode_frame(sequence: int, payload: bytes) -> bytes:
-    """One framed payload, ready for ``sendall``."""
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise WireError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_PAYLOAD_BYTES}-byte frame bound"
-        )
-    return (
-        HEADER.pack(len(payload), sequence & 0xFFFFFFFF, checksum32(payload))
-        + payload
-    )
+def unpack_message(kind: int, body: bytes) -> Dict[str, object]:
+    """Inverse of :func:`pack_message` for one decoded frame.
 
-
-def encode_message(sequence: int, message: Dict[str, object]) -> bytes:
-    """Frame a JSON message (sorted keys: byte-deterministic frames).
-
-    Floats go through the shared
-    :func:`repro.faults.protocol.dumps_wire` encoder, so doubles in
-    result payloads (cost histories, final params) survive bit-exactly.
+    Only the envelope is checked — a JSON object with a ``type`` key;
+    the fields stay untrusted and are validated by the consumer.
     """
-    return encode_frame(sequence, dumps_wire(message).encode())
-
-
-class FrameDecoder:
-    """Incremental receiver side: feed bytes, collect validated messages.
-
-    One decoder per connection per direction.  The decoder enforces the
-    sequence discipline (frames arrive in order, no gaps) and the
-    checksum; a violation raises :class:`WireError` and the connection
-    should be dropped — on a reliable stream there is no point NACKing,
-    the peer is broken.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._expected_sequence = 0
-        self.frames_accepted = 0
-
-    def feed(self, data: bytes) -> List[Dict[str, object]]:
-        """Consume bytes; return every complete, validated message."""
-        self._buffer.extend(data)
-        messages: List[Dict[str, object]] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return messages
-            messages.append(frame)
-
-    def _next_frame(self) -> Optional[Dict[str, object]]:
-        if len(self._buffer) < HEADER.size:
-            return None
-        length, sequence, checksum = HEADER.unpack_from(self._buffer)
-        if length > MAX_PAYLOAD_BYTES:
-            raise WireError(
-                f"frame claims {length} payload bytes "
-                f"(bound {MAX_PAYLOAD_BYTES}); stream desynchronised"
-            )
-        if len(self._buffer) < HEADER.size + length:
-            return None
-        payload = bytes(self._buffer[HEADER.size:HEADER.size + length])
-        del self._buffer[:HEADER.size + length]
-        if sequence != self._expected_sequence:
-            raise WireError(
-                f"sequence gap: expected {self._expected_sequence}, "
-                f"got {sequence}"
-            )
-        if checksum32(payload) != checksum:
-            raise WireError(f"checksum mismatch on frame {sequence}")
-        self._expected_sequence = (sequence + 1) & 0xFFFFFFFF
-        self.frames_accepted += 1
-        try:
-            message = json.loads(payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise WireError(f"frame {sequence} payload is not JSON: {exc}")
-        if not isinstance(message, dict) or "type" not in message:
-            raise WireError(
-                f"frame {sequence} payload is not a typed message object"
-            )
-        return message
+    if kind != KIND_MESSAGE:
+        raise StreamError(f"expected a cluster message, got kind {kind}")
+    message = unpack_json(body)
+    if "type" not in message:
+        raise StreamError("cluster message is not a typed message object")
+    return message
 
 
 # -- message constructors ----------------------------------------------
@@ -169,27 +94,3 @@ def error(node_id: str, job_id: str, message: str) -> Dict[str, object]:
 
 def shutdown() -> Dict[str, object]:
     return {"type": MSG_SHUTDOWN}
-
-
-class MessageWriter:
-    """Sender side: stamps outgoing messages with the next sequence."""
-
-    def __init__(self) -> None:
-        self._next_sequence = 0
-
-    def encode(self, message: Dict[str, object]) -> bytes:
-        data = encode_message(self._next_sequence, message)
-        self._next_sequence = (self._next_sequence + 1) & 0xFFFFFFFF
-        return data
-
-
-def recv_frames(sock, decoder: FrameDecoder) -> Optional[List[Dict[str, object]]]:
-    """Blocking read of one chunk from a socket into the decoder.
-
-    Returns the decoded messages (possibly empty — a partial frame), or
-    ``None`` when the peer closed the connection cleanly.
-    """
-    data = sock.recv(65536)
-    if not data:
-        return None
-    return decoder.feed(data)

@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Optional
 
 from repro.cluster import wire
+from repro.faults.protocol import StreamDecoder, StreamError, StreamWriter, recv_frames
 from repro.runtime.cache import EvalCache
 from repro.service.jobs import JobSpec
 from repro.service.platforms import build_engine
@@ -144,14 +145,14 @@ def run_worker(
         cache_entries=cache_entries,
         engine_workers=engine_workers,
     )
-    writer = wire.MessageWriter()
+    writer = StreamWriter(wire.MAX_PAYLOAD_BYTES)
     send_lock = threading.Lock()
     stop = threading.Event()
     sock = socket.create_connection((host, port))
 
     def send(message: Dict[str, object]) -> None:
         with send_lock:
-            sock.sendall(writer.encode(message))
+            sock.sendall(writer.encode(wire.KIND_MESSAGE, wire.pack_message(message)))
 
     def heartbeat_loop() -> None:
         while not stop.wait(heartbeat_interval_s):
@@ -182,15 +183,18 @@ def run_worker(
     try:
         send(wire.hello(node_id, capacity))
         heartbeats.start()
-        decoder = wire.FrameDecoder()
+        decoder = StreamDecoder(wire.MAX_PAYLOAD_BYTES)
         running = True
         while running:
             try:
-                messages = wire.recv_frames(sock, decoder)
-            except (OSError, wire.WireError):
+                frames = recv_frames(sock, decoder)
+                if frames is None:
+                    break  # master closed the connection
+                messages = [
+                    wire.unpack_message(kind, body) for _seq, kind, body in frames
+                ]
+            except (OSError, StreamError):
                 break
-            if messages is None:
-                break  # master closed the connection
             for message in messages:
                 if message["type"] == wire.MSG_DISPATCH:
                     pool.submit(serve_one, message)

@@ -34,7 +34,6 @@ from repro.faults.plan import (
     loss_sweep_plans,
 )
 from repro.faults.protocol import (
-    HEADER_BYTES,
     Frame,
     PutFramer,
     PutVerifier,
@@ -45,7 +44,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "Frame",
-    "HEADER_BYTES",
     "InjectedWorkerCrash",
     "InjectedWorkerHang",
     "LinkDecision",

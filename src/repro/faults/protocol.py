@@ -1,23 +1,25 @@
-"""Sequence numbers + checksums for the measurement result path.
+"""Checksums, float codecs and the one stream frame codec.
 
-The paper's controller streams measurement batches to host memory as
-raw TileLink PUTs and trusts the interconnect (§6.3).  Under injected
-faults that trust breaks two ways: a batch can vanish (the host's
-barrier never sees it) or arrive corrupted (the host post-processes
-garbage).  This module adds the minimal end-to-end protection a real
-deployment would carry:
+:class:`StreamWriter` / :class:`StreamDecoder` frame every socket wire
+— the session stream (:mod:`repro.service.stream`) and the cluster
+link (:mod:`repro.cluster.wire`)::
 
-* every batch gets a monotonically increasing **sequence number**, so
-  the receiver detects a gap (lost batch) and NACKs it;
-* every payload gets an Adler-32 **checksum**, so a corrupted delivery
-  is rejected rather than consumed.
+    <u32 payload length> <u32 sequence> <u32 adler32> <kind byte> <body>
 
-The framing is *virtual* for the memory image — headers are verified
-by the receiver model and counted in stats, while payload bytes land
-at their original addresses so downstream parsing (barrier ranges,
-q_acquire offsets) is unchanged.  The timing cost of a retransmission
-is charged in sim time by the scheduler
-(:func:`repro.core.scheduler.compute_run_timeline`).
+The codec validates framing only (length bound, per-direction sequence,
+checksum, a kind byte present); on TCP any violation means a broken
+peer, so it raises :class:`StreamError` and the connection is dropped.
+Each wire owns its kind table and bodies and passes its own payload
+bound (default: the session tier's :data:`MAX_PAYLOAD_BYTES`).
+
+:class:`PutFramer` / :class:`PutVerifier` model the measurement-PUT
+path instead (§6.3): the controller streams batches to host memory and,
+under injected faults, a batch can vanish or arrive corrupted, so each
+gets a sequence number (a gap is NACKed) and a checksum (a corrupted
+delivery is rejected, not consumed).  That framing is virtual: headers
+are verified and counted while payload bytes land at their original
+addresses, and a retransmission's cost is charged in sim time by
+:func:`repro.core.scheduler.compute_run_timeline`.
 """
 
 from __future__ import annotations
@@ -26,10 +28,15 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-#: Header layout: 4-byte sequence number + 4-byte Adler-32 checksum.
-HEADER_BYTES = 8
+#: Stream frame header: payload length, sequence number, Adler-32.
+HEADER = struct.Struct("<III")
+
+#: Default payload bound, the session tier's: a parameter vector is a
+#: few hundred doubles at most, so a length prefix beyond this is a
+#: desynchronised stream (or garbage), not a real message.
+MAX_PAYLOAD_BYTES = 4 * 1024 * 1024
 
 
 def checksum32(payload: bytes) -> int:
@@ -39,13 +46,11 @@ def checksum32(payload: bytes) -> int:
 
 # -- shared wire encoders ----------------------------------------------
 #
-# Every wire module in the tree (this one, ``repro.cluster.wire``, the
-# session stream of ``repro.service.stream``) encodes floats through
-# exactly one of the two codecs below, so a double that crosses any
-# boundary round-trips bit-exactly — including denormals, ``-0.0`` and
-# the largest finite exponents.  Before this was centralised the JSON
-# paths each called ``json.dumps`` with their own settings; sharing one
-# encoder is what makes the bit-exactness claim auditable in one place.
+# Every wire in the tree (the PUT model below, the cluster messages,
+# the session stream) encodes floats through exactly one of the two
+# codecs below, so a double that crosses any boundary round-trips
+# bit-exactly — including denormals, ``-0.0`` and the largest finite
+# exponents — auditable in one place.
 
 def dumps_wire(obj: object) -> str:
     """Canonical JSON for wire payloads (sorted keys, no whitespace).
@@ -77,6 +82,111 @@ def unpack_doubles(data: bytes) -> List[float]:
     return list(struct.unpack(f"<{len(data) // 8}d", data))
 
 
+# -- stream frame codec -------------------------------------------------
+class StreamError(ValueError):
+    """A frame or body failed validation (length, sequence, checksum,
+    kind, body layout)."""
+
+
+def pack_json(obj: Dict[str, object]) -> bytes:
+    """A canonical-JSON object body (session control, cluster messages)."""
+    return dumps_wire(obj).encode()
+
+
+def unpack_json(body: bytes) -> Dict[str, object]:
+    """Inverse of :func:`pack_json`; anything but a JSON object raises."""
+    try:
+        obj = loads_wire(body.decode())
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise StreamError(f"body is not canonical JSON: {exc}")
+    if not isinstance(obj, dict):
+        raise StreamError("body is not a JSON object")
+    return obj
+
+
+class StreamWriter:
+    """Sender side: stamps outgoing frames with the next sequence."""
+
+    def __init__(self, max_payload_bytes: int = MAX_PAYLOAD_BYTES) -> None:
+        self.max_payload_bytes = max_payload_bytes
+        self._next_sequence = 0
+
+    def encode(self, kind: int, body: bytes = b"") -> bytes:
+        """One framed message, ready for ``sendall``."""
+        payload = bytes((kind,)) + body
+        if len(payload) > self.max_payload_bytes:
+            raise StreamError(
+                f"payload of {len(payload)} bytes exceeds the "
+                f"{self.max_payload_bytes}-byte frame bound"
+            )
+        sequence = self._next_sequence
+        self._next_sequence = (sequence + 1) & 0xFFFFFFFF
+        return HEADER.pack(len(payload), sequence, checksum32(payload)) + payload
+
+
+class StreamDecoder:
+    """Incremental receiver: feed bytes, collect ``(seq, kind, body)``.
+
+    One decoder per connection per direction.  Frames must arrive in
+    sequence with valid checksums; a violation raises
+    :class:`StreamError` and the connection should be dropped — on a
+    reliable stream there is no point NACKing, the peer is broken.
+    """
+
+    def __init__(self, max_payload_bytes: int = MAX_PAYLOAD_BYTES) -> None:
+        self.max_payload_bytes = max_payload_bytes
+        self._buffer = bytearray()
+        self._expected_sequence = 0
+        self.frames_accepted = 0
+
+    def feed(self, data: bytes) -> List[Tuple[int, int, bytes]]:
+        """Consume bytes; return every complete, validated frame."""
+        buffer = self._buffer
+        buffer.extend(data)
+        frames: List[Tuple[int, int, bytes]] = []
+        while len(buffer) >= HEADER.size:
+            length, sequence, checksum = HEADER.unpack_from(buffer)
+            if length > self.max_payload_bytes:
+                raise StreamError(
+                    f"frame claims {length} payload bytes "
+                    f"(bound {self.max_payload_bytes}); stream desynchronised"
+                )
+            end = HEADER.size + length
+            if len(buffer) < end:
+                break
+            payload = bytes(buffer[HEADER.size:end])
+            del buffer[:end]
+            if sequence != self._expected_sequence:
+                raise StreamError(
+                    f"sequence gap: expected {self._expected_sequence}, "
+                    f"got {sequence}"
+                )
+            if checksum32(payload) != checksum:
+                raise StreamError(f"checksum mismatch on frame {sequence}")
+            if not payload:
+                raise StreamError(f"frame {sequence} has no kind byte")
+            self._expected_sequence = (sequence + 1) & 0xFFFFFFFF
+            self.frames_accepted += 1
+            frames.append((sequence, payload[0], payload[1:]))
+        return frames
+
+
+def recv_frames(
+    sock, decoder: StreamDecoder
+) -> Optional[List[Tuple[int, int, bytes]]]:
+    """Blocking read of one chunk from a socket into the decoder.
+
+    Returns the decoded frames (possibly empty — a partial frame), or
+    ``None`` when the peer closed the connection cleanly.
+    """
+    data = sock.recv(65536)
+    if not data:
+        return None
+    return decoder.feed(data)
+
+
+# -- modelled measurement-PUT framing -----------------------------------
+
 @dataclass(frozen=True)
 class Frame:
     """One framed batch: header fields + the raw payload."""
@@ -84,9 +194,6 @@ class Frame:
     sequence: int
     checksum: int
     payload: bytes
-
-    def header(self) -> bytes:
-        return struct.pack("<II", self.sequence & 0xFFFFFFFF, self.checksum)
 
 
 class PutFramer:

@@ -50,6 +50,7 @@ import numpy as np
 from repro.quantum.kernels import PROGRAM_CACHE
 from repro.quantum.parameters import Parameter
 from repro.runtime.engine import EvaluationEngine
+from repro.service import stream as wire
 from repro.service.admission import AdmissionController
 from repro.service.health import HealthRegistry
 from repro.service.jobs import JobSpec
@@ -530,7 +531,10 @@ class SessionServer:
         self._listener.listen(32)
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self._accept_thread: Optional[threading.Thread] = None
-        self._conn_threads: List[threading.Thread] = []
+        #: live connection -> the thread serving it (the thread
+        #: removes its own entry on exit)
+        self._conns: Dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
         self._stop = threading.Event()
 
     def start(self) -> "SessionServer":
@@ -554,7 +558,16 @@ class SessionServer:
             pass
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
-        for thread in self._conn_threads:
+        # Each connection thread is blocked in recv(2); shutdown(2)
+        # wakes it with a clean EOF so it closes its session and exits.
+        with self._conns_lock:
+            live = list(self._conns.items())
+        for conn, _thread in live:
+            try:
+                conn.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for _conn, thread in live:
             thread.join(timeout=5.0)
         self.manager.close_all()
 
@@ -574,27 +587,23 @@ class SessionServer:
                 target=self._serve, args=(conn,),
                 name="repro-session-conn", daemon=True,
             )
+            with self._conns_lock:
+                self._conns[conn] = thread
             thread.start()
-            self._conn_threads.append(thread)
 
     def _serve(self, conn: socket.socket) -> None:
-        from repro.service import stream as wire
-
         decoder = wire.StreamDecoder()
         writer = wire.StreamWriter()
         session_id: Optional[str] = None
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             while not self._stop.is_set():
-                data = conn.recv(65536)
-                if not data:
+                frames = wire.recv_frames(conn, decoder)
+                if frames is None:
                     return
-                for _seq, kind, body in decoder.feed(data):
-                    reply, session_id, closing = self._handle(
-                        wire, kind, body, session_id
-                    )
-                    if reply is not None:
-                        conn.sendall(writer.encode(*reply))
+                for _seq, kind, body in frames:
+                    reply, session_id, closing = self._handle(kind, body, session_id)
+                    conn.sendall(writer.encode(*reply))
                     if closing:
                         return
         except (OSError, wire.StreamError):
@@ -605,14 +614,16 @@ class SessionServer:
                     self.manager.close(session_id)
                 except SessionError:
                     pass
+            with self._conns_lock:
+                self._conns.pop(conn, None)
             try:
                 conn.close()
             except OSError:
                 pass
 
     def _handle(
-        self, wire, kind: int, body: bytes, session_id: Optional[str]
-    ) -> Tuple[Optional[Tuple[int, bytes]], Optional[str], bool]:
+        self, kind: int, body: bytes, session_id: Optional[str]
+    ) -> Tuple[Tuple[int, bytes], Optional[str], bool]:
         """One request frame → (reply, session id, close-connection?)."""
         try:
             if kind == wire.KIND_OPEN:

@@ -1,20 +1,12 @@
-"""Binary streaming protocol for parametric-compilation sessions.
+"""Session-stream vocabulary: message kinds, body codecs, the client.
 
-The session tier's hot path: after ``open_session`` registered a
-circuit structure, every request is *just a parameter vector* — no
-JobSpec, no dict validation, no JSON.  Frames reuse the layout shared
-by :mod:`repro.faults.protocol` and :mod:`repro.cluster.wire`::
-
-    <u32 payload length> <u32 sequence> <u32 adler32> <payload bytes>
-
-with the payload's first byte selecting the message kind.  The two
-request/response kinds that carry floats (``EVAL`` / ``VALUE``) pack
-them as little-endian IEEE-754 doubles
-(:func:`repro.faults.protocol.pack_doubles`), so streamed vectors and
-returned energies are bit-exact by construction.  Control kinds
-(``OPEN`` / ``OPENED`` / ``ERROR`` / ``CLOSE`` / ``CLOSED``) happen
-once per session or on failures, where canonical JSON
-(:func:`~repro.faults.protocol.dumps_wire`) wins on debuggability.
+After ``open_session`` registered a circuit structure, every request is
+*just a parameter vector*.  Frames use the stream codec of
+:mod:`repro.faults.protocol` (``StreamWriter`` / ``StreamDecoder`` /
+``StreamError``, imported here by name) at its default 4 MiB bound;
+this module owns the kind byte's table and the bodies.  Float-carrying
+bodies are little-endian IEEE-754 doubles, so vectors and energies are
+bit-exact; control bodies are canonical JSON.
 
 Payload layouts after the kind byte::
 
@@ -31,6 +23,9 @@ Payload layouts after the kind byte::
     ERROR   canonical JSON {"code": str, "message": str}
     CLOSE   empty
     CLOSED  canonical JSON session stats
+
+The codec does not know this table: a frame of any other kind decodes,
+and the server answers it with an ``ERROR`` frame.
 """
 
 from __future__ import annotations
@@ -42,19 +37,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.faults.protocol import (
-    checksum32,
-    dumps_wire,
-    loads_wire,
+    StreamDecoder,
+    StreamError,
+    StreamWriter,
     pack_doubles,
+    pack_json,
+    recv_frames,
+    unpack_json,
 )
-
-#: Frame header: payload length, sequence number, Adler-32 checksum —
-#: the exact layout of :data:`repro.cluster.wire.HEADER`.
-HEADER = struct.Struct("<III")
-
-#: A parameter vector is a few hundred doubles at most; anything
-#: claiming more than this is a desynchronised stream.
-MAX_PAYLOAD_BYTES = 4 * 1024 * 1024
 
 _EVAL_HEADER = struct.Struct("<III")
 
@@ -69,16 +59,7 @@ KIND_CLOSED = 0x07  #: server -> client: final session stats
 KIND_GRAD = 0x08    #: client -> server: adjoint-gradient vector batch
 KIND_GRADS = 0x09   #: server -> client: energies + gradients for one GRAD
 
-_KNOWN_KINDS = frozenset(
-    (KIND_OPEN, KIND_OPENED, KIND_EVAL, KIND_VALUE, KIND_ERROR,
-     KIND_CLOSE, KIND_CLOSED, KIND_GRAD, KIND_GRADS)
-)
-
 _GRADS_HEADER = struct.Struct("<II")
-
-
-class StreamError(ValueError):
-    """A frame failed validation (checksum, sequence, length, kind)."""
 
 
 class StreamRemoteError(RuntimeError):
@@ -89,54 +70,50 @@ class StreamRemoteError(RuntimeError):
         self.code = code
 
 
-# -- encoding -----------------------------------------------------------
-def encode_frame(sequence: int, kind: int, body: bytes = b"") -> bytes:
-    """One framed message, ready for ``sendall``."""
-    payload = bytes((kind,)) + body
-    if len(payload) > MAX_PAYLOAD_BYTES:
-        raise StreamError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{MAX_PAYLOAD_BYTES}-byte stream bound"
-        )
-    return (
-        HEADER.pack(len(payload), sequence & 0xFFFFFFFF, checksum32(payload))
-        + payload
-    )
+# -- bodies -------------------------------------------------------------
+def _stack_rows(rows: Sequence[np.ndarray], what: str) -> np.ndarray:
+    """Equal-length vectors as one little-endian ``(rows, params)`` matrix."""
+    arrays = [np.asarray(row, dtype="<f8") for row in rows]
+    n_params = arrays[0].size
+    for array in arrays:
+        if array.shape != (n_params,):
+            raise StreamError(
+                f"ragged {what} batch: {array.size} params after {n_params}"
+            )
+    return np.stack(arrays)
 
 
 def pack_eval(vectors: Sequence[np.ndarray], shots: int = 0) -> bytes:
     """EVAL body: shot count + vector batch as packed doubles."""
+    if not 0 <= shots < 2 ** 32:
+        raise StreamError(f"shots must be in [0, 2**32), got {shots}")
     if not len(vectors):
         raise StreamError("an EVAL frame needs at least one vector")
-    first = np.asarray(vectors[0], dtype=np.float64)
-    n_params = int(first.size)
-    flat: List[float] = []
-    for vector in vectors:
-        array = np.asarray(vector, dtype=np.float64)
-        if array.size != n_params:
-            raise StreamError(
-                f"ragged vector batch: {array.size} params after {n_params}"
-            )
-        flat.extend(float(v) for v in array)
-    return (
-        _EVAL_HEADER.pack(int(shots), len(vectors), n_params)
-        + pack_doubles(flat)
-    )
+    rows = _stack_rows(vectors, "vector")
+    return _EVAL_HEADER.pack(int(shots), *rows.shape) + rows.tobytes()
+
+
+def _unpack_rows(
+    body: bytes, header: struct.Struct, name: str, lead: int
+) -> Tuple[Tuple[int, ...], np.ndarray]:
+    """Header fields + the ``(n_vectors, lead + n_params)`` doubles after them."""
+    if len(body) < header.size:
+        raise StreamError(f"{name} body shorter than its header")
+    fields = header.unpack_from(body)
+    n_vectors, width = fields[-2], lead + fields[-1]
+    if n_vectors < 1 or len(body) != header.size + 8 * n_vectors * width:
+        raise StreamError(
+            f"{name} body of {len(body)} bytes does not hold "
+            f"{n_vectors}x{width} doubles"
+        )
+    rows = np.frombuffer(body, dtype="<f8", offset=header.size)
+    return fields, rows.reshape(n_vectors, width)
 
 
 def unpack_eval(body: bytes) -> Tuple[np.ndarray, int]:
     """Inverse of :func:`pack_eval` → ``(vectors (v, p), shots)``."""
-    if len(body) < _EVAL_HEADER.size:
-        raise StreamError("EVAL body shorter than its header")
-    shots, n_vectors, n_params = _EVAL_HEADER.unpack_from(body)
-    expected = _EVAL_HEADER.size + 8 * n_vectors * n_params
-    if n_vectors < 1 or len(body) != expected:
-        raise StreamError(
-            f"EVAL body of {len(body)} bytes does not hold "
-            f"{n_vectors}x{n_params} doubles"
-        )
-    flat = np.frombuffer(body, dtype="<f8", offset=_EVAL_HEADER.size)
-    return flat.reshape(n_vectors, n_params).copy(), int(shots)
+    (shots, _, _), rows = _unpack_rows(body, _EVAL_HEADER, "EVAL", 0)
+    return rows.copy(), int(shots)
 
 
 def pack_values(values: Sequence[float]) -> bytes:
@@ -160,49 +137,15 @@ def pack_grads(
         )
     if not len(grads):
         raise StreamError("a GRADS frame needs at least one row")
-    n_params = int(np.asarray(grads[0]).size)
-    flat: List[float] = []
-    for energy, grad in zip(energies, grads):
-        array = np.asarray(grad, dtype=np.float64)
-        if array.size != n_params:
-            raise StreamError(
-                f"ragged gradient batch: {array.size} params after {n_params}"
-            )
-        flat.append(float(energy))
-        flat.extend(float(v) for v in array)
-    return _GRADS_HEADER.pack(len(grads), n_params) + pack_doubles(flat)
+    rows = _stack_rows(grads, "gradient")
+    table = np.column_stack((np.asarray(energies, dtype="<f8"), rows))
+    return _GRADS_HEADER.pack(*rows.shape) + table.tobytes()
 
 
 def unpack_grads(body: bytes) -> Tuple[List[float], List[np.ndarray]]:
     """Inverse of :func:`pack_grads` → ``(energies, gradients)``."""
-    if len(body) < _GRADS_HEADER.size:
-        raise StreamError("GRADS body shorter than its header")
-    n_vectors, n_params = _GRADS_HEADER.unpack_from(body)
-    expected = _GRADS_HEADER.size + 8 * n_vectors * (1 + n_params)
-    if n_vectors < 1 or len(body) != expected:
-        raise StreamError(
-            f"GRADS body of {len(body)} bytes does not hold "
-            f"{n_vectors}x(1+{n_params}) doubles"
-        )
-    rows = np.frombuffer(body, dtype="<f8", offset=_GRADS_HEADER.size)
-    rows = rows.reshape(n_vectors, 1 + n_params)
-    energies = [float(value) for value in rows[:, 0]]
-    grads = [row.copy() for row in rows[:, 1:]]
-    return energies, grads
-
-
-def pack_json(obj: Dict[str, object]) -> bytes:
-    return dumps_wire(obj).encode()
-
-
-def unpack_json(body: bytes) -> Dict[str, object]:
-    try:
-        obj = loads_wire(body.decode())
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise StreamError(f"control payload is not canonical JSON: {exc}")
-    if not isinstance(obj, dict):
-        raise StreamError("control payload is not a JSON object")
-    return obj
+    _, rows = _unpack_rows(body, _GRADS_HEADER, "GRADS", 1)
+    return [float(value) for value in rows[:, 0]], [row.copy() for row in rows[:, 1:]]
 
 
 def pack_error(code: str, message: str) -> bytes:
@@ -214,79 +157,15 @@ def unpack_error(body: bytes) -> Tuple[str, str]:
     return str(obj.get("code", "error")), str(obj.get("message", ""))
 
 
-# -- framing ------------------------------------------------------------
-class StreamDecoder:
-    """Incremental receiver: feed bytes, collect ``(seq, kind, body)``.
-
-    Same discipline as :class:`repro.cluster.wire.FrameDecoder`: frames
-    must arrive in sequence with valid checksums; a violation raises
-    :class:`StreamError` and the connection should be dropped.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self._expected_sequence = 0
-        self.frames_accepted = 0
-
-    def feed(self, data: bytes) -> List[Tuple[int, int, bytes]]:
-        self._buffer.extend(data)
-        frames: List[Tuple[int, int, bytes]] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _next_frame(self) -> Optional[Tuple[int, int, bytes]]:
-        if len(self._buffer) < HEADER.size:
-            return None
-        length, sequence, checksum = HEADER.unpack_from(self._buffer)
-        if length > MAX_PAYLOAD_BYTES:
-            raise StreamError(
-                f"frame claims {length} payload bytes "
-                f"(bound {MAX_PAYLOAD_BYTES}); stream desynchronised"
-            )
-        if len(self._buffer) < HEADER.size + length:
-            return None
-        payload = bytes(self._buffer[HEADER.size:HEADER.size + length])
-        del self._buffer[:HEADER.size + length]
-        if sequence != self._expected_sequence:
-            raise StreamError(
-                f"sequence gap: expected {self._expected_sequence}, "
-                f"got {sequence}"
-            )
-        if checksum32(payload) != checksum:
-            raise StreamError(f"checksum mismatch on frame {sequence}")
-        if not payload or payload[0] not in _KNOWN_KINDS:
-            raise StreamError(
-                f"frame {sequence} has unknown kind "
-                f"{payload[0] if payload else 'none'}"
-            )
-        self._expected_sequence = (sequence + 1) & 0xFFFFFFFF
-        self.frames_accepted += 1
-        return sequence, payload[0], payload[1:]
-
-
-class StreamWriter:
-    """Sender side: stamps outgoing frames with the next sequence."""
-
-    def __init__(self) -> None:
-        self._next_sequence = 0
-
-    def encode(self, kind: int, body: bytes = b"") -> bytes:
-        data = encode_frame(self._next_sequence, kind, body)
-        self._next_sequence = (self._next_sequence + 1) & 0xFFFFFFFF
-        return data
-
-
 # -- client -------------------------------------------------------------
 class SessionClient:
     """Blocking socket client for one streamed session.
 
-    Protocol per connection: one OPEN, any number of EVALs (each
-    answered by VALUE or ERROR in order), one CLOSE.  ERROR answers
-    raise :class:`StreamRemoteError` with the server's structured code;
-    the session itself stays usable unless the code says otherwise.
+    Protocol per connection: one OPEN, any number of EVALs and GRADs
+    (each answered in order by VALUE / GRADS or ERROR), one CLOSE.
+    ERROR answers raise :class:`StreamRemoteError` with the server's
+    structured code; the session itself stays usable unless the code
+    says otherwise.
     """
 
     def __init__(self, host: str, port: int, timeout_s: float = 30.0) -> None:
@@ -299,40 +178,37 @@ class SessionClient:
 
     def _recv_frame(self) -> Tuple[int, int, bytes]:
         while not self._inbox:
-            data = self._sock.recv(65536)
-            if not data:
+            frames = recv_frames(self._sock, self._decoder)
+            if frames is None:
                 raise StreamError("server closed the stream mid-request")
-            self._inbox.extend(self._decoder.feed(data))
+            self._inbox.extend(frames)
         return self._inbox.pop(0)
+
+    def _request(self, kind: int, body: bytes, expect: int, name: str) -> bytes:
+        """Send one request frame; return the body of its ``expect`` reply."""
+        self._sock.sendall(self._writer.encode(kind, body))
+        _seq, got, reply = self._recv_frame()
+        if got == KIND_ERROR:
+            raise StreamRemoteError(*unpack_error(reply))
+        if got != expect:
+            raise StreamError(f"expected {name}, got kind {got}")
+        return reply
 
     def open(
         self, spec_dict: Dict[str, object], tenant: str = "default"
     ) -> Dict[str, object]:
         body = pack_json({"spec": spec_dict, "tenant": tenant})
-        self._sock.sendall(self._writer.encode(KIND_OPEN, body))
-        _seq, kind, reply = self._recv_frame()
-        if kind == KIND_ERROR:
-            code, message = unpack_error(reply)
-            raise StreamRemoteError(code, message)
-        if kind != KIND_OPENED:
-            raise StreamError(f"expected OPENED, got kind {kind}")
-        self.session = unpack_json(reply)
+        self.session = unpack_json(
+            self._request(KIND_OPEN, body, KIND_OPENED, "OPENED")
+        )
         return self.session
 
     def evaluate(
         self, vectors: Sequence[np.ndarray], shots: int = 0
     ) -> List[float]:
         """Stream one vector batch; block for its energies."""
-        self._sock.sendall(
-            self._writer.encode(KIND_EVAL, pack_eval(vectors, shots))
-        )
-        _seq, kind, reply = self._recv_frame()
-        if kind == KIND_ERROR:
-            code, message = unpack_error(reply)
-            raise StreamRemoteError(code, message)
-        if kind != KIND_VALUE:
-            raise StreamError(f"expected VALUE, got kind {kind}")
-        values = unpack_values(reply)
+        body = pack_eval(vectors, shots)
+        values = unpack_values(self._request(KIND_EVAL, body, KIND_VALUE, "VALUE"))
         if len(values) != len(vectors):
             raise StreamError(
                 f"server returned {len(values)} energies for "
@@ -351,16 +227,10 @@ class SessionClient:
         structured ``adjoint_unsupported`` ERROR; the session stays
         usable (fall back to :meth:`evaluate` probes).
         """
-        self._sock.sendall(
-            self._writer.encode(KIND_GRAD, pack_eval(vectors, shots))
+        body = pack_eval(vectors, shots)
+        energies, grads = unpack_grads(
+            self._request(KIND_GRAD, body, KIND_GRADS, "GRADS")
         )
-        _seq, kind, reply = self._recv_frame()
-        if kind == KIND_ERROR:
-            code, message = unpack_error(reply)
-            raise StreamRemoteError(code, message)
-        if kind != KIND_GRADS:
-            raise StreamError(f"expected GRADS, got kind {kind}")
-        energies, grads = unpack_grads(reply)
         if len(energies) != len(vectors):
             raise StreamError(
                 f"server returned {len(energies)} gradient rows for "

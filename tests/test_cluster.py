@@ -34,6 +34,7 @@ from repro.cluster import (
 )
 from repro.cluster import wire
 from repro.faults.injector import FaultInjector
+from repro.faults.protocol import HEADER, StreamDecoder, StreamError, StreamWriter
 from repro.faults.plan import FaultPlan, NodeFaults
 from repro.runtime.breaker import BreakerState
 from repro.service.jobs import JobSpec, JobState
@@ -66,59 +67,49 @@ def fake_payload(spec, cost=1.5):
 # ----------------------------------------------------------------------
 # wire framing
 # ----------------------------------------------------------------------
+def frame(writer, message):
+    return writer.encode(wire.KIND_MESSAGE, wire.pack_message(message))
+
+
 class TestWire:
+    """The cluster's message envelope; framing is in test_frames.py."""
+
     def test_roundtrip_chunked(self):
-        writer = wire.MessageWriter()
         messages = [
             wire.hello("node-0", 2),
             wire.heartbeat("node-0"),
             wire.dispatch("job-1", make_spec().as_dict(), 1),
             wire.result("node-0", "job-1", {"digest": "d", "final_cost": 0.125}),
+            wire.error("node-0", "job-2", "ValueError: boom"),
             wire.shutdown(),
         ]
-        stream = b"".join(writer.encode(m) for m in messages)
-        decoder = wire.FrameDecoder()
+        writer = StreamWriter(wire.MAX_PAYLOAD_BYTES)
+        stream = b"".join(frame(writer, m) for m in messages)
+        decoder = StreamDecoder(wire.MAX_PAYLOAD_BYTES)
         decoded = []
-        # Feed in awkward 7-byte chunks: partial headers and split
-        # payloads must reassemble without loss or reorder.
-        for offset in range(0, len(stream), 7):
+        for offset in range(0, len(stream), 7):  # split headers and bodies
             decoded.extend(decoder.feed(stream[offset:offset + 7]))
-        assert decoded == messages
-        assert decoder.frames_accepted == len(messages)
+        assert [wire.unpack_message(k, body) for _, k, body in decoded] == messages
 
     def test_float_bits_survive_json(self):
-        writer = wire.MessageWriter()
         values = [0.1 + 0.2, 1e-17, 2.0 ** -1074, -0.0, 3.141592653589793]
-        frame = writer.encode(wire.result("n", "j", {"digest": "d", "h": values}))
-        [message] = wire.FrameDecoder().feed(frame)
-        assert [v.hex() for v in message["payload"]["h"]] == [
-            v.hex() for v in values
-        ]
-
-    def test_sequence_gap_rejected(self):
-        frame = wire.encode_message(3, wire.heartbeat("n"))  # expected 0
-        with pytest.raises(wire.WireError, match="sequence gap"):
-            wire.FrameDecoder().feed(frame)
-
-    def test_checksum_mismatch_rejected(self):
-        frame = bytearray(wire.encode_message(0, wire.heartbeat("n")))
-        frame[-1] ^= 0xFF
-        with pytest.raises(wire.WireError, match="checksum"):
-            wire.FrameDecoder().feed(bytes(frame))
-
-    def test_absurd_length_prefix_rejected_before_buffering(self):
-        header = wire.HEADER.pack(wire.MAX_PAYLOAD_BYTES + 1, 0, 0)
-        with pytest.raises(wire.WireError, match="desynchronised"):
-            wire.FrameDecoder().feed(header)
+        body = wire.pack_message(wire.result("n", "j", {"digest": "d", "h": values}))
+        message = wire.unpack_message(wire.KIND_MESSAGE, body)
+        assert [v.hex() for v in message["payload"]["h"]] == [v.hex() for v in values]
 
     def test_untyped_payload_rejected(self):
-        frame = wire.encode_frame(0, b'{"no_type": 1}')
-        with pytest.raises(wire.WireError, match="typed message"):
-            wire.FrameDecoder().feed(frame)
+        for body in (b'{"no_type": 1}', b"[1]", b"not json"):
+            with pytest.raises(StreamError, match="typed message|JSON"):
+                wire.unpack_message(wire.KIND_MESSAGE, body)
+        with pytest.raises(StreamError, match="expected a cluster message"):
+            wire.unpack_message(0x03, wire.pack_message(wire.shutdown()))
 
-    def test_oversize_payload_refused_at_encode(self):
-        with pytest.raises(wire.WireError, match="frame bound"):
-            wire.encode_frame(0, b"x" * (wire.MAX_PAYLOAD_BYTES + 1))
+    def test_absurd_length_prefix_rejected_before_buffering(self):
+        # The cluster keeps its own 16 MiB bound, above the session's.
+        decoder = StreamDecoder(wire.MAX_PAYLOAD_BYTES)
+        assert decoder.feed(HEADER.pack(16 * 1024 * 1024, 0, 0)) == []
+        with pytest.raises(StreamError, match="desynchronised"):
+            StreamDecoder(wire.MAX_PAYLOAD_BYTES).feed(HEADER.pack(16 * 1024 * 1024 + 1, 0, 0))
 
 
 # ----------------------------------------------------------------------
@@ -657,21 +648,19 @@ class TestSocketCluster:
         conn = None
         try:
             conn = socket.create_connection(("127.0.0.1", server.port))
-            writer = wire.MessageWriter()
-            conn.sendall(
-                writer.encode(
-                    {"type": wire.MSG_HELLO, "node_id": "bad", "capacity": 0}
-                )
-            )
-            conn.sendall(
-                writer.encode({"type": wire.MSG_RESULT, "node_id": "bad"})
-            )
-            conn.sendall(writer.encode(wire.hello("node-good", 1)))
+            writer = StreamWriter(wire.MAX_PAYLOAD_BYTES)
+            for message in (
+                {"type": wire.MSG_HELLO, "node_id": "bad", "capacity": 0},
+                {"type": wire.MSG_RESULT, "node_id": "bad"},
+                {"type": "bogus"},
+                wire.hello("node-good", 1),
+            ):
+                conn.sendall(frame(writer, message))
             assert server.wait_for_nodes(1, timeout_s=10.0)
             assert "bad" not in master.nodes
             assert master.nodes["node-good"].alive
             assert (
-                master.stats.as_dict()["cluster.malformed_messages"] == 2
+                master.stats.as_dict()["cluster.malformed_messages"] == 3
             )
         finally:
             if conn is not None:
@@ -689,10 +678,10 @@ class TestSocketCluster:
         first = second = None
         try:
             first = socket.create_connection(("127.0.0.1", server.port))
-            first.sendall(wire.MessageWriter().encode(wire.hello("node-0", 1)))
+            first.sendall(frame(StreamWriter(), wire.hello("node-0", 1)))
             assert server.wait_for_nodes(1, timeout_s=10.0)
             second = socket.create_connection(("127.0.0.1", server.port))
-            second.sendall(wire.MessageWriter().encode(wire.hello("node-0", 1)))
+            second.sendall(frame(StreamWriter(), wire.hello("node-0", 1)))
             # The server retires the stale socket on the duplicate hello;
             # wait for that close to reach us, then the stale reader has
             # run (or is running) its cleanup.

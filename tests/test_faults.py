@@ -19,7 +19,6 @@ from repro.core.scheduler import compute_run_timeline, plan_transmissions
 from repro.faults import (
     FaultInjector,
     FaultPlan,
-    Frame,
     LinkFaults,
     MeasurementFaults,
     PutFramer,
@@ -225,8 +224,6 @@ class TestPutProtocol:
 
     def test_checksum_is_payload_addressed(self):
         assert checksum32(b"abc") != checksum32(b"abd")
-        frame = Frame(sequence=0, checksum=checksum32(b"ok"), payload=b"ok")
-        assert len(frame.header()) == 8
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro import EvaluationEngine, HybridRunner, QtenonSystem
 from repro.cluster.harness import ManualClock
 from repro.faults.protocol import (
+    HEADER,
     dumps_wire,
     loads_wire,
     pack_doubles,
@@ -138,9 +139,39 @@ class TestSharedCodecs:
 
 
 # ----------------------------------------------------------------------
-# stream framing
+# session stream bodies (framing itself is in test_frames.py)
 # ----------------------------------------------------------------------
+#: Hex of one fixed OPEN/OPENED/EVAL/VALUE/GRAD/GRADS/CLOSE/CLOSED
+#: exchange (client and server frames interleaved): pins the session
+#: wire format byte for byte.
+GOLDEN_EXCHANGE = (
+    "3600000000000000b91120e8017b2273706563223a7b226e5f717562697473223a322c22776f726b"
+    "6c6f6164223a22767165227d2c2274656e616e74223a2274227d2500000000000000360cd3e7027b"
+    "226e5f706172616d73223a322c2273657373696f6e5f6964223a22736573732d31227d1d00000001"
+    "000000e6012b1303400000000100000002000000000000000000e03f000000000000008009000000"
+    "01000000b801d40204000000000000f4bf1d000000020000003a021b0e0800000000010000000200"
+    "0000000000000000e03f000000000000d03f210000000200000023037822090100000002000000"
+    "000000000000e83f000000000000f03f00000000000000c001000000030000000700070006"
+    "0e000000030000008a04ff20077b2262617463686573223a327d"
+)
+
+
 class TestStreamFraming:
+    def test_golden_exchange_bytes(self):
+        client, server = wire.StreamWriter(), wire.StreamWriter()
+        spec = {"workload": "vqe", "n_qubits": 2}
+        data = b"".join((
+            client.encode(wire.KIND_OPEN, wire.pack_json({"spec": spec, "tenant": "t"})),
+            server.encode(wire.KIND_OPENED, wire.pack_json({"session_id": "sess-1", "n_params": 2})),
+            client.encode(wire.KIND_EVAL, wire.pack_eval([np.array([0.5, -0.0])], shots=64)),
+            server.encode(wire.KIND_VALUE, wire.pack_values([-1.25])),
+            client.encode(wire.KIND_GRAD, wire.pack_eval([np.array([0.5, 0.25])])),
+            server.encode(wire.KIND_GRADS, wire.pack_grads([0.75], [np.array([1.0, -2.0])])),
+            client.encode(wire.KIND_CLOSE),
+            server.encode(wire.KIND_CLOSED, wire.pack_json({"batches": 2})),
+        ))
+        assert data.hex() == GOLDEN_EXCHANGE
+
     def test_eval_round_trip(self):
         vectors = [np.array([0.1, -0.0, 5e-324]), np.array([1.0, 2.0, -3.5])]
         decoded, shots = wire.unpack_eval(wire.pack_eval(vectors, shots=80))
@@ -163,38 +194,15 @@ class TestStreamFraming:
         with pytest.raises(wire.StreamError, match="at least one"):
             wire.pack_eval([])
 
-    def test_writer_decoder_round_trip_byte_by_byte(self):
-        writer, decoder = wire.StreamWriter(), wire.StreamDecoder()
-        data = writer.encode(wire.KIND_EVAL, wire.pack_eval([np.zeros(4)]))
-        data += writer.encode(wire.KIND_CLOSE)
-        frames = []
-        for i in range(len(data)):  # worst-case fragmentation
-            frames.extend(decoder.feed(data[i:i + 1]))
-        assert [(seq, kind) for seq, kind, _ in frames] == [
-            (0, wire.KIND_EVAL), (1, wire.KIND_CLOSE),
-        ]
-
-    def test_sequence_gap_raises(self):
-        writer, decoder = wire.StreamWriter(), wire.StreamDecoder()
-        writer.encode(wire.KIND_CLOSE)  # frame 0, never delivered
-        with pytest.raises(wire.StreamError, match="sequence gap"):
-            decoder.feed(writer.encode(wire.KIND_CLOSE))
-
-    def test_corrupted_payload_raises(self):
-        data = bytearray(wire.StreamWriter().encode(wire.KIND_CLOSE))
-        data[-1] ^= 0x40
-        with pytest.raises(wire.StreamError, match="checksum|unknown kind"):
-            wire.StreamDecoder().feed(bytes(data))
-
-    def test_unknown_kind_raises(self):
-        data = wire.encode_frame(0, 0x7F)
-        with pytest.raises(wire.StreamError, match="unknown kind"):
-            wire.StreamDecoder().feed(data)
+    @pytest.mark.parametrize("shots", [-1, 2 ** 32])
+    def test_out_of_range_shots_rejected(self, shots):
+        with pytest.raises(wire.StreamError, match=r"\[0, 2\*\*32\)"):
+            wire.pack_eval([np.zeros(3)], shots=shots)
 
     def test_oversized_claim_raises(self):
-        header = wire.HEADER.pack(wire.MAX_PAYLOAD_BYTES + 1, 0, 0)
+        # The session stream keeps the codec's default 4 MiB bound.
         with pytest.raises(wire.StreamError, match="desynchronised"):
-            wire.StreamDecoder().feed(header)
+            wire.StreamDecoder().feed(HEADER.pack(4 * 1024 * 1024 + 1, 0, 0))
 
     def test_error_frame_round_trip(self):
         code, message = wire.unpack_error(
@@ -481,14 +489,34 @@ class TestSessionServerProtocol:
                 deadline.wait(0.05)
             assert drained()
 
+    def test_unknown_kind_answers_error_frame(self):
+        manager = fake_manager()
+        with SessionServer(manager) as server:
+            with wire.SessionClient(*server.address) as client:
+                with pytest.raises(wire.StreamRemoteError) as err:
+                    client._request(0x7F, b"", wire.KIND_CLOSED, "CLOSED")
+                assert err.value.code == "malformed_open"
+                assert client.open(spec_for().as_dict())  # same connection
+        assert manager.stats.as_dict()["sessions.protocol_errors"] == 1
+
     def test_stop_on_idle_server_is_prompt(self):
-        server = SessionServer(fake_manager()).start()
+        manager = fake_manager()
+        server = SessionServer(manager).start()
         accept_thread = server._accept_thread
-        time.sleep(0.2)  # let the accept thread block in accept(2)
+        # An opened client that then idles: its connection thread sits
+        # in recv(2) until stop() shuts the socket down.
+        client = wire.SessionClient(*server.address)
+        client.open(spec_for().as_dict())
+        time.sleep(0.2)  # let the threads block in accept(2) and recv(2)
+        conn_threads = list(server._conns.values())
+        assert len(conn_threads) == 1
         started = time.perf_counter()
         server.stop()
         assert time.perf_counter() - started < 1.0
         assert not accept_thread.is_alive()
+        assert not any(thread.is_alive() for thread in conn_threads)
+        assert manager.open_sessions == 0
+        client._sock.close()
 
 
 # ----------------------------------------------------------------------
