@@ -15,7 +15,7 @@ from repro.baseline import UDP_100GBE
 from repro.core.scheduler import shot_record_bytes
 from repro.host import BOOM_LARGE, INTEL_I9
 from repro.host.workloads import HostWorkloadModel
-from repro.sim.kernel import ms, to_ns
+from repro.sim.clock import ms, to_ns
 
 ITERATIONS = 10  # the Table 1 scenario runs the full ten iterations
 

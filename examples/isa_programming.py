@@ -25,7 +25,7 @@ from repro.isa import (
 )
 from repro.memory import MemoryHierarchy
 from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
-from repro.sim.kernel import to_ns
+from repro.sim.clock import to_ns
 
 
 def main():

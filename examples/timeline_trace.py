@@ -13,7 +13,7 @@ Output:    qtenon_timeline.json (in the working directory)
 
 from repro import QtenonSystem
 from repro.analysis import format_table
-from repro.sim.kernel import to_us
+from repro.sim.clock import to_us
 from repro.vqa import qaoa_workload
 
 N_QUBITS = 8

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.sim.kernel import to_ms, to_us
+from repro.sim.clock import to_ms, to_us
 
 #: Canonical breakdown categories, in the paper's legend order.
 CATEGORIES = ("quantum", "pulse_gen", "host_compute", "comm")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 from repro.sim.stats import StatGroup
 
 

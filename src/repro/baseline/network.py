@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.kernel import ms
+from repro.sim.clock import ms
 from repro.sim.stats import StatGroup
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints

@@ -40,20 +40,8 @@ from repro.analysis import format_table
 from repro.core import QtenonConfig
 from repro.host import core_by_name
 from repro.service import JobSpec, ServiceAPI, ServiceConfig
-from repro.vqa import (
-    ghz_workload,
-    make_optimizer,
-    qaoa_workload,
-    qnn_workload,
-    vqe_workload,
-)
-
-WORKLOADS = {
-    "qaoa": qaoa_workload,
-    "vqe": vqe_workload,
-    "qnn": qnn_workload,
-    "ghz": ghz_workload,
-}
+from repro.service.service import WORKLOADS
+from repro.vqa import make_optimizer
 
 #: --backend choices; "auto" defers to the execution planner.
 BACKEND_CHOICES = ("auto", "statevector", "stabilizer", "product")
@@ -482,8 +470,7 @@ def _make_platform(name: str, args) -> object:
     return platform
 
 
-def _run_one(platform_name: str, args):
-    workload = WORKLOADS[args.workload](args.qubits)
+def _run_one(platform_name: str, workload, args):
     platform = _make_platform(platform_name, args)
     runner = HybridRunner(
         platform,
@@ -523,14 +510,19 @@ def cmd_run(args) -> int:
             "(consider --timing-only for sweeps)",
             file=sys.stderr,
         )
-    result = _run_one(args.platform, args)
+    try:
+        workload = WORKLOADS[args.workload](args.qubits)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    result = _run_one(args.platform, workload, args)
     print(result.report.summary())
     print(f"  best cost: {result.best_cost:+.4f}")
     if not args.compare:
         return 0
 
     other_name = "baseline" if args.platform == "qtenon" else "qtenon"
-    other = _run_one(other_name, args)
+    other = _run_one(other_name, workload, args)
     print()
     print(other.report.summary())
     qtenon, baseline = (

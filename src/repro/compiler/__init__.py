@@ -9,7 +9,6 @@ from repro.compiler.lowering import (
     WORDS_PER_ENTRY,
     lower,
 )
-from repro.compiler.optimize import gates_saved, optimize
 from repro.compiler.qasm import (
     QasmError,
     campaign_instruction_count,
@@ -28,8 +27,6 @@ __all__ = [
     "RegfileSlot",
     "LoweringError",
     "WORDS_PER_ENTRY",
-    "optimize",
-    "gates_saved",
     "IncrementalCompiler",
     "UpdatePlan",
     "emit_qasm",

@@ -16,7 +16,7 @@ iteration — is modelled in :mod:`repro.baseline.jit`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.compiler.lowering import LoweredGate, QtenonProgram
 from repro.isa.instructions import AnyInstruction
@@ -83,12 +83,5 @@ class IncrementalCompiler:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def slots_written(self) -> int:
-        return len(self._last_angle)
-
-    def last_angle(self, slot_index: int) -> Optional[float]:
-        return self._last_angle.get(slot_index)
-
     def reset(self) -> None:
         self._last_angle.clear()

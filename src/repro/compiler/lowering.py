@@ -117,11 +117,6 @@ class QtenonProgram:
     def gates_for_slot(self, slot_index: int) -> List[LoweredGate]:
         return [self.gates[i] for i in self.slot_gates.get(slot_index, [])]
 
-    def parameterized_fraction(self) -> float:
-        if not self.gates:
-            return 0.0
-        return sum(1 for g in self.gates if g.slot is not None) / len(self.gates)
-
     # ------------------------------------------------------------------
     # instruction generation
     # ------------------------------------------------------------------
@@ -153,9 +148,6 @@ class QtenonProgram:
             )
             for slot_index, angle in slot_angles
         ]
-
-    def all_slot_angles(self, values: Dict[Parameter, float]) -> List[Tuple[int, float]]:
-        return [(slot.index, slot.angle(values[slot.parameter])) for slot in self.slots]
 
     def bind_group(self, group: int, values: Dict[Parameter, float]) -> QuantumCircuit:
         """Bind a measurement group's circuit for functional execution."""

@@ -189,15 +189,14 @@ class QuantumController:
         now_ps: int,
         host_addr: int,
         batched: bool,
-        stream_results: bool = True,
         functional: bool = True,
     ) -> RunResult:
         """Run ``shots`` shots of the bound ``circuit``.
 
         Functionally samples through the quantum backend, packs shot
-        records into ``.measure``, and (when ``stream_results``) pushes
-        them to ``host_addr`` via TileLink PUTs according to the
-        transmission policy, updating the memory barrier per batch.
+        records into ``.measure``, and pushes them to ``host_addr`` via
+        TileLink PUTs according to the transmission policy, updating
+        the memory barrier per batch.
 
         ``functional=False`` is the timing-only fast path used by the
         large sweep benches: the full timeline (shots, batches, PUTs,
@@ -251,18 +250,17 @@ class QuantumController:
             retry_penalty_ps=retry_penalty_ps,
         )
 
-        if stream_results:
-            for index, (batch, issue) in enumerate(zip(batches, timeline.put_issue_times)):
-                if functional:
-                    payload = bytearray()
-                    for shot in range(batch.first_shot, batch.first_shot + batch.n_shots):
-                        payload += shot_words[shot].to_bytes(8, "little")[:record]
-                    self._deliver_batch_payload(
-                        batch.host_addr,
-                        bytes(payload),
-                        decisions[index] if decisions else None,
-                    )
-                self.barrier.mark_put(batch.host_addr, batch.n_bytes, issue)
+        for index, (batch, issue) in enumerate(zip(batches, timeline.put_issue_times)):
+            if functional:
+                payload = bytearray()
+                for shot in range(batch.first_shot, batch.first_shot + batch.n_shots):
+                    payload += shot_words[shot].to_bytes(8, "little")[:record]
+                self._deliver_batch_payload(
+                    batch.host_addr,
+                    bytes(payload),
+                    decisions[index] if decisions else None,
+                )
+            self.barrier.mark_put(batch.host_addr, batch.n_bytes, issue)
         return RunResult(
             timeline=timeline,
             shot_words=tuple(shot_words),

@@ -24,8 +24,7 @@ from typing import List
 from repro.core.config import QtenonConfig
 from repro.core.qcc import PulseRecord, QuantumControllerCache
 from repro.core.slt import SkipLookupTable, SltLookupResult
-from repro.sim.clock import HOST_CLOCK, Clock
-from repro.sim.kernel import ns
+from repro.sim.clock import HOST_CLOCK, Clock, ns
 from repro.sim.stats import StatGroup
 
 

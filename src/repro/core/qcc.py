@@ -95,9 +95,6 @@ class QuantumControllerCache:
             )
         raise QccAddressError(f"QAddress {qaddr:#x} maps to no segment")
 
-    def is_public(self, qaddr: int) -> bool:
-        return self.resolve(qaddr).segment in self.PUBLIC_SEGMENTS
-
     # ------------------------------------------------------------------
     # public access (host data paths ❶/❷)
     # ------------------------------------------------------------------
@@ -146,21 +143,8 @@ class QuantumControllerCache:
             length += 1
         return length
 
-    def iter_program(self, qubit: int):
-        index = 0
-        while True:
-            entry = self._program.get((qubit, index))
-            if entry is None:
-                return
-            yield index, entry
-            index += 1
-
     def regfile_read(self, index: int) -> int:
         return self._regfile.get(index, 0)
-
-    def regfile_write(self, index: int, value: int) -> None:
-        self.config.regfile_qaddr(index)  # bounds check
-        self._regfile[index] = value & 0xFFFF_FFFF
 
     def measure_write(self, index: int, value: int) -> None:
         self.config.measure_qaddr(index)  # bounds check
@@ -198,9 +182,6 @@ class QuantumControllerCache:
         return sum(self._pulse_next)
 
     # ------------------------------------------------------------------
-    def clear_measurements(self) -> None:
-        self._measure.clear()
-
     def reset(self) -> None:
         self._program.clear()
         self._regfile.clear()

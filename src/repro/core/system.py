@@ -25,9 +25,8 @@ Three feature flags map to the paper's ablations:
 
 Timing is *exposed-time* accounting: each phase contributes its
 critical-path share, so the breakdown sums to the end-to-end time.
-The run/post-processing overlap can be computed analytically or by
-scheduling events on the DES kernel (``overlap_mode``); the two agree
-exactly and tests assert it.
+The run/post-processing overlap is computed in closed form from the
+batch response times (``_overlapped_host_done``).
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from typing import Dict, List, Optional
 from repro.analysis.trace import TraceRecorder
 from repro.compiler.incremental import IncrementalCompiler, UpdatePlan
 from repro.compiler.lowering import QtenonProgram, WORDS_PER_ENTRY, lower
-from repro.compiler.optimize import optimize as peephole_optimize
 from repro.core.config import QtenonConfig
 from repro.core.controller import QuantumController, RunResult
 from repro.core.platform import PlatformModel
@@ -50,7 +48,6 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.pauli import MeasurementGroup, PauliSum
 from repro.quantum.parameters import Parameter
 from repro.sim.clock import HOST_CLOCK
-from repro.sim.kernel import Simulator
 
 #: Host memory layout for the reproduction's workloads.
 HOST_PROGRAM_BASE = 0x1000_0000
@@ -101,16 +98,12 @@ class QtenonSystem(PlatformModel):
         config: Optional[QtenonConfig] = None,
         costs: WorkloadCosts = DEFAULT_COSTS,
         exact_limit: int = 14,
-        overlap_mode: str = "analytic",
         backend: Optional[str] = None,
         timing_only: bool = False,
-        optimize_circuits: bool = False,
         trace_events: bool = False,
         readout_noise=None,
         fault_injector=None,
     ) -> None:
-        if overlap_mode not in ("analytic", "event"):
-            raise ValueError(f"overlap_mode must be 'analytic' or 'event', got {overlap_mode!r}")
         self.config = config or QtenonConfig(n_qubits=n_qubits)
         if self.config.n_qubits < n_qubits:
             raise ValueError(
@@ -121,10 +114,6 @@ class QtenonSystem(PlatformModel):
             exact_limit, backend, timing_only, readout_noise, fault_injector,
         )
         self.features = features
-        self.overlap_mode = overlap_mode
-        #: run the peephole optimiser before lowering (off by default so
-        #: reported entry counts match the raw workload definitions).
-        self.optimize_circuits = optimize_circuits
         self.clock = HOST_CLOCK
 
         self.hierarchy = MemoryHierarchy()
@@ -146,8 +135,6 @@ class QtenonSystem(PlatformModel):
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None:
         """Transpile + lower the workload and upload it once."""
         group_circuits = self._bind_workload(ansatz, observable)
-        if self.optimize_circuits:
-            group_circuits = [peephole_optimize(c) for c in group_circuits]
         self._program = lower(group_circuits, self.config)
         self.controller.attach_program(self._program)
         self._incremental = IncrementalCompiler(self._program)
@@ -336,29 +323,11 @@ class QtenonSystem(PlatformModel):
         self.now = end
 
     def _overlapped_host_done(self, timeline, per_batch_host: int) -> int:
-        if self.overlap_mode == "event":
-            return self._overlapped_host_done_event(timeline, per_batch_host)
         host_free = timeline.start_ps
         for response in timeline.put_response_times:
             ready = response + self.clock.period_ps  # barrier query
             host_free = max(host_free, ready) + per_batch_host
         return host_free
-
-    def _overlapped_host_done_event(self, timeline, per_batch_host: int) -> int:
-        """Same computation, driven through the DES kernel: each batch
-        response schedules a host-processing event on a serial host."""
-        sim = Simulator()
-        state = {"host_free": timeline.start_ps}
-
-        def process(ready: int) -> None:
-            begin = max(ready, state["host_free"])
-            state["host_free"] = begin + per_batch_host
-
-        for response in timeline.put_response_times:
-            ready = response + self.clock.period_ps
-            sim.schedule_at(ready, lambda r=ready: process(r))
-        sim.run()
-        return state["host_free"]
 
     # ------------------------------------------------------------------
     # accounting helpers

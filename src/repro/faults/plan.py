@@ -31,7 +31,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 from typing import Tuple
 
-from repro.sim.kernel import ms, us
+from repro.sim.clock import ms, us
 
 
 def _check_probability(owner: str, name: str, value: float) -> None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 from repro.sim.stats import StatGroup
 
 

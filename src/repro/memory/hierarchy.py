@@ -14,8 +14,7 @@ from repro.memory.cache import Cache, CacheGeometry
 from repro.memory.dram import Dram, DramConfig
 from repro.memory.image import MemoryImage
 from repro.memory.tilelink import TileLinkBus
-from repro.sim.clock import HOST_CLOCK
-from repro.sim.kernel import ns
+from repro.sim.clock import HOST_CLOCK, ns
 
 
 @dataclass(frozen=True)

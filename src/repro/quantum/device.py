@@ -17,7 +17,7 @@ from typing import Dict, Optional
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.gates import MEASUREMENT_NS, ONE_QUBIT_NS, TWO_QUBIT_NS
 from repro.quantum.noise import ReadoutNoise
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 
 
 @dataclass(frozen=True)

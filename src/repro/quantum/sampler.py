@@ -195,7 +195,3 @@ class Sampler:
             results.append(result)
             value += group.expectation_from_counts(result.counts)
         return float(value), results
-
-    def circuit_executions_for(self, observable: PauliSum) -> int:
-        """How many circuit executions one expectation estimate costs."""
-        return max(1, len(observable.grouped_qubitwise()))

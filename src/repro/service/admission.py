@@ -55,9 +55,6 @@ class AdmissionController:
     def open_jobs(self) -> int:
         return self._open_total
 
-    def open_for(self, tenant: str) -> int:
-        return self._open_by_tenant.get(tenant, 0)
-
     def quota_for(self, tenant: str) -> int:
         return self.per_tenant_quotas.get(tenant, self.tenant_quota)
 

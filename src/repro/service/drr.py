@@ -61,10 +61,6 @@ class DeficitRoundRobin(Generic[T]):
         queue = self._queues.get(tenant)
         return len(queue) if queue else 0
 
-    @property
-    def backlogged_tenants(self) -> List[str]:
-        return [tenant for tenant in self._ring if self._queues[tenant]]
-
     def enqueue(self, tenant: str, item: T, cost: float) -> None:
         if cost <= 0:
             raise ValueError(f"job cost must be positive, got {cost}")

@@ -1,15 +1,14 @@
-"""Discrete-event simulation substrate (kernel, clocks, components, stats)."""
+"""Timing substrate: picosecond units, clock domains, stat primitives."""
 
-from repro.sim.clock import Clock, DAC_CLOCK, HOST_CLOCK, QCC_SRAM_CLOCK
-from repro.sim.component import BusyResource, Component
-from repro.sim.kernel import (
+from repro.sim.clock import (
+    DAC_CLOCK,
+    HOST_CLOCK,
     PS_PER_MS,
     PS_PER_NS,
     PS_PER_S,
     PS_PER_US,
-    Process,
-    SimulationError,
-    Simulator,
+    QCC_SRAM_CLOCK,
+    Clock,
     ms,
     ns,
     to_ms,
@@ -17,18 +16,13 @@ from repro.sim.kernel import (
     to_us,
     us,
 )
-from repro.sim.stats import Accumulator, Counter, StatGroup, TimeBucket
+from repro.sim.stats import Accumulator, Counter, StatGroup
 
 __all__ = [
     "Clock",
     "HOST_CLOCK",
     "QCC_SRAM_CLOCK",
     "DAC_CLOCK",
-    "Component",
-    "BusyResource",
-    "Simulator",
-    "Process",
-    "SimulationError",
     "ns",
     "us",
     "ms",
@@ -41,6 +35,5 @@ __all__ = [
     "PS_PER_S",
     "Counter",
     "Accumulator",
-    "TimeBucket",
     "StatGroup",
 ]

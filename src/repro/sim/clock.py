@@ -1,17 +1,56 @@
-"""Clock-domain helpers.
+"""Picosecond timebase and clock-domain helpers.
+
+Times are integers in **picoseconds** throughout the reproduction;
+integer time avoids the floating-point drift that ns-float models
+accumulate over long campaigns.  The unit helpers below convert to and
+from ns/us/ms.
 
 Qtenon's models span three clock domains (paper §5.2 and Table 4): the
 1 GHz host/RoCC domain, the 200 MHz quantum-controller SRAM domain, and
 the 2 GHz DAC/SerDes output domain.  A :class:`Clock` converts between
-cycles and the kernel's picosecond timebase so component code can speak
-in cycles while events remain in a single global timeline.
+cycles and the picosecond timebase so component code can speak in
+cycles while every timeline stays in one unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim.kernel import PS_PER_S
+#: Conversion constants (picoseconds per unit).
+PS_PER_NS = 1_000
+PS_PER_US = 1_000_000
+PS_PER_MS = 1_000_000_000
+PS_PER_S = 1_000_000_000_000
+
+
+def ns(value: float) -> int:
+    """Convert nanoseconds to integer picoseconds."""
+    return int(round(value * PS_PER_NS))
+
+
+def us(value: float) -> int:
+    """Convert microseconds to integer picoseconds."""
+    return int(round(value * PS_PER_US))
+
+
+def ms(value: float) -> int:
+    """Convert milliseconds to integer picoseconds."""
+    return int(round(value * PS_PER_MS))
+
+
+def to_ns(ps: int) -> float:
+    """Convert picoseconds to (float) nanoseconds."""
+    return ps / PS_PER_NS
+
+
+def to_us(ps: int) -> float:
+    """Convert picoseconds to (float) microseconds."""
+    return ps / PS_PER_US
+
+
+def to_ms(ps: int) -> float:
+    """Convert picoseconds to (float) milliseconds."""
+    return ps / PS_PER_MS
 
 
 @dataclass(frozen=True)

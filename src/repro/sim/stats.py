@@ -1,25 +1,23 @@
 """Statistics primitives shared by all timing models.
 
 Every architectural component in the reproduction reports through these
-three primitives:
+two primitives:
 
 * :class:`Counter` — monotonically increasing event counts (cache hits,
   PUT requests issued, SLT evictions, ...).
 * :class:`Accumulator` — sums of sampled values with min/max/mean
   (queue depths, batch sizes, ...).
-* :class:`TimeBucket` — accumulated busy time per named category; the
-  backbone of the paper's time breakdowns (quantum execution / pulse
-  generation / host computation / quantum-host communication).
 
 A :class:`StatGroup` namespaces them per component and renders a flat
-``dict`` for reports and tests.
+``dict`` for reports and tests.  Time breakdowns live in
+:class:`repro.analysis.breakdown.TimeBreakdown`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 
@@ -31,9 +29,9 @@ class Counter:
     value: int = 0
 
     def increment(self, by: int = 1) -> None:
-        # bool is a subclass of int, so increment(True) used to count
-        # as 1 silently — same typing trap as the kernel's Process
-        # delays; reject it along with floats and other non-integrals.
+        # bool is a subclass of int, so increment(True) would count as
+        # 1 silently; reject it along with floats and other
+        # non-integrals.
         if isinstance(by, bool) or not isinstance(by, numbers.Integral):
             raise TypeError(
                 f"counter {self.name!r} increment must be an integral count, "
@@ -83,53 +81,13 @@ class Accumulator:
         self.maximum = None
 
 
-@dataclass
-class TimeBucket:
-    """Accumulated busy time (ps) per category.
-
-    The categories mirror the paper's end-to-end breakdown (Fig. 13):
-    ``quantum``, ``pulse_gen``, ``host_compute``, ``comm``.  Components
-    are free to add finer-grained categories; reports aggregate.
-    """
-
-    name: str
-    buckets: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, category: str, duration_ps: int) -> None:
-        if duration_ps < 0:
-            raise ValueError(f"negative duration {duration_ps} for {category!r}")
-        self.buckets[category] = self.buckets.get(category, 0) + duration_ps
-
-    def get(self, category: str) -> int:
-        return self.buckets.get(category, 0)
-
-    @property
-    def total(self) -> int:
-        return sum(self.buckets.values())
-
-    def fraction(self, category: str) -> float:
-        """Share of ``category`` in the total accumulated time."""
-        total = self.total
-        return self.get(category) / total if total else 0.0
-
-    def merged_with(self, other: "TimeBucket") -> "TimeBucket":
-        merged = TimeBucket(self.name, dict(self.buckets))
-        for category, duration in other.buckets.items():
-            merged.add(category, duration)
-        return merged
-
-    def reset(self) -> None:
-        self.buckets.clear()
-
-
 class StatGroup:
-    """A namespace of counters/accumulators/time buckets for one component."""
+    """A namespace of counters and accumulators for one component."""
 
     def __init__(self, name: str) -> None:
         self.name = name
         self._counters: Dict[str, Counter] = {}
         self._accumulators: Dict[str, Accumulator] = {}
-        self._time_buckets: Dict[str, TimeBucket] = {}
 
     def counter(self, name: str) -> Counter:
         """Get-or-create a counter."""
@@ -143,12 +101,6 @@ class StatGroup:
             self._accumulators[name] = Accumulator(name)
         return self._accumulators[name]
 
-    def time_bucket(self, name: str) -> TimeBucket:
-        """Get-or-create a time bucket."""
-        if name not in self._time_buckets:
-            self._time_buckets[name] = TimeBucket(name)
-        return self._time_buckets[name]
-
     def counters(self) -> Iterator[Counter]:
         return iter(self._counters.values())
 
@@ -160,26 +112,10 @@ class StatGroup:
         for acc in self._accumulators.values():
             out[f"{self.name}.{acc.name}.mean"] = acc.mean
             out[f"{self.name}.{acc.name}.count"] = acc.count
-        for bucket in self._time_buckets.values():
-            for category, duration in bucket.buckets.items():
-                out[f"{self.name}.{bucket.name}.{category}"] = duration
         return out
-
-    def publish_to(self, registry, prefix: str = "") -> None:
-        """Register this group as a pull collector on a
-        :class:`~repro.telemetry.metrics.MetricsRegistry`.
-
-        Lazy import keeps :mod:`repro.sim` free of a hard dependency on
-        the telemetry layer.
-        """
-        from repro.telemetry.bridge import register_stat_group
-
-        register_stat_group(registry, self, prefix)
 
     def reset(self) -> None:
         for counter in self._counters.values():
             counter.reset()
         for acc in self._accumulators.values():
             acc.reset()
-        for bucket in self._time_buckets.values():
-            bucket.reset()

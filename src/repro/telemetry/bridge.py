@@ -207,50 +207,9 @@ def register_service(
     registry.register_collector(collect_sessions)
 
 
-def register_cluster(
-    registry: MetricsRegistry, master, prefix: str = "cluster"
-) -> None:
-    """Publish a :class:`~repro.cluster.master.ClusterMaster`: the
-    cluster-wide counters, admission, per-node health, and one
-    ``cluster.node.<id>.*`` family per worker node (its StatGroup
-    counters plus liveness/occupancy gauges and breaker state)."""
-    register_stat_group(registry, master.stats, prefix)
-    register_stat_group(registry, master.admission.stats, metric_key("admission", prefix))
-    register_health(registry, master.health, metric_key("node_health", prefix))
-
-    def collect_nodes() -> Dict[str, float]:
-        out: Dict[str, float] = {}
-        for node_id, handle in master.nodes.items():
-            base = metric_key(f"node.{node_id}", prefix)
-            out[f"{base}.alive"] = 1.0 if handle.alive else 0.0
-            out[f"{base}.capacity"] = float(handle.capacity)
-            out[f"{base}.in_flight"] = float(len(handle.in_flight))
-            out[f"{base}.breaker_open"] = (
-                1.0 if handle.breaker.state.value == "open" else 0.0
-            )
-            for name, value in handle.stats.as_dict().items():
-                # StatGroup names arrive "node.<id>.counter" shaped;
-                # keep only the counter leaf under our per-node base.
-                leaf = name.rsplit(".", 1)[-1]
-                out[metric_key(leaf, base)] = float(value)
-        out[metric_key("scheduler.backlog", prefix)] = float(
-            len(master.scheduler)
-        )
-        return out
-
-    registry.register_collector(collect_nodes)
-
-
 def register_fault_injector(
     registry: MetricsRegistry, injector, prefix: str = "faults"
 ) -> None:
     """Publish a :class:`~repro.faults.injector.FaultInjector`'s
     decision counters."""
     register_stat_group(registry, injector.stats, prefix)
-
-
-def default_registry() -> MetricsRegistry:
-    """Convenience re-export of the process-wide registry."""
-    from repro.telemetry.metrics import get_registry
-
-    return get_registry()

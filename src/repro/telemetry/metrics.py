@@ -64,9 +64,9 @@ def nearest_rank_quantile(sorted_values: Sequence[float], q: float) -> float:
 
 
 def _integral(by: object, what: str) -> int:
-    """Validate an integral count — mirrors the sim kernel's delay
-    typing: numpy integers pass, ``bool`` (a subclass of ``int``) and
-    floats do not, so ``increment(True)`` can't silently count as 1."""
+    """Validate an integral count — mirrors ``repro.sim.stats.Counter``:
+    numpy integers pass, ``bool`` (a subclass of ``int``) and floats do
+    not, so ``increment(True)`` can't silently count as 1."""
     if isinstance(by, bool) or not isinstance(by, numbers.Integral):
         raise TypeError(
             f"{what} must be an integral count, got {by!r} ({type(by).__name__})"

@@ -12,7 +12,7 @@ from repro.analysis import (
     format_time_ps,
     geometric_mean,
 )
-from repro.sim.kernel import ms, ns, us
+from repro.sim.clock import ms, ns, us
 
 
 class TestTimeBreakdown:

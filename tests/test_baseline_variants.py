@@ -10,7 +10,7 @@ from repro.baseline import (
     variant_by_name,
 )
 from repro.quantum import QuantumCircuit
-from repro.sim.kernel import ms
+from repro.sim.clock import ms
 from repro.vqa import qaoa_workload
 
 

@@ -118,6 +118,20 @@ class TestCommands:
         assert code == 0
         assert "rocket" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "qaoa", "--qubits", "2"],
+            ["run", "vqe", "--qubits", "1"],
+            ["run", "ghz", "--qubits", "1"],
+        ],
+    )
+    def test_unbuildable_workload_is_a_clean_error(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestBackendSelection:
     def test_backend_defaults_to_auto(self):

@@ -20,7 +20,7 @@ from repro.core import (
 from repro.isa import QUpdate, encode_angle
 from repro.memory import MemoryHierarchy
 from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 
 
 @pytest.fixture

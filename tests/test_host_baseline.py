@@ -21,7 +21,7 @@ from repro.host import (
     core_by_name,
 )
 from repro.quantum import Parameter, QuantumCircuit
-from repro.sim.kernel import PS_PER_MS, ms, ns, us
+from repro.sim.clock import PS_PER_MS, ms, ns, us
 
 
 class TestCoreModels:

@@ -10,7 +10,7 @@ from repro.core import (
     WriteBufferQueue,
 )
 from repro.memory import TileLinkBus
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 
 
 class TestRoccInterface:

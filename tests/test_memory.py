@@ -11,7 +11,7 @@ from repro.memory import (
     MemoryImage,
     TileLinkBus,
 )
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 
 
 class TestMemoryImage:

@@ -10,7 +10,7 @@ from repro.core import (
     SkipLookupTable,
 )
 from repro.isa import ProgramEntry
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 
 
 def make_pipeline(n_qubits=4, n_pgus=2, qspace_latency=ns(60)):

@@ -31,7 +31,6 @@ from repro.isa import (
 from repro.isa.assembler import MachineTriple, emit
 from repro.memory import MemoryImage
 from repro.quantum import QuantumCircuit, StatevectorBackend
-from repro.sim.kernel import Simulator
 
 # ----------------------------------------------------------------------
 # ISA encodings
@@ -174,23 +173,6 @@ def test_memory_image_last_write_wins(writes):
         image.write_bytes(addr, data)
         reference[addr : addr + len(data)] = data
     assert image.read_bytes(0, 512) == bytes(reference)
-
-
-# ----------------------------------------------------------------------
-# simulator kernel
-# ----------------------------------------------------------------------
-
-
-@given(delays=st.lists(st.integers(0, 10_000), min_size=1, max_size=50))
-def test_simulator_executes_in_nondecreasing_time_order(delays):
-    sim = Simulator()
-    fired = []
-    for delay in delays:
-        sim.schedule_at(delay, lambda d=delay: fired.append(sim.now))
-    sim.run()
-    assert fired == sorted(fired)
-    assert len(fired) == len(delays)
-    assert sim.now == max(delays)
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler import is_native, lower, optimize, transpile
+from repro.compiler import is_native, lower, transpile
 from repro.core import QtenonConfig
 from repro.isa.program import decode_angle
 from repro.quantum import QuantumCircuit, QuantumDevice, StatevectorBackend
@@ -63,15 +63,6 @@ def test_transpile_preserves_state_up_to_phase(moves):
     native = transpile(qc)
     assert is_native(native)
     assert overlap(qc, native) == pytest.approx(1.0, abs=1e-9)
-
-
-@settings(max_examples=30, deadline=None)
-@given(moves=st.lists(_move, max_size=20))
-def test_transpile_then_optimize_preserves_state(moves):
-    qc = build_circuit(moves)
-    processed = optimize(transpile(qc))
-    assert len(processed) <= len(transpile(qc))
-    assert overlap(qc, processed) == pytest.approx(1.0, abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

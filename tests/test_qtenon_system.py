@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core import QtenonFeatures, QtenonSystem
+from repro.core import QtenonFeatures, QtenonSystem, RunTimeline
 from repro.host import ROCKET
-from repro.vqa import qaoa_workload, vqe_workload
+from repro.vqa import qaoa_workload
 
 
 def run_evaluations(system, workload, n_evals=3, shots=50, seed=0):
@@ -38,10 +38,6 @@ class TestLifecycle:
         system.prepare(wl.ansatz, wl.observable)
         with pytest.raises(ValueError):
             system.evaluate({p: 0.0 for p in wl.parameters}, -1)
-
-    def test_bad_overlap_mode_rejected(self):
-        with pytest.raises(ValueError, match="overlap_mode"):
-            QtenonSystem(4, overlap_mode="magic")
 
 
 class TestReportConsistency:
@@ -170,16 +166,36 @@ class TestAblationOrdering:
 
 
 class TestOverlapModes:
-    def test_event_mode_matches_analytic(self):
-        wl = vqe_workload(6, n_layers=1)
-        analytic, _ = run_evaluations(
-            QtenonSystem(6, overlap_mode="analytic", seed=5), wl, n_evals=3
+    @staticmethod
+    def _timeline(responses, start_ps=0):
+        end = responses[-1] if responses else start_ps
+        return RunTimeline(
+            start_ps=start_ps,
+            quantum_end_ps=end,
+            last_put_issue_ps=end,
+            last_put_response_ps=end,
+            put_issue_times=(),
+            put_response_times=tuple(responses),
         )
-        event, _ = run_evaluations(
-            QtenonSystem(6, overlap_mode="event", seed=5), wl, n_evals=3
-        )
-        assert analytic.end_to_end_ps == event.end_to_end_ps
-        assert analytic.breakdown.as_dict() == event.breakdown.as_dict()
+
+    def test_host_overlap_matches_hand_computed_case(self):
+        # 1 GHz host: each barrier query costs 1 000 ps, then 2 000 ps
+        # of post-processing per batch on one serial host.
+        #   batch 1: ready  2 000, host busy  2 000 ->  4 000
+        #   batch 2: ready  2 500, host backs up     ->  6 000
+        #   batch 3: ready 11 000, host idles first  -> 13 000
+        system = QtenonSystem(4)
+        assert system.clock.period_ps == 1_000
+        timeline = self._timeline([1_000, 1_500, 10_000])
+        assert system._overlapped_host_done(timeline, 2_000) == 13_000
+        # Stopping after batch 2 exposes the backlog the idle gap hides.
+        timeline = self._timeline([1_000, 1_500])
+        assert system._overlapped_host_done(timeline, 2_000) == 6_000
+
+    def test_no_batches_returns_start(self):
+        system = QtenonSystem(4)
+        timeline = self._timeline([], start_ps=7_000)
+        assert system._overlapped_host_done(timeline, 2_000) == 7_000
 
 
 class TestCores:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.quantum import DeviceTiming, QuantumCircuit, QuantumDevice, Sampler
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 
 
 class TestSamplerBackendSelection:

@@ -8,7 +8,7 @@ from repro.core import (
     plan_transmissions,
     shot_record_bytes,
 )
-from repro.sim.kernel import ns
+from repro.sim.clock import ns
 
 
 class TestBatchInterval:

@@ -1,20 +1,37 @@
-"""Tests for clock domains and statistics primitives."""
+"""Tests for picosecond units, clock domains and statistics primitives."""
 
 import pytest
 
 from repro.sim import (
     Accumulator,
-    BusyResource,
     Clock,
     Counter,
     DAC_CLOCK,
     HOST_CLOCK,
     QCC_SRAM_CLOCK,
-    Simulator,
     StatGroup,
-    TimeBucket,
+    ms,
     ns,
+    to_ms,
+    to_ns,
+    to_us,
+    us,
 )
+
+
+class TestTimeConversions:
+    def test_ns_round_trip(self):
+        assert to_ns(ns(12.5)) == pytest.approx(12.5)
+
+    def test_us_round_trip(self):
+        assert to_us(us(3.25)) == pytest.approx(3.25)
+
+    def test_ms_round_trip(self):
+        assert to_ms(ms(0.75)) == pytest.approx(0.75)
+
+    def test_units_nest(self):
+        assert us(1) == ns(1000)
+        assert ms(1) == us(1000)
 
 
 class TestClock:
@@ -109,30 +126,6 @@ class TestAccumulator:
         assert acc.count == 0
 
 
-class TestTimeBucket:
-    def test_fractions(self):
-        bucket = TimeBucket("breakdown")
-        bucket.add("quantum", 90)
-        bucket.add("comm", 10)
-        assert bucket.total == 100
-        assert bucket.fraction("quantum") == pytest.approx(0.9)
-        assert bucket.fraction("missing") == 0.0
-
-    def test_negative_duration_raises(self):
-        with pytest.raises(ValueError):
-            TimeBucket("x").add("quantum", -1)
-
-    def test_merge(self):
-        a = TimeBucket("a")
-        a.add("quantum", 5)
-        b = TimeBucket("b")
-        b.add("quantum", 7)
-        b.add("comm", 1)
-        merged = a.merged_with(b)
-        assert merged.get("quantum") == 12
-        assert merged.get("comm") == 1
-
-
 class TestStatGroup:
     def test_get_or_create_identity(self):
         group = StatGroup("cache")
@@ -142,38 +135,6 @@ class TestStatGroup:
         group = StatGroup("l1")
         group.counter("hits").increment(3)
         group.accumulator("lat").observe(10.0)
-        group.time_bucket("busy").add("quantum", 7)
         flat = group.as_dict()
         assert flat["l1.hits"] == 3
         assert flat["l1.lat.mean"] == 10.0
-        assert flat["l1.busy.quantum"] == 7
-
-
-class TestBusyResource:
-    def test_single_server_serialises(self):
-        sim = Simulator()
-        pool = BusyResource(sim, "pgu", servers=1)
-        begin1, end1 = pool.acquire(0, 100)
-        begin2, end2 = pool.acquire(10, 100)
-        assert (begin1, end1) == (0, 100)
-        assert (begin2, end2) == (100, 200)
-
-    def test_multiple_servers_overlap(self):
-        sim = Simulator()
-        pool = BusyResource(sim, "pgu", servers=2)
-        assert pool.acquire(0, 100) == (0, 100)
-        assert pool.acquire(0, 100) == (0, 100)
-        assert pool.acquire(0, 100) == (100, 200)
-
-    def test_earliest_free(self):
-        sim = Simulator()
-        pool = BusyResource(sim, "pgu", servers=2)
-        pool.acquire(0, 50)
-        assert pool.earliest_free() == 0
-        pool.acquire(0, 70)
-        assert pool.earliest_free() == 50
-        assert pool.all_idle_at() == 70
-
-    def test_rejects_zero_servers(self):
-        with pytest.raises(ValueError):
-            BusyResource(Simulator(), "x", servers=0)

@@ -25,6 +25,7 @@ from repro.telemetry import (
     nearest_rank_quantile,
     parse_prometheus_text,
     prometheus_name,
+    register_stat_group,
     set_registry,
     to_prometheus_text,
 )
@@ -163,11 +164,11 @@ class TestRegistry:
         finally:
             set_registry(original)
 
-    def test_stat_group_publish_to(self):
+    def test_register_stat_group(self):
         registry = MetricsRegistry()
         group = StatGroup("engine")
         group.counter("hits").increment(3)
-        group.publish_to(registry, prefix="runtime")
+        register_stat_group(registry, group, prefix="runtime")
         assert registry.collect_external() == {"runtime.engine.hits": 3.0}
 
     def test_metric_key_sanitises(self):
