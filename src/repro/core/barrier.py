@@ -23,7 +23,7 @@ For race 2 the paper contrasts two mechanisms, both modelled here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, Tuple
 
 from repro.sim.clock import HOST_CLOCK, Clock
 from repro.sim.stats import StatGroup
@@ -42,14 +42,27 @@ class SyncedRange:
 
 
 class MemoryBarrier:
-    """The controller-side barrier table (one entry per PUT)."""
+    """The controller-side barrier table (one entry per synchronised range).
+
+    A PUT to a range supersedes the previous PUT to the same range:
+    every q_run streams its batches into the same host result buffer,
+    so without replacement the table would grow by one run's worth of
+    entries per evaluation for the life of a session.  Answers do not
+    change: :meth:`query` already returned the latest covering PUT, and
+    :meth:`fence` keeps the latest ready time it has ever seen.
+    """
 
     def __init__(self, clock: Clock = HOST_CLOCK) -> None:
         self.clock = clock
-        self._ranges: List[SyncedRange] = []
+        #: (addr, size) -> latest PUT to that range, in marking order.
+        self._ranges: Dict[Tuple[int, int], SyncedRange] = {}
+        self._latest_ps = 0
         self.stats = StatGroup("barrier")
         self._queries = self.stats.counter("queries")
         self._stall_acc = self.stats.accumulator("stall_ps")
+
+    def __len__(self) -> int:
+        return len(self._ranges)
 
     # ------------------------------------------------------------------
     # controller side
@@ -59,10 +72,14 @@ class MemoryBarrier:
         (the PUT request has been sent through the system bus)."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
-        self._ranges.append(SyncedRange(addr, size, ready_ps))
+        key = (addr, size)
+        self._ranges.pop(key, None)
+        self._ranges[key] = SyncedRange(addr, size, ready_ps)
+        self._latest_ps = max(self._latest_ps, ready_ps)
 
     def clear(self) -> None:
         self._ranges.clear()
+        self._latest_ps = 0
 
     # ------------------------------------------------------------------
     # host side
@@ -78,7 +95,7 @@ class MemoryBarrier:
         self._queries.increment()
         query_done = now_ps + self.clock.period_ps
         ready = query_done
-        for entry in reversed(self._ranges):
+        for entry in reversed(self._ranges.values()):
             if entry.covers(addr):
                 ready = max(query_done, entry.ready_ps)
                 break
@@ -87,9 +104,8 @@ class MemoryBarrier:
 
     def fence(self, now_ps: int) -> int:
         """Coarse FENCE (Fig. 9a): wait for *all* recorded operations."""
-        latest = max((entry.ready_ps for entry in self._ranges), default=now_ps)
-        return max(now_ps, latest)
+        return max(now_ps, self._latest_ps)
 
     def pending_after(self, now_ps: int) -> int:
         """How many synchronised ranges are not yet valid at ``now_ps``."""
-        return sum(1 for entry in self._ranges if entry.ready_ps > now_ps)
+        return sum(1 for entry in self._ranges.values() if entry.ready_ps > now_ps)

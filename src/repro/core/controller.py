@@ -190,6 +190,7 @@ class QuantumController:
         host_addr: int,
         batched: bool,
         functional: bool = True,
+        shot_ps: Optional[int] = None,
     ) -> RunResult:
         """Run ``shots`` shots of the bound ``circuit``.
 
@@ -202,6 +203,10 @@ class QuantumController:
         large sweep benches: the full timeline (shots, batches, PUTs,
         barrier updates) is computed, but no quantum state is sampled
         and no measurement data moves.
+
+        ``shot_ps`` is the circuit's one-shot duration when the caller
+        has it: gate durations do not depend on parameter values, so a
+        platform computes it once per measurement group at ``prepare``.
         """
         record = shot_record_bytes(circuit.n_qubits)
         if functional:
@@ -217,7 +222,8 @@ class QuantumController:
             counts = {}
             shot_words = []
 
-        shot_ps = self.device.shot_duration_ps(circuit)
+        if shot_ps is None:
+            shot_ps = self.device.shot_duration_ps(circuit)
         batches = plan_transmissions(circuit.n_qubits, shots, host_addr, batched)
         put_latency = self._put_response_latency(host_addr, record, now_ps)
 

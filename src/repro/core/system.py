@@ -128,6 +128,7 @@ class QtenonSystem(PlatformModel):
             self.trace = TraceRecorder(f"qtenon-{core.name}")
         self._program: Optional[QtenonProgram] = None
         self._incremental: Optional[IncrementalCompiler] = None
+        self._shot_ps: List[int] = []
 
     # ------------------------------------------------------------------
     # platform protocol
@@ -137,6 +138,12 @@ class QtenonSystem(PlatformModel):
         group_circuits = self._bind_workload(ansatz, observable)
         self._program = lower(group_circuits, self.config)
         self.controller.attach_program(self._program)
+        # Gate durations do not depend on parameter values: one shot
+        # duration per group serves every evaluation.
+        self._shot_ps = [
+            self.device.shot_duration_ps(circuit)
+            for circuit in self._program.group_circuits
+        ]
         self._incremental = IncrementalCompiler(self._program)
 
         # Host: one-time lowering cost.
@@ -178,6 +185,7 @@ class QtenonSystem(PlatformModel):
                 HOST_RESULT_BASE,
                 batched=self.features.batched_transmission,
                 functional=not self.timing_only,
+                shot_ps=self._shot_ps[index],
             )
             if group.members and not self.timing_only:
                 value += group.expectation_from_counts(run.counts)

@@ -297,7 +297,7 @@ def adjoint_gradient_batch(
     batch kernels (bit-identical up to zero-amplitude signs, which
     cannot move a reduction — see :func:`apply_1q_batch`) and every
     energy/partial reduction runs per contiguous row in the serial
-    order.  Chunking mirrors :meth:`CompiledProgram.execute_batch`:
+    order.  Chunking mirrors :func:`~repro.quantum.kernels.replay_groups`:
     small states batch, large states fall back to the serial sweep.
     """
     batch = np.ascontiguousarray(vectors, dtype=np.float64)

@@ -8,7 +8,11 @@ subsequent optimizer probe **replays** the program with fresh parameter
 values — no circuit traversal, no ``Operation`` rebinding, no gate
 lowering.  The same split the Qtenon hardware exploits with
 ``q_update`` (only parameters move between iterations) is exploited
-here to make the reproduction's own evaluation loop fast.
+here to make the reproduction's own evaluation loop fast.  Going one
+step further, :func:`replay_groups` replays a probe only from where it
+differs: the measurement-group programs of one spec share a node
+prefix (the :class:`Trunk`) that each row replays once, and wide rows
+resume from a checkpoint of the batch's reference vector.
 
 Gate application is in-place and bit-sliced (HybridQ-style): the state
 is viewed as ``(high, 2, low)`` blocks around the target bit and
@@ -32,7 +36,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -527,8 +531,20 @@ class CompiledProgram:
     def measured_qubits(self) -> List[int]:
         return list(self.measured)
 
-    def execute(self, vector: Optional[np.ndarray] = None):
-        """Replay the program from |0...0>; returns a ``Statevector``."""
+    def execute(
+        self,
+        vector: Optional[np.ndarray] = None,
+        state: Optional["Statevector"] = None,
+        start: int = 0,
+        stop: Optional[int] = None,
+    ):
+        """Replay nodes ``[start, stop)``; returns a ``Statevector``.
+
+        The replay runs from |0...0> unless ``state`` is given, in which
+        case it runs on a copy of it (``state`` itself is never
+        mutated) — that is how a replay resumes from a checkpoint taken
+        at node ``start`` by an earlier call that stopped there.
+        """
         from repro.quantum.statevector import Statevector
 
         if self.n_slots and vector is None:
@@ -541,10 +557,14 @@ class CompiledProgram:
                 f"parameter vector has {len(vector)} value(s); "
                 f"program needs {self.n_slots}"
             )
-        amps = np.zeros(1 << self.n_qubits, dtype=complex)
-        amps[0] = 1.0
+        if state is None:
+            amps = np.zeros(1 << self.n_qubits, dtype=complex)
+            amps[0] = 1.0
+        else:
+            amps = state.amplitudes.copy()
         scratch = np.empty(scratch_size(self.n_qubits), dtype=complex)
-        for node in self.ops:
+        ops = self.ops[start:stop]
+        for node in ops:
             matrix = node.matrix_for(vector)
             qubits = node.qubits
             if len(qubits) == 1:
@@ -554,11 +574,17 @@ class CompiledProgram:
                     amps, matrix, qubits[0], qubits[1], scratch, node.diagonal
                 )
         _REPLAYS.increment()
-        _GATES_APPLIED.increment(len(self.ops))
+        _GATES_APPLIED.increment(len(ops))
         return Statevector(amps, self.n_qubits)
 
-    def execute_batch(self, vectors: np.ndarray) -> List["Statevector"]:
-        """Replay the program once over a ``(K, n_slots)`` probe batch.
+    def execute_batch(
+        self,
+        vectors: np.ndarray,
+        states: Optional[Sequence["Statevector"]] = None,
+        start: int = 0,
+        stop: Optional[int] = None,
+    ) -> List["Statevector"]:
+        """Replay nodes ``[start, stop)`` once over a ``(K, n_slots)`` batch.
 
         The K statevectors evolve together in one ``(K, 2**n)`` complex
         array: each node is applied to every row in a single broadcast
@@ -567,20 +593,18 @@ class CompiledProgram:
         broadcast), so the program traversal, node dispatch and numpy
         call overhead are paid once per *batch* instead of once per
         probe — the cross-probe amortisation a gradient/SPSA step's
-        ``2P + 1`` evaluations want.
+        ``2P + 1`` evaluations want.  ``states`` (one per row, copied,
+        never mutated) resumes the rows from a batch replay that
+        stopped at node ``start``; by default every row starts at
+        |0...0>.
 
         Row ``k`` of the result is bit-identical to
         ``execute(vectors[k])`` up to the sign of zero amplitudes (see
         :func:`apply_1q_batch`), hence sampled histories are
-        bit-identical; batch probabilities are computed in one pass and
-        adopted by the returned views.
-
-        Large batches are processed in row chunks bounded by
-        ``BATCH_AMPS_TARGET`` total amplitudes: past that the ``(K,
-        2**n)`` working set falls out of cache and every node apply
-        streams it from memory, which is *slower* than the per-probe
-        loop the batching replaces.  Chunking is invisible in the
-        results — rows never interact.
+        bit-identical.  A replay that reaches the last node computes
+        the batch probabilities in one pass and the returned views
+        adopt them.  The caller bounds ``K``: :func:`replay_groups`
+        chunks rows to ``BATCH_AMPS_TARGET`` amplitudes.
         """
         from repro.quantum.statevector import Statevector, adopt_batch_probabilities
 
@@ -597,21 +621,15 @@ class CompiledProgram:
                 f"parameter batch has {batch.shape[1]} column(s); "
                 f"program needs {self.n_slots}"
             )
-        chunk = BATCH_AMPS_TARGET >> self.n_qubits
-        if chunk < MIN_CHUNK_ROWS:
-            # States this large leave no call overhead to amortize —
-            # the scalar kernels are the faster (and bit-identical,
-            # zero signs included) schedule.
-            return [self.execute(batch[k]) for k in range(rows)]
-        if rows > chunk:
-            out: List["Statevector"] = []
-            for start in range(0, rows, chunk):
-                out.extend(self.execute_batch(batch[start:start + chunk]))
-            return out
-        amps = np.zeros((rows, 1 << self.n_qubits), dtype=complex)
-        amps[:, 0] = 1.0
+        if states is None:
+            amps = np.zeros((rows, 1 << self.n_qubits), dtype=complex)
+            amps[:, 0] = 1.0
+        else:
+            amps = np.stack([state.amplitudes for state in states])
         scratch = np.empty(rows * scratch_size(self.n_qubits), dtype=complex)
-        for node in self.ops:
+        stop = len(self.ops) if stop is None else stop
+        ops = self.ops[start:stop]
+        for node in ops:
             matrices = node.matrices_for(batch)
             qubits = node.qubits
             if len(qubits) == 1:
@@ -623,10 +641,142 @@ class CompiledProgram:
         _REPLAYS.increment(rows)
         _BATCH_REPLAYS.increment()
         _BATCH_ROWS.increment(rows)
-        _GATES_APPLIED.increment(len(self.ops) * rows)
+        _GATES_APPLIED.increment(len(ops) * rows)
         states = [Statevector(amps[k], self.n_qubits) for k in range(rows)]
-        adopt_batch_probabilities(states, amps)
+        if stop >= len(self.ops):
+            adopt_batch_probabilities(states, amps)
         return states
+
+
+# ----------------------------------------------------------------------
+# shared-prefix replay: one trunk per spec, checkpointed per batch
+# ----------------------------------------------------------------------
+def _float_bits(value: float) -> bytes:
+    # Bitwise, so -0.0 and 0.0 (which bind to different zero signs)
+    # never compare equal.
+    return np.float64(value).tobytes()
+
+
+def _node_key(node: object) -> tuple:
+    """Structural identity of a compiled node: two nodes with equal keys
+    build bitwise-equal matrices for every vector."""
+    if isinstance(node, _FixedNode):
+        return ("fixed", node.qubits, node.matrix.tobytes())
+    if isinstance(node, _ParamNode):
+        bindings = tuple(
+            (slot, _float_bits(coeff), _float_bits(offset))
+            for slot, coeff, offset in node.bindings
+        )
+        return ("param", node.spec.name, node.qubits, bindings)
+    return ("fused", node.qubits, tuple(_node_key(e) for e in node.elements))
+
+
+def _node_slots(node: object) -> List[int]:
+    """The replay-vector slots a node's matrix reads."""
+    if isinstance(node, _ParamNode):
+        return [slot for slot, _, _ in node.bindings if slot is not None]
+    if isinstance(node, _FusedNode):
+        return [slot for element in node.elements for slot in _node_slots(element)]
+    return []
+
+
+@dataclass(frozen=True, eq=False)
+class Trunk:
+    """The node prefix every group program of one spec shares.
+
+    ``nodes`` is the length of the longest common node prefix (the
+    whole ansatz up to the per-wire flush the basis change fuses into;
+    the whole program when there is one group).  ``first_read[s]`` is
+    the first trunk node that reads slot ``s``, or ``nodes`` when none
+    does: a row that agrees bitwise with a reference vector on every
+    slot read before node ``c`` has the reference's state at ``c``.
+    """
+
+    nodes: int
+    first_read: np.ndarray
+
+
+def find_trunk(programs: Sequence[CompiledProgram]) -> Trunk:
+    """Compare the group programs node by node (structurally, see
+    :func:`_node_key`) and record where each slot is first read."""
+    nodes = min(program.n_nodes for program in programs)
+    for index in range(nodes):
+        key = _node_key(programs[0].ops[index])
+        if any(_node_key(p.ops[index]) != key for p in programs[1:]):
+            nodes = index
+            break
+    first_read = np.full(programs[0].n_slots, nodes, dtype=np.int64)
+    for index in range(nodes - 1, -1, -1):
+        first_read[_node_slots(programs[0].ops[index])] = index
+    first_read.setflags(write=False)
+    return Trunk(nodes=nodes, first_read=first_read)
+
+
+def _column_majority(bits: np.ndarray) -> np.ndarray:
+    """The most common exact bit pattern of each column of a ``(K, S)``
+    int64 array; a tie goes to the value that occurs first."""
+    reference = bits[0].copy()
+    for column in np.flatnonzero((bits != bits[0]).any(axis=0)):
+        values = bits[:, column]
+        counts = (values[:, None] == values[None, :]).sum(axis=0)
+        reference[column] = values[np.argmax(counts)]
+    return reference
+
+
+def replay_groups(
+    programs: Sequence[CompiledProgram], trunk: Trunk, batch: np.ndarray
+) -> Iterator[Tuple[int, List["Statevector"]]]:
+    """Every row's final state under every group program.
+
+    Yields ``(k, states)`` with one state per program, each
+    bit-identical to ``programs[g].execute(batch[k])`` on the row
+    schedule and to the full program's ``execute_batch`` row on the
+    broadcast schedule.  A row replays the shared trunk once and forks
+    a copy per group for its suffix; on the row schedule it also
+    skips the trunk nodes it shares with the chunk's reference vector:
+
+    * broadcast (states small enough for ``MIN_CHUNK_ROWS`` rows per
+      ``BATCH_AMPS_TARGET`` chunk): the trunk runs once over each row
+      chunk, then every group's suffix over a copy;
+    * row by row (larger states): the reference is each column's
+      majority bit pattern — a parameter-shift batch's base vector,
+      even in a pool slice that does not hold it.  A row resumes at
+      ``min(first_read[s])`` over the slots where it differs from the
+      reference.  Rows are visited in resume order while the
+      reference replay advances, so only one checkpoint is alive at a
+      time; ``k`` therefore arrives out of order.
+
+    A batch never applies more nodes than a full per-group replay:
+    the reference replay stops at the deepest resume point, a prefix
+    that some row would otherwise have replayed itself.
+    """
+    stem = programs[0]
+    split = trunk.nodes
+    rows = batch.shape[0]
+    chunk = BATCH_AMPS_TARGET >> stem.n_qubits
+    if chunk >= MIN_CHUNK_ROWS:
+        for begin in range(0, rows, chunk):
+            part = batch[begin:begin + chunk]
+            stems = stem.execute_batch(part, stop=split)
+            forks = [p.execute_batch(part, stems, start=split) for p in programs]
+            for offset, states in enumerate(zip(*forks)):
+                yield begin + offset, list(states)
+        return
+    bits = batch[:, :len(trunk.first_read)].view(np.int64)
+    reference = _column_majority(bits)
+    resume = np.where(bits != reference, trunk.first_read, split).min(
+        axis=1, initial=split
+    )
+    checkpoint, at = None, 0
+    for k in np.argsort(resume, kind="stable").tolist():
+        cut = int(resume[k])
+        if cut > at:
+            checkpoint = stem.execute(reference.view(np.float64), checkpoint, at, cut)
+            at = cut
+        state = checkpoint
+        if cut < split:
+            state = stem.execute(batch[k], checkpoint, cut, split)
+        yield k, [p.execute(batch[k], state, split) for p in programs]
 
 
 def _compile_op(

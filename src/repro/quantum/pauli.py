@@ -264,28 +264,41 @@ class MeasurementGroup:
     def expectation_from_counts(self, counts: Mapping[int, int]) -> float:
         """Estimate ``sum coeff * <string>`` from post-rotation counts.
 
-        Vectorised over the histogram: each string's ±1 eigenvalues come
-        from one parity-mask popcount over all observed bitstrings.  The
-        accumulation is exact integer arithmetic, so the result is
-        bit-identical to the per-shot reference loop (pinned in tests).
+        Vectorised over members and histogram at once: one
+        ``(members, outcomes)`` parity-mask popcount gives every
+        member's integer ±1 accumulator, folded into the float total in
+        member order.  The accumulation is exact integer arithmetic, so
+        the result is bit-identical to the per-shot reference loop
+        (pinned in tests).
         """
         shots = sum(counts.values())
         if shots == 0:
             raise ValueError("empty counts")
-        wide = counts and max(counts) > 0x3FFF_FFFF_FFFF_FFFF
-        if not wide:
-            keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
-            weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
-        total = 0.0
-        for coeff, string in self.members:
-            if wide:
-                # Registers beyond int64 (product-state backend at >62
-                # qubits): fold with Python big ints.
+        if not self.members:
+            return 0.0
+        limit = 0x3FFF_FFFF_FFFF_FFFF
+        if max(counts) > limit or any(s.mask > limit for _, s in self.members):
+            # Registers beyond int64 (product-state backend at >62
+            # qubits): fold with Python big ints.
+            total = 0.0
+            for coeff, string in self.members:
                 acc = 0
                 for bitstring, count in counts.items():
                     acc += string.eigenvalue(bitstring) * count
-            else:
-                acc = int(string.eigenvalues_for(keys) @ weights)
+                total += coeff * (acc / shots)
+            return total
+        keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
+        weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
+        masks = np.fromiter(
+            (string.mask for _, string in self.members),
+            dtype=np.int64,
+            count=len(self.members),
+        )
+        odd = np.bitwise_count(keys[None, :] & masks[:, None]) & np.uint8(1)
+        # sum(sign * count) = shots - 2 * (counts with odd parity)
+        accs = shots - 2 * (odd.astype(np.int64) @ weights)
+        total = 0.0
+        for (coeff, _), acc in zip(self.members, accs.tolist()):
             total += coeff * (acc / shots)
         return total
 

@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.kernels import CompiledProgram
 from repro.quantum.noise import ReadoutNoise
 from repro.quantum.pauli import PauliSum, measurement_circuits
 from repro.quantum.product_state import ProductStateBackend
@@ -115,52 +114,6 @@ class Sampler:
             n_qubits=circuit.n_qubits,
             backend_name=backend.name,
         )
-
-    def run_program_batch(
-        self,
-        program: "CompiledProgram",
-        vectors: np.ndarray,
-        shots: int,
-        rngs: Optional[List[np.random.Generator]] = None,
-    ) -> List[SampleResult]:
-        """Replay a compiled program over a ``(K, n_slots)`` batch and sample.
-
-        The fast-path twin of :meth:`run` for the evaluation runtime:
-        one :meth:`~repro.quantum.kernels.CompiledProgram.execute_batch`
-        pass produces all K states, then each row is sampled with its
-        own generator (``rngs[k]``; defaults to the sampler's shared
-        stream) in row order — shot draw first, readout corruption
-        second, the same consumption order as :meth:`run`, so row
-        ``k``'s counts match the circuit path bound at ``vectors[k]``
-        draw for draw under the same generator state.
-        """
-        if shots <= 0:
-            raise ValueError(f"shots must be positive, got {shots}")
-        states = program.execute_batch(vectors)
-        if rngs is not None and len(rngs) != len(states):
-            raise ValueError(
-                f"got {len(rngs)} generators for {len(states)} batch rows"
-            )
-        measured = program.measured_qubits() or list(range(program.n_qubits))
-        n_measured = len(set(measured))
-        noisy = self.readout_noise is not None and not self.readout_noise.is_ideal
-        results: List[SampleResult] = []
-        for k, state in enumerate(states):
-            rng = self.rng if rngs is None else rngs[k]
-            counts = state.sample_counts(shots, rng, qubits=measured)
-            if noisy:
-                counts = self.readout_noise.apply_to_counts(counts, n_measured, rng)
-            results.append(
-                SampleResult(
-                    counts=counts,
-                    shots=shots,
-                    n_qubits=program.n_qubits,
-                    backend_name=self._exact.name,
-                )
-            )
-        self.executions += len(states)
-        self.total_shots += shots * len(states)
-        return results
 
     # ------------------------------------------------------------------
     def expectation(

@@ -68,7 +68,14 @@ from repro.planner import (
     supports_adjoint,
 )
 from repro.quantum.adjoint import adjoint_gradient_batch, supports_program
-from repro.quantum.kernels import PROGRAM_CACHE, CompiledProgram, gate_census
+from repro.quantum.kernels import (
+    PROGRAM_CACHE,
+    CompiledProgram,
+    Trunk,
+    find_trunk,
+    gate_census,
+    replay_groups,
+)
 from repro.quantum.noise import ReadoutNoise
 from repro.quantum.parameters import Parameter
 from repro.quantum.pauli import MeasurementGroup, PauliSum, measurement_circuits
@@ -95,7 +102,9 @@ class EvaluationSpec:
     only) carries one compiled replay program per measurement group;
     workers re-execute those programs for every probe instead of
     re-binding and re-traversing the group circuits — the classical
-    mirror of the paper's §6.1 parameter-only update path.
+    mirror of the paper's §6.1 parameter-only update path.  ``trunk``
+    records the node prefix the group programs share, so each probe
+    replays it once rather than once per group.
     """
 
     parameters: List[Parameter]
@@ -108,6 +117,7 @@ class EvaluationSpec:
     structure_hash: str
     backend_id: str
     programs: Optional[List[CompiledProgram]] = None
+    trunk: Optional[Trunk] = None
     #: the planner's routing decision for this spec (kept for
     #: telemetry/span attributes; the operative outputs are
     #: ``force_backend`` and ``backend_id`` above).
@@ -133,7 +143,8 @@ def build_spec(
     Mirrors the platforms' preparation: one transpiled
     ansatz + basis-change + measure-all circuit per qubit-wise-commuting
     measurement group.  Statevector-routed specs also carry one compiled
-    replay program per group (and the adjoint program when supported).
+    replay program per group, the node prefix those programs share
+    (compared structurally), and the adjoint program when supported.
     """
     order = list(parameters) if parameters is not None else ansatz.parameters
     groups = observable.grouped_qubitwise() or [MeasurementGroup()]
@@ -164,6 +175,7 @@ def build_spec(
     # reused workloads) and what dedups compiles across repeated
     # ``prepare()`` calls in the parent.
     programs: Optional[List[CompiledProgram]] = None
+    trunk: Optional[Trunk] = None
     adjoint_program: Optional[CompiledProgram] = None
     adjoint_observable: Optional[PauliSum] = None
     if backend.startswith("statevector"):
@@ -171,6 +183,7 @@ def build_spec(
             PROGRAM_CACHE.get_or_compile(circuit, order)
             for circuit in group_circuits
         ]
+        trunk = find_trunk(programs)
         # Adjoint-mode gradients replay the *bare* ansatz (no basis
         # change, no measurement) and differentiate the observable
         # directly; only statevector jobs (planner feasibility) whose
@@ -191,6 +204,7 @@ def build_spec(
         structure_hash=circuit_structure_hash(ansatz, order),
         backend_id=backend,
         programs=programs,
+        trunk=trunk,
         plan=plan,
         adjoint_program=adjoint_program,
         observable=adjoint_observable,
@@ -207,15 +221,20 @@ def evaluate_spec_batch(
 
     The one functional energy entry, shared verbatim by the serial path
     and the pool workers, which is what makes the two bit-identical.
-    Row ``k`` draws only from its own ``default_rng(seeds[k])``, so
-    every row equals its own K=1 call and results never depend on the
-    batch composition.  Three row kinds:
+    Row ``k`` draws only from its own ``default_rng(seeds[k])``, groups
+    in order, so every row equals its own K=1 call and results never
+    depend on the batch composition.  Three row kinds:
 
-    * sampled, with compiled programs (statevector routing): the K
-      vectors are stacked into a ``(K, 2**n)`` state batch and each
-      program is replayed *once* over the whole batch
-      (:meth:`~repro.quantum.sampler.Sampler.run_program_batch`) — the
-      classical mirror of the paper's §6.1 parameter-only update path;
+    * sampled, with compiled programs (statevector routing): the rows
+      are replayed through :func:`~repro.quantum.kernels.replay_groups`
+      — the classical mirror of the paper's §6.1 parameter-only update
+      path.  Each row replays the spec's shared trunk once and forks a
+      copy per group for its suffix; on the row-by-row schedule (wide
+      states) a row also resumes from a checkpoint of the batch's
+      column-majority reference vector at the first node that reads a
+      slot where it differs, so a parameter-shift probe replays only
+      from its shifted gate onward.  Every state is bit-identical to
+      the group program's full replay (see ``replay_groups``);
     * sampled, without programs (product, stabilizer or stub routing):
       each row re-binds the group circuits and runs a fresh
       ``Sampler(seed=seeds[k])`` over them;
@@ -250,30 +269,35 @@ def evaluate_spec_batch(
                 if group.members:
                     totals[k] += group.expectation_from_counts(result.counts)
         return [float(total) for total in totals]
+    if shots == 0 and not any(group.members for group in spec.groups):
+        return [float(total) for total in totals]
     batch = np.asarray(
         [np.asarray(vector, dtype=np.float64) for vector in vectors],
         dtype=np.float64,
     )
-    if shots == 0:
-        for group, program in zip(spec.groups, spec.programs):
-            if group.members:
-                for k, state in enumerate(program.execute_batch(batch)):
+    measured = [
+        program.measured_qubits() or list(range(program.n_qubits))
+        for program in spec.programs
+    ]
+    noise = spec.readout_noise
+    if noise is not None and noise.is_ideal:
+        noise = None
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds] if shots else []
+    for k, states in replay_groups(spec.programs, spec.trunk, batch):
+        for group, qubits, state in zip(spec.groups, measured, states):
+            if shots == 0:
+                if group.members:
                     totals[k] += group.expectation_from_probabilities(
                         state.probabilities()
                     )
-        return [float(total) for total in totals]
-    sampler = Sampler(
-        seed=0,  # unused: every row draws from its own seeded generator
-        exact_limit=spec.exact_limit,
-        force_backend=spec.force_backend,
-        readout_noise=spec.readout_noise,
-    )
-    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
-    for group, program in zip(spec.groups, spec.programs):
-        results = sampler.run_program_batch(program, batch, shots, rngs=rngs)
-        if group.members:
-            for k, result in enumerate(results):
-                totals[k] += group.expectation_from_counts(result.counts)
+                continue
+            # Shot draw first, readout corruption second: the order
+            # Sampler.run consumes a generator in.
+            counts = state.sample_counts(shots, rngs[k], qubits=qubits)
+            if noise is not None:
+                counts = noise.apply_to_counts(counts, len(set(qubits)), rngs[k])
+            if group.members:
+                totals[k] += group.expectation_from_counts(counts)
     return [float(total) for total in totals]
 
 

@@ -134,6 +134,38 @@ class TestQRun:
         )
         assert controller.barrier.pending_after(0) == result.n_batches
 
+    def test_repeated_evaluations_keep_one_run_of_barrier_ranges(self):
+        """Every q_run streams into the same result buffer, so each
+        run's PUT ranges replace the previous run's: N evaluations of a
+        three-group workload leave exactly one run's worth in the
+        barrier table instead of 3N runs' worth."""
+        from repro import QtenonSystem
+        from repro.vqa import vqe_workload
+
+        workload = vqe_workload(4)
+        system = QtenonSystem(4, seed=1)
+        system.prepare(workload.ansatz, workload.observable)
+        values = dict(zip(workload.parameters, [0.1] * len(workload.parameters)))
+        barrier = system.controller.barrier
+        system.evaluate(values, 200)
+        one_run = len(barrier)
+        assert one_run > 1
+        for _ in range(5):
+            system.evaluate(values, 200)
+        assert len(barrier) == one_run
+
+    def test_superseded_range_keeps_fence_and_query_answers(self):
+        from repro.core import MemoryBarrier
+        from repro.sim.clock import ns
+
+        barrier = MemoryBarrier()
+        barrier.mark_put(0x1000, 64, ready_ps=ns(500))
+        barrier.mark_put(0x2000, 64, ready_ps=ns(900))
+        barrier.mark_put(0x1000, 64, ready_ps=ns(300))  # re-PUT, earlier ready
+        assert len(barrier) == 2
+        assert barrier.query(0x1000, 0) == ns(300)  # latest PUT wins
+        assert barrier.fence(0) == ns(900)
+
     def test_timing_only_run_skips_function(self, setup):
         config, hierarchy, controller, program, theta = setup
         result = controller.execute_q_run(

@@ -29,16 +29,21 @@ from repro.quantum import (
     parameter_vector,
 )
 from repro.quantum.kernels import (
+    BATCH_AMPS_TARGET,
     KERNEL_STATS,
+    MIN_CHUNK_ROWS,
     ReplayCache,
     _FixedNode,
     _FusedNode,
     apply_1q,
     apply_2q,
+    replay_groups,
     scratch_size,
 )
+from repro.quantum.noise import ReadoutNoise
 from repro.quantum.parameters import Parameter
 from repro.quantum.product_state import ProductState
+from repro.runtime.engine import build_spec, evaluate_spec_batch
 
 TOL = 1e-12
 
@@ -396,6 +401,28 @@ def _reference_group_expectation(group, counts):
     return total
 
 
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_group_parity_pass_matches_member_loop(data):
+    """The one (members x outcomes) parity pass equals the per-member
+    loop bit for bit, for groups of up to 42 strings on up to 12
+    qubits (the 12-qubit VQE group sizes)."""
+    n_qubits = data.draw(st.integers(1, 12), label="n_qubits")
+    n_members = data.draw(st.integers(1, 42), label="n_members")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    terms = []
+    for _ in range(n_members):
+        support = rng.choice(n_qubits, size=rng.integers(1, n_qubits + 1), replace=False)
+        terms.append((rng.uniform(-2, 2), PauliString({int(q): "Z" for q in support})))
+    observable = PauliSum(terms)
+    (group,) = observable.grouped_qubitwise()
+    outcomes = rng.integers(0, 1 << n_qubits, size=rng.integers(1, 64))
+    counts = {int(key): int(rng.integers(1, 200)) for key in outcomes}
+    assert group.expectation_from_counts(counts) == _reference_group_expectation(
+        group, counts
+    )
+
+
 @given(seed=st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
 def test_expectation_from_counts_bit_identical_to_loop(seed):
@@ -444,9 +471,10 @@ def test_run_program_matches_circuit_path_draw_for_draw():
     vector = np.array([0.3, -1.1, 0.8, 0.2])
     program = compile_circuit(circuit, params)
 
-    sampler_a = Sampler(seed=11)
-    (result,) = sampler_a.run_program_batch(program, vector[None, :], 400)
-    counts_a = result.counts
+    state = program.execute(vector)
+    counts_a = state.sample_counts(
+        400, np.random.default_rng(11), qubits=program.measured_qubits()
+    )
     sampler_b = Sampler(seed=11)
     bound = circuit.bind(dict(zip(params, vector)))
     counts_b = sampler_b.run(bound, 400).counts
@@ -551,3 +579,218 @@ def test_product_state_rejects_bad_matrices():
     # a valid gate still applies
     state.apply_single(gate_spec("x").matrix(), 0)
     assert state.probability_one(0) == 1.0
+
+
+# ----------------------------------------------------------------------
+# shared-prefix replay: trunk once per row, checkpoints on the row
+# schedule
+# ----------------------------------------------------------------------
+#: 11 qubits is the narrowest row-by-row schedule; the rest broadcast.
+_ROW_SCHEDULE_QUBITS = 11
+assert BATCH_AMPS_TARGET >> _ROW_SCHEDULE_QUBITS < MIN_CHUNK_ROWS
+assert BATCH_AMPS_TARGET >> (_ROW_SCHEDULE_QUBITS - 1) >= MIN_CHUNK_ROWS
+
+
+def _full_replay(program, batch):
+    """Frozen pre-trunk schedule: every row replays the whole program —
+    one ``execute`` per row for wide states, ``execute_batch`` over
+    ``BATCH_AMPS_TARGET`` row chunks otherwise."""
+    chunk = BATCH_AMPS_TARGET >> program.n_qubits
+    if chunk < MIN_CHUNK_ROWS:
+        return [program.execute(row) for row in batch]
+    states = []
+    for start in range(0, len(batch), chunk):
+        states.extend(program.execute_batch(batch[start:start + chunk]))
+    return states
+
+
+def _per_group_loop(spec, vectors, shots, seeds):
+    """Frozen copy of ``evaluate_spec_batch`` before the shared trunk:
+    each group program replayed in full over the whole batch, groups in
+    order, each row sampled from its own generator."""
+    totals = [float(spec.constant)] * len(vectors)
+    batch = np.asarray(vectors, dtype=np.float64)
+    if shots == 0:
+        for group, program in zip(spec.groups, spec.programs):
+            if group.members:
+                for k, state in enumerate(_full_replay(program, batch)):
+                    totals[k] += group.expectation_from_probabilities(
+                        state.probabilities()
+                    )
+        return totals
+    noise = spec.readout_noise
+    rngs = [np.random.default_rng(int(seed)) for seed in seeds]
+    for group, program in zip(spec.groups, spec.programs):
+        measured = program.measured_qubits() or list(range(program.n_qubits))
+        for k, state in enumerate(_full_replay(program, batch)):
+            counts = state.sample_counts(shots, rngs[k], qubits=measured)
+            if noise is not None and not noise.is_ideal:
+                counts = noise.apply_to_counts(counts, len(set(measured)), rngs[k])
+            if group.members:
+                totals[k] += group.expectation_from_counts(counts)
+    return totals
+
+
+def _random_workload(data, n_qubits):
+    """A random parameterised ansatz (slots shared between gates, some
+    bound through ``coeff * theta + offset``, some never read) and an
+    observable with 1-3 qubit-wise-commuting groups."""
+    n_params = data.draw(st.integers(1, 5), label="n_params")
+    parameters = [Parameter(f"p{i}") for i in range(n_params)]
+    circuit = QuantumCircuit(n_qubits)
+    for i in range(data.draw(st.integers(1, 14), label="n_ops")):
+        kind = data.draw(st.sampled_from(("fixed", "param", "two")), label=f"kind{i}")
+        qubit = data.draw(st.integers(0, n_qubits - 1), label=f"qubit{i}")
+        if kind == "two":
+            other = (qubit + data.draw(st.integers(1, n_qubits - 1), label=f"o{i}")) % n_qubits
+            circuit.append(data.draw(st.sampled_from(("cx", "cz")), label=f"g{i}"), (qubit, other))
+        elif kind == "param":
+            theta = parameters[data.draw(st.integers(0, n_params - 1), label=f"slot{i}")]
+            if data.draw(st.booleans(), label=f"expr{i}"):
+                theta = theta * -0.5 + 0.25
+            name = data.draw(st.sampled_from(_1Q_PARAM), label=f"g{i}")
+            circuit.append(name, (qubit,), (theta,))
+        else:
+            circuit.append(data.draw(st.sampled_from(_1Q_FIXED), label=f"g{i}"), (qubit,))
+    n_groups = data.draw(st.integers(1, 3), label="n_groups")
+    target = data.draw(st.integers(0, n_qubits - 1), label="target")
+    terms = [
+        (data.draw(st.floats(-2, 2), label=f"c{p}"), PauliString({target: p}))
+        for p in "ZXY"[:n_groups]
+    ]
+    observable = PauliSum(terms, constant=0.5)
+    return circuit, parameters, observable
+
+
+def _batch_for(data, shape, base):
+    """The probe batches of the issue: parameter shift (whole and as a
+    pool slice without the base row), SPSA pairs, duplicate rows, a
+    single row, and a column mixing 0.0 with -0.0."""
+    width = len(base)
+    if shape in ("shift", "slice"):
+        rows = [base]
+        for slot in range(width):
+            for sign in (1.0, -1.0):
+                row = base.copy()
+                row[slot] += sign * math.pi / 2
+                rows.append(row)
+        return rows if shape == "shift" else rows[len(rows) // 2 + 1:] or rows[-1:]
+    if shape == "spsa":
+        delta = np.where(np.arange(width) % 2 == 0, 0.1, -0.1)
+        return [base + delta, base - delta]
+    if shape == "duplicates":
+        other = base[::-1].copy()
+        return [base, other, base, base.copy(), other]
+    if shape == "single":
+        return [base]
+    slot = data.draw(st.integers(0, width - 1), label="zero_slot")
+    rows = []
+    for zero in (0.0, -0.0, -0.0, 0.0, -0.0):
+        row = base.copy()
+        row[slot] = zero
+        rows.append(row)
+    rows[-1][(slot + 1) % width] += 0.5
+    return rows
+
+
+_SHAPES = ("shift", "slice", "spsa", "duplicates", "single", "signed_zero")
+
+
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_shared_prefix_replay_matches_full_group_replay(data):
+    """Trunk-once, checkpoint-resumed replay against the full per-group
+    replay: every row/group state bit-identical (``int64`` view, zero
+    signs included — ``execute(row)`` on the row schedule), sampled and
+    ``shots=0`` totals equal to the frozen per-group loop, and never
+    more gate applies than that loop."""
+    n_qubits = data.draw(
+        st.sampled_from((2, 3, 5, _ROW_SCHEDULE_QUBITS)), label="n_qubits"
+    )
+    circuit, parameters, observable = _random_workload(data, n_qubits)
+    noisy = data.draw(st.booleans(), label="noisy")
+    spec = build_spec(
+        circuit,
+        observable,
+        parameters=parameters,
+        force_backend="statevector",  # an all-Clifford draw would route away
+        readout_noise=ReadoutNoise(0.02, 0.05) if noisy else None,
+    )
+    assert spec.programs is not None and spec.trunk is not None
+    shape = data.draw(st.sampled_from(_SHAPES), label="shape")
+    base = np.array(
+        data.draw(
+            st.lists(
+                st.floats(-math.pi, math.pi, allow_nan=False),
+                min_size=len(parameters),
+                max_size=len(parameters),
+            ),
+            label="base",
+        )
+    )
+    vectors = _batch_for(data, shape, base)
+    batch = np.asarray(vectors, dtype=np.float64)
+
+    expected = [_full_replay(program, batch) for program in spec.programs]
+    seen = set()
+    for k, states in replay_groups(spec.programs, spec.trunk, batch):
+        assert k not in seen
+        seen.add(k)
+        for group_states, state in zip(expected, states):
+            assert np.array_equal(
+                state.amplitudes.view(np.int64), group_states[k].amplitudes.view(np.int64)
+            )
+    assert seen == set(range(len(vectors)))
+
+    seeds = [int(seed) for seed in np.random.default_rng(len(vectors)).integers(0, 2**31, len(vectors))]
+    full_applies = len(vectors) * sum(program.n_nodes for program in spec.programs)
+    for shots in (0, 64):
+        before = KERNEL_STATS.as_dict()["kernels.gates_applied"]
+        values = evaluate_spec_batch(spec, vectors, shots, seeds)
+        applied = KERNEL_STATS.as_dict()["kernels.gates_applied"] - before
+        assert values == _per_group_loop(spec, vectors, shots, seeds)
+        assert applied <= full_applies
+        if shape == "spsa" and n_qubits == _ROW_SCHEDULE_QUBITS:
+            # An SPSA pair moves every slot: the row schedule falls back
+            # to the trunk-once replay, never to more than that.
+            trunk = spec.trunk.nodes
+            suffixes = sum(program.n_nodes - trunk for program in spec.programs)
+            assert applied <= 2 * (trunk + suffixes)
+
+
+def test_vqe_trunk_covers_the_ansatz():
+    """The 12-qubit VQE spec: three 58-node group programs share their
+    first 46 nodes; slots 0-23 are first read at nodes 0-16, slots
+    24-47 at nodes 23-39, and slots 48-59 only in the group suffixes."""
+    from repro.vqa import vqe_workload
+
+    workload = vqe_workload(12)
+    spec = build_spec(workload.ansatz, workload.observable, parameters=workload.parameters)
+    assert [program.n_nodes for program in spec.programs] == [58, 58, 58]
+    assert spec.trunk.nodes == 46
+    first_read = spec.trunk.first_read
+    assert first_read[:24].min() == 0 and first_read[:24].max() == 16
+    assert first_read[24:48].min() == 23 and first_read[24:48].max() == 39
+    assert (first_read[48:] == 46).all()
+
+
+def test_shift_batch_applies_fewer_gates_than_full_replay():
+    """A 12-qubit parameter-shift pool slice without its base row still
+    resumes from the column-majority reference: far fewer applies than
+    replaying every group program in full."""
+    from repro.vqa import vqe_workload
+
+    workload = vqe_workload(12)
+    spec = build_spec(workload.ansatz, workload.observable, parameters=workload.parameters)
+    base = np.linspace(-1.0, 1.0, len(spec.parameters))
+    rows = []
+    for slot in range(30, 40):
+        for sign in (1.0, -1.0):
+            row = base.copy()
+            row[slot] += sign * math.pi / 2
+            rows.append(row)
+    before = KERNEL_STATS.as_dict()["kernels.gates_applied"]
+    evaluate_spec_batch(spec, rows, 0, [0] * len(rows))
+    applied = KERNEL_STATS.as_dict()["kernels.gates_applied"] - before
+    full = len(rows) * sum(program.n_nodes for program in spec.programs)
+    assert applied * 3 < full
