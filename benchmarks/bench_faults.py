@@ -11,9 +11,13 @@ properties the fault layer exists to provide:
   optimizer trace stays bit-identical to the fault-free run at every
   sweep point (seq + checksum retransmits deliver correct data; only
   the modelled timeline inflates);
-* **visibility** — the decoupled baseline's UDP retransmits are visible
-  at the top sweep point: retransmit count > 0 and end-to-end latency
-  strictly above the fault-free baseline point;
+* **visibility** — the decoupled baseline's UDP losses are visible
+  without resting on one random draw: at every lossy sweep point the
+  link retransmits exactly the drops the injector decided, and the
+  end-to-end latency exceeds the fault-free point's by exactly the
+  recovery time charged; at a point whose plan makes a drop certain
+  (``loss_p=1.0``, bounded by ``max_retransmits``) there is at least
+  one retransmit;
 * **recovery** — the evaluation engine's circuit breaker opens on the
   scripted crash burst and closes again after a half-open probe, and
   the job service keeps availability above the floor despite per-
@@ -53,9 +57,10 @@ RESULT_PATH = os.path.join(
 #: expected availability is ~0.91, so 0.75 only catches broken retry.
 AVAILABILITY_FLOOR = 0.75
 
-FULL = dict(qubits=4, shots=128, iterations=3, losses=(0.0, 0.01, 0.05),
+#: ``loss_p=1.0`` is the certain-drop point of the visibility gate.
+FULL = dict(qubits=4, shots=128, iterations=3, losses=(0.0, 0.01, 0.05, 1.0),
             crash_p=0.3, jobs=8)
-SMOKE = dict(qubits=4, shots=128, iterations=2, losses=(0.0, 0.05),
+SMOKE = dict(qubits=4, shots=128, iterations=2, losses=(0.0, 0.05, 1.0),
              crash_p=0.3, jobs=6)
 
 SEED = 0
@@ -100,15 +105,32 @@ def _check_gates(result: Dict[str, object]) -> List[str]:
                 f"masking: qtenon trace diverged at {point['loss_p']:.1%} loss"
             )
     clean = min(sweep, key=lambda p: p["loss_p"])
-    lossy = max(sweep, key=lambda p: p["loss_p"])
-    if lossy["loss_p"] > 0.0:
-        if lossy["baseline"]["retransmits"] <= 0:
+    if clean["loss_p"] > 0.0:
+        failures.append("visibility: the sweep has no fault-free point")
+    for point in sweep:
+        if point["loss_p"] == 0.0:
+            continue
+        base = point["baseline"]
+        if base["retransmits"] != base["injected_drops"]:
             failures.append(
-                f"visibility: no baseline retransmits at {lossy['loss_p']:.1%} loss"
+                f"visibility: {base['retransmits']} baseline retransmits at "
+                f"{point['loss_p']:.1%} loss, injector dropped "
+                f"{base['injected_drops']}"
             )
-        if lossy["baseline"]["end_to_end_ps"] <= clean["baseline"]["end_to_end_ps"]:
+        delay = base["end_to_end_ps"] - clean["baseline"]["end_to_end_ps"]
+        if delay != base["recovery_ps"]:
             failures.append(
-                "visibility: lossy baseline latency not above fault-free baseline"
+                f"visibility: baseline latency at {point['loss_p']:.1%} loss is "
+                f"{delay} ps above fault-free, recovery charged "
+                f"{base['recovery_ps']} ps"
+            )
+    certain = [point for point in sweep if point["loss_p"] >= 1.0]
+    if not certain:
+        failures.append("visibility: no sweep point makes a drop certain")
+    for point in certain:
+        if point["baseline"]["retransmits"] <= 0:
+            failures.append(
+                f"visibility: no baseline retransmits at {point['loss_p']:.1%} loss"
             )
 
     breaker = campaign["breaker_recovery"]

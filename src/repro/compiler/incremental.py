@@ -48,6 +48,7 @@ class IncrementalCompiler:
             raise ValueError(f"tolerance must be non-negative, got {tolerance}")
         self.program = program
         self.tolerance = tolerance
+        self._parameters = program.parameters
         self._last_angle: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
@@ -58,7 +59,7 @@ class IncrementalCompiler:
 
     def plan(self, values: Dict[Parameter, float]) -> UpdatePlan:
         """Diff ``values`` against the last written angles."""
-        missing = [p.name for p in self.program.parameters if p not in values]
+        missing = [p.name for p in self._parameters if p not in values]
         if missing:
             raise KeyError(f"no values for parameters: {', '.join(missing)}")
 

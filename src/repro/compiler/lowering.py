@@ -17,6 +17,7 @@ so the whole workload is uploaded once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -156,8 +157,6 @@ class QtenonProgram:
 
 def _wrap_angle(theta: float) -> float:
     """Wrap to (-2pi, 2pi] so the fixed-point encoding never overflows."""
-    import math
-
     tau = 2 * math.pi
     wrapped = math.fmod(theta, 2 * tau)
     if wrapped > tau:

@@ -1,6 +1,6 @@
 """Qtenon core: controller cache, SLT, pipeline, interfaces, system."""
 
-from repro.core.barrier import MemoryBarrier, SyncedRange
+from repro.core.barrier import MemoryBarrier
 from repro.core.config import DEFAULT_CONFIG, QtenonConfig
 from repro.core.controller import QuantumController, RunResult
 from repro.core.executor import ExecutionLog, StreamExecutor
@@ -66,7 +66,6 @@ __all__ = [
     "WriteBufferQueue",
     "BulkTransfer",
     "MemoryBarrier",
-    "SyncedRange",
     "TransmissionBatch",
     "RunTimeline",
     "batch_interval",

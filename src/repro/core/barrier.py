@@ -22,23 +22,10 @@ For race 2 the paper contrasts two mechanisms, both modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.sim.clock import HOST_CLOCK, Clock
 from repro.sim.stats import StatGroup
-
-
-@dataclass(frozen=True)
-class SyncedRange:
-    """A host address range and the time its data becomes valid."""
-
-    addr: int
-    size: int
-    ready_ps: int
-
-    def covers(self, addr: int) -> bool:
-        return self.addr <= addr < self.addr + self.size
 
 
 class MemoryBarrier:
@@ -54,8 +41,9 @@ class MemoryBarrier:
 
     def __init__(self, clock: Clock = HOST_CLOCK) -> None:
         self.clock = clock
-        #: (addr, size) -> latest PUT to that range, in marking order.
-        self._ranges: Dict[Tuple[int, int], SyncedRange] = {}
+        #: (addr, size) -> ready time of the latest PUT to that range,
+        #: in marking order.
+        self._ranges: Dict[Tuple[int, int], int] = {}
         self._latest_ps = 0
         self.stats = StatGroup("barrier")
         self._queries = self.stats.counter("queries")
@@ -70,12 +58,28 @@ class MemoryBarrier:
     def mark_put(self, addr: int, size: int, ready_ps: int) -> None:
         """Record that [addr, addr+size) is valid from ``ready_ps``
         (the PUT request has been sent through the system bus)."""
-        if size <= 0:
-            raise ValueError(f"size must be positive, got {size}")
-        key = (addr, size)
-        self._ranges.pop(key, None)
-        self._ranges[key] = SyncedRange(addr, size, ready_ps)
-        self._latest_ps = max(self._latest_ps, ready_ps)
+        self.mark_puts(((addr, size),), (ready_ps,))
+
+    def mark_puts(
+        self, ranges: Sequence[Tuple[int, int]], ready_times: Sequence[int]
+    ) -> None:
+        """:meth:`mark_put` for a whole run's PUTs, in issue order:
+        ``ranges[i]`` (addr, size) is valid from ``ready_times[i]``."""
+        if len(ranges) != len(ready_times):
+            raise ValueError(
+                f"{len(ranges)} ranges but {len(ready_times)} ready times"
+            )
+        if not ranges:
+            return
+        if min(size for _, size in ranges) <= 0:
+            raise ValueError(f"every range size must be positive, got {ranges}")
+        table = self._ranges
+        # Re-marked ranges move to the end: marking order decides which
+        # of two overlapping ranges a query sees.
+        for key in ranges:
+            table.pop(key, None)
+        table.update(zip(ranges, ready_times))
+        self._latest_ps = max(self._latest_ps, max(ready_times))
 
     def clear(self) -> None:
         self._ranges.clear()
@@ -95,9 +99,9 @@ class MemoryBarrier:
         self._queries.increment()
         query_done = now_ps + self.clock.period_ps
         ready = query_done
-        for entry in reversed(self._ranges.values()):
-            if entry.covers(addr):
-                ready = max(query_done, entry.ready_ps)
+        for (start, size), ready_ps in reversed(self._ranges.items()):
+            if start <= addr < start + size:
+                ready = max(query_done, ready_ps)
                 break
         self._stall_acc.observe(ready - query_done)
         return ready
@@ -108,4 +112,4 @@ class MemoryBarrier:
 
     def pending_after(self, now_ps: int) -> int:
         """How many synchronised ranges are not yet valid at ``now_ps``."""
-        return sum(1 for entry in self._ranges.values() if entry.ready_ps > now_ps)
+        return sum(1 for ready_ps in self._ranges.values() if ready_ps > now_ps)

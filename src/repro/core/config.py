@@ -15,6 +15,7 @@ pulse segments at ``0x80000``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 from repro.isa.program import ENTRY_BITS
@@ -109,29 +110,33 @@ class QtenonConfig:
 
     # ------------------------------------------------------------------
     # Fig. 4: QAddress map (entry-granular)
+    #
+    # The config is frozen, so each boundary is derived once per
+    # instance and then read from the instance dict (cached_property
+    # writes there directly, bypassing the frozen __setattr__).
     # ------------------------------------------------------------------
     @property
     def program_base(self) -> int:
         return 0x0
 
-    @property
+    @cached_property
     def program_end(self) -> int:
         return self.program_base + self.n_qubits * self.program_entries_per_qubit
 
-    @property
+    @cached_property
     def regfile_base(self) -> int:
         # 0x70000 in the 64-qubit design; pushed up for wider chips.
         return max(0x70000, _align_up(self.program_end, 0x1000))
 
-    @property
+    @cached_property
     def measure_base(self) -> int:
         return _align_up(self.regfile_base + self.regfile_entries, 0x1000)
 
-    @property
+    @cached_property
     def pulse_base(self) -> int:
         return max(0x80000, _align_up(self.measure_base + self.measure_entries, 0x10000))
 
-    @property
+    @cached_property
     def pulse_end(self) -> int:
         return self.pulse_base + self.n_qubits * self.pulse_entries_per_qubit
 

@@ -19,18 +19,23 @@ availability gates progress exactly as the priority encoder would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from repro.core.config import QtenonConfig
 from repro.core.qcc import PulseRecord, QuantumControllerCache
 from repro.core.slt import SkipLookupTable, SltLookupResult
+from repro.isa.program import QADDR_BITS
 from repro.sim.clock import HOST_CLOCK, Clock, ns
 from repro.sim.stats import StatGroup
 
+_QADDR_MASK = (1 << QADDR_BITS) - 1
 
-@dataclass(frozen=True)
-class PipelineWorkItem:
-    """One program entry to process: (qubit, entry index, decoded fields)."""
+
+class PipelineWorkItem(NamedTuple):
+    """One program entry to process: (qubit, entry index, decoded fields).
+
+    Tuple-backed: every dirty gate becomes one item per ``q_gen``.
+    """
 
     qubit: int
     index: int
@@ -91,6 +96,11 @@ class PulsePipeline:
         self.stats = StatGroup("pipeline")
         self._total_pulses = self.stats.counter("pulses_generated")
         self._total_hits = self.stats.counter("slt_hits")
+        #: each qubit's ``.pulse`` chunk base, the origin of the
+        #: chunk-relative qaddr written into its program entries
+        self._pulse_bases = [
+            config.pulse_chunk(qubit)[0] for qubit in range(config.n_qubits)
+        ]
 
     # ------------------------------------------------------------------
     def sweep(self, items: List[PipelineWorkItem], start_ps: int) -> PipelineReport:
@@ -105,66 +115,74 @@ class PulsePipeline:
             return report
 
         cycle = self.clock.period_ps
+        pgu_ps = self.config.pgu_latency_cycles * cycle
+        qspace_ps = self.qspace_latency_ps
+        slt_enabled = self.config.slt_enabled
         pgu_free_at = [start_ps] * self.config.n_pgus
+        pgus = range(len(pgu_free_at))
         arbiter_free_at = start_ps
         stage1_ready = start_ps  # when the next entry may enter stage 1
         finish = start_ps
+        slt_hits = qspace_hits = generated = stall_cycles = 0
 
         for item in items:
-            report.entries_processed += 1
             s1_done = stage1_ready + cycle
             s2_done = s1_done + cycle
 
-            if not self.config.slt_enabled:
+            if slt_enabled:
+                result = self._consult_slt(item)
+            else:
                 # Ablation: no SLT — always allocate and regenerate.
                 qaddr = self.qcc.allocate_pulse(
                     item.qubit, PulseRecord(item.gate_type, item.data)
                 )
                 result = SltLookupResult(qaddr=qaddr, hit=False, allocated=True)
-            else:
-                result = self._consult_slt(item)
             if result.qspace_hit or result.evicted:
                 # QSpace traffic (write-back and/or load) stalls stage 2.
-                s2_done += self.qspace_latency_ps
-            if result.hit:
-                report.slt_hits += 1
-                self._total_hits.increment()
-                self._patch_entry(item, result.qaddr)
-                stage1_ready = s1_done
-                finish = max(finish, s2_done)
-                continue
-            if result.qspace_hit:
-                report.qspace_hits += 1
-                self._patch_entry(item, result.qaddr)
+                s2_done += qspace_ps
+            # Every entry, reused or regenerated, ends up pointing at
+            # its pulse (for a miss the allocator already registered
+            # the PulseRecord).
+            self._patch_entry(item, result.qaddr)
+            if result.hit or result.qspace_hit:
+                if result.hit:
+                    slt_hits += 1
+                else:
+                    qspace_hits += 1
                 stage1_ready = s1_done
                 finish = max(finish, s2_done)
                 continue
 
             # Stage 3: need a PGU.  If none is free at s2_done, stages
             # 1-2 stall until one frees (the paper's stall signal).
-            pgu = min(range(len(pgu_free_at)), key=pgu_free_at.__getitem__)
+            pgu = min(pgus, key=pgu_free_at.__getitem__)
             pgu_start = max(s2_done, pgu_free_at[pgu])
             stall = pgu_start - s2_done
             if stall:
-                report.stall_cycles += stall // cycle
-            pgu_done = pgu_start + self.config.pgu_latency_cycles * cycle
+                stall_cycles += stall // cycle
+            pgu_done = pgu_start + pgu_ps
             pgu_free_at[pgu] = pgu_done
 
             # Stage 4: arbiter serialises write-backs, one per cycle,
             # independent of the upstream stall (ready-valid link).
-            wb_start = max(pgu_done, arbiter_free_at)
-            wb_done = wb_start + cycle
+            wb_done = max(pgu_done, arbiter_free_at) + cycle
             arbiter_free_at = wb_done
 
-            self._record_pulse(item, result.qaddr)
-            report.pulses_generated += 1
-            self._total_pulses.increment()
+            generated += 1
             # Upstream may issue the next entry once this one entered a
             # PGU (stage 2 must hold the entry while stalled).
             stage1_ready = pgu_start
             finish = max(finish, wb_done)
 
+        # Totals are counted once per sweep, not once per entry.
+        report.entries_processed = len(items)
+        report.pulses_generated = generated
+        report.slt_hits = slt_hits
+        report.qspace_hits = qspace_hits
+        report.stall_cycles = stall_cycles
         report.end_ps = finish
+        self._total_hits.increment(slt_hits)
+        self._total_pulses.increment(generated)
         return report
 
     # ------------------------------------------------------------------
@@ -179,14 +197,5 @@ class PulsePipeline:
         )
 
     def _patch_entry(self, item: PipelineWorkItem, qaddr: int) -> None:
-        entry = self.qcc.program_entry(item.qubit, item.index)
-        if entry is not None:
-            rel = qaddr - self.config.pulse_chunk(item.qubit)[0]
-            self.qcc.set_program_entry(
-                item.qubit, item.index, entry.with_pulse(rel & ((1 << 30) - 1))
-            )
-
-    def _record_pulse(self, item: PipelineWorkItem, qaddr: int) -> None:
-        # The allocator already registered the PulseRecord; patch the
-        # program entry to point at it.
-        self._patch_entry(item, qaddr)
+        rel = qaddr - self._pulse_bases[item.qubit]
+        self.qcc.link_pulse(item.qubit, item.index, rel & _QADDR_MASK)

@@ -76,6 +76,7 @@ class PlatformModel:
         self.now: int = 0
         self._groups: List[MeasurementGroup] = []
         self._observable: Optional[PauliSum] = None
+        self._surrogate_scale = 1.0
         self._ansatz: Optional[QuantumCircuit] = None
         self._ansatz_gates = 0
         self._prepared = False
@@ -92,6 +93,9 @@ class PlatformModel:
                 f"ansatz has {ansatz.n_qubits} qubits, system built for {self.n_qubits}"
             )
         self._observable = observable
+        #: the timing-only surrogate's amplitude: the observable's
+        #: coefficient mass, fixed per workload
+        self._surrogate_scale = sum(abs(coeff) for coeff, _ in observable.terms) or 1.0
         self._ansatz = ansatz.copy()
         self._ansatz_gates = ansatz.gate_count(include_measure=False)
         # An observable with only a constant still runs and measures.
@@ -198,10 +202,8 @@ class PlatformModel:
         realistic without simulating quantum state: a separable cosine
         landscape scaled to the observable's coefficient mass.
         """
-        observable = self._observable
-        scale = sum(abs(coeff) for coeff, _ in observable.terms) or 1.0
         phase = sum(
             math.cos(value + 0.37 * i) for i, value in enumerate(values.values())
         )
         n = max(1, len(values))
-        return observable.constant - scale * phase / n
+        return self._observable.constant - self._surrogate_scale * phase / n

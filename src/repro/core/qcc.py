@@ -17,7 +17,7 @@ tests use to verify the isolation property.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.config import QtenonConfig
 from repro.isa.program import ProgramEntry
@@ -31,9 +31,9 @@ class PrivateSegmentError(PermissionError):
     """Host-side access to a private segment (.pulse / .slt)."""
 
 
-@dataclass(frozen=True)
-class ResolvedAddress:
-    """A QAddress resolved to (segment, qubit, index)."""
+class ResolvedAddress(NamedTuple):
+    """A QAddress resolved to (segment, qubit, index); tuple-backed,
+    one per host access."""
 
     segment: str
     qubit: Optional[int]  #: None for the shared .regfile/.measure segments
@@ -135,6 +135,14 @@ class QuantumControllerCache:
     def set_program_entry(self, qubit: int, index: int, entry: ProgramEntry) -> None:
         self.config.program_qaddr(qubit, index)  # bounds check
         self._program[(qubit, index)] = entry
+
+    def link_pulse(self, qubit: int, index: int, qaddr: int) -> None:
+        """Point a loaded program entry at its chunk-relative pulse
+        ``qaddr`` (status→valid); entries never loaded stay absent."""
+        key = (qubit, index)
+        entry = self._program.get(key)
+        if entry is not None:
+            self._program[key] = entry.with_pulse(qaddr)
 
     def program_length(self, qubit: int) -> int:
         """Number of contiguous entries loaded for ``qubit``."""

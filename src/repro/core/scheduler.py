@@ -105,6 +105,26 @@ class RunTimeline:
         """Transmission time not hidden behind quantum execution."""
         return max(0, self.last_put_response_ps - self.quantum_end_ps)
 
+    def shifted(self, offset_ps: int) -> "RunTimeline":
+        """The same timeline started ``offset_ps`` later.
+
+        Every time in :func:`compute_run_timeline` carries the start
+        additively and ``max`` commutes with a shift, so a timeline
+        computed from start 0 and shifted equals the one computed from
+        the shifted start, bit for bit.
+        """
+        if offset_ps == 0:
+            return self
+        shift = offset_ps.__add__
+        return RunTimeline(
+            start_ps=self.start_ps + offset_ps,
+            quantum_end_ps=self.quantum_end_ps + offset_ps,
+            last_put_issue_ps=self.last_put_issue_ps + offset_ps,
+            last_put_response_ps=self.last_put_response_ps + offset_ps,
+            put_issue_times=tuple(map(shift, self.put_issue_times)),
+            put_response_times=tuple(map(shift, self.put_response_times)),
+        )
+
 
 def compute_run_timeline(
     batches: Sequence[TransmissionBatch],

@@ -25,7 +25,7 @@ style systems exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.core.config import QtenonConfig
 from repro.isa.program import DATA_BITS
@@ -64,9 +64,8 @@ class SltEntry:
             self.count += 1
 
 
-@dataclass(frozen=True)
-class SltLookupResult:
-    """Outcome of one SLT query."""
+class SltLookupResult(NamedTuple):
+    """Outcome of one SLT query (tuple-backed: one per swept entry)."""
 
     qaddr: int
     hit: bool               #: tag matched a valid SLT way

@@ -32,7 +32,7 @@ batch response times (``_overlapped_host_done``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.analysis.trace import TraceRecorder
 from repro.compiler.incremental import IncrementalCompiler, UpdatePlan
@@ -129,6 +129,10 @@ class QtenonSystem(PlatformModel):
         self._program: Optional[QtenonProgram] = None
         self._incremental: Optional[IncrementalCompiler] = None
         self._shot_ps: List[int] = []
+        #: (run timeline key, per-batch host cost) -> (host done, comm
+        #: busy) of a fine-grained-sync run, host done relative to the
+        #: run's start; both are shift-invariant.
+        self._overlaps: Dict[Tuple[Tuple, int], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # platform protocol
@@ -243,18 +247,20 @@ class QtenonSystem(PlatformModel):
 
     def _stage_and_upload(self) -> None:
         """Write packed entries to host memory; q_set each qubit chunk."""
-        cursor_addr = HOST_PROGRAM_BASE
         per_qubit_entries: Dict[int, List[int]] = {}
         for gate in self._program.gates:
             per_qubit_entries.setdefault(gate.qubit, []).append(
                 gate.program_entry().pack()
             )
-        for qubit in sorted(per_qubit_entries):
-            for raw in per_qubit_entries[qubit]:
-                self.hierarchy.image.write_bytes(
-                    cursor_addr, raw.to_bytes(WORDS_PER_ENTRY * 4, "little")
-                )
-                cursor_addr += WORDS_PER_ENTRY * 4
+        # The chunks sit back to back from HOST_PROGRAM_BASE: one write.
+        self.hierarchy.image.write_bytes(
+            HOST_PROGRAM_BASE,
+            b"".join(
+                raw.to_bytes(WORDS_PER_ENTRY * 4, "little")
+                for qubit in sorted(per_qubit_entries)
+                for raw in per_qubit_entries[qubit]
+            ),
+        )
 
         cursor = self.now
         stream = self._program.upload_instructions(HOST_PROGRAM_BASE)
@@ -277,19 +283,13 @@ class QtenonSystem(PlatformModel):
 
         quantum_exposed = timeline.quantum_end_ps - timeline.start_ps
         if self.features.fine_grained_sync:
-            host_done = self._overlapped_host_done(timeline, per_batch_host)
+            host_done, comm_busy = self._overlap(run, per_batch_host)
             end = max(timeline.quantum_end_ps, host_done, timeline.last_put_response_ps)
             comm_exposed = max(
                 0, timeline.last_put_response_ps - timeline.quantum_end_ps
             )
             host_exposed = max(
                 0, end - max(timeline.quantum_end_ps, timeline.last_put_response_ps)
-            )
-            comm_busy = sum(
-                response - issue
-                for issue, response in zip(
-                    timeline.put_issue_times, timeline.put_response_times
-                )
             )
             host_busy = post_total + run.n_batches * batch_fixed
             self._count_instr("q_acquire", 1)  # the streamed acquire
@@ -329,6 +329,30 @@ class QtenonSystem(PlatformModel):
                     "host", "post-process", end - host_exposed, end
                 )
         self.now = end
+
+    def _overlap(self, run: RunResult, per_batch_host: int) -> Tuple[int, int]:
+        """(host done, comm busy) of a fine-grained-sync run.
+
+        Both are invariant under a shift of the run's timeline, so runs
+        whose timelines the controller kept (fault-free ones) compute
+        them once per timeline key and per-batch host cost.
+        """
+        timeline = run.timeline
+        key = (run.timeline_key, per_batch_host)
+        overlap = self._overlaps.get(key) if run.timeline_key is not None else None
+        if overlap is None:
+            overlap = (
+                self._overlapped_host_done(timeline, per_batch_host) - timeline.start_ps,
+                sum(
+                    response - issue
+                    for issue, response in zip(
+                        timeline.put_issue_times, timeline.put_response_times
+                    )
+                ),
+            )
+            if run.timeline_key is not None:
+                self._overlaps[key] = overlap
+        return timeline.start_ps + overlap[0], overlap[1]
 
     def _overlapped_host_done(self, timeline, per_batch_host: int) -> int:
         host_free = timeline.start_ps

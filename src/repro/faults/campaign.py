@@ -166,18 +166,23 @@ def _link_loss_sweep(config: CampaignConfig) -> List[Dict[str, object]]:
     points: List[Dict[str, object]] = []
     for loss in config.losses:
         link_plan = FaultPlan(seed=config.seed, link=LinkFaults(loss_p=loss))
+        link_injector = FaultInjector(link_plan)
         baseline = DecoupledSystem(
             config.n_qubits,
             seed=config.seed,
-            fault_injector=FaultInjector(link_plan),
+            fault_injector=link_injector,
         )
         base_result = _run_vqa(baseline, config)
 
         # Qtenon has no UDP link — its exposure at the same fault rate
         # is the measurement PUT path, protected by seq + checksum.
+        # Corruption takes half the loss rate, capped so the two never
+        # exceed certainty (a loss of 1 drops every attempt).
         put_plan = FaultPlan(
             seed=config.seed,
-            measurement=MeasurementFaults(drop_p=loss, corrupt_p=loss / 2),
+            measurement=MeasurementFaults(
+                drop_p=loss, corrupt_p=min(loss / 2, 1.0 - loss)
+            ),
         )
         qtenon = QtenonSystem(
             config.n_qubits,
@@ -197,6 +202,9 @@ def _link_loss_sweep(config: CampaignConfig) -> List[Dict[str, object]]:
                     "recovery_ps": int(
                         base_result.report.extra.get("link_recovery_ps", 0)
                     ),
+                    # What the injector decided, counted at the source:
+                    # the link must retransmit exactly these.
+                    "injected_drops": link_injector.stats.counter("link_drops").value,
                     "cost_history": base_result.cost_history,
                 },
                 "qtenon": {

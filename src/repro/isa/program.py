@@ -76,6 +76,13 @@ class ProgramEntry:
     qaddr: int = 0
 
     def __post_init__(self) -> None:
+        if (
+            0 <= self.gate_type < 1 << TYPE_BITS
+            and 0 <= self.data < 1 << DATA_BITS
+            and 0 <= self.status < 1 << STATUS_BITS
+            and 0 <= self.qaddr < 1 << QADDR_BITS
+        ):
+            return
         for name, value, bits in (
             ("gate_type", self.gate_type, TYPE_BITS),
             ("data", self.data, DATA_BITS),
@@ -121,7 +128,9 @@ class ProgramEntry:
         return self.status == STATUS_VALID
 
     def with_pulse(self, qaddr: int) -> "ProgramEntry":
-        return replace(self, status=STATUS_VALID, qaddr=qaddr)
+        # Built directly rather than through dataclasses.replace: the
+        # pulse pipeline patches one entry per swept gate.
+        return ProgramEntry(self.gate_type, self.reg_flag, self.data, STATUS_VALID, qaddr)
 
     def invalidated(self) -> "ProgramEntry":
         return replace(self, status=STATUS_INVALID, qaddr=0)

@@ -41,26 +41,40 @@ class MemoryImage:
     # ------------------------------------------------------------------
     # byte access
     # ------------------------------------------------------------------
+    # Byte ranges move as whole covering words: each word touched is
+    # read or written once, rather than once per byte.
     def read_bytes(self, addr: int, length: int) -> bytes:
         self._check(addr)
         if length < 0:
             raise ValueError(f"negative length {length}")
-        out = bytearray(length)
-        for offset in range(length):
-            byte_addr = addr + offset
-            word = self._words.get(byte_addr // self.WORD_BYTES * self.WORD_BYTES, 0)
-            out[offset] = (word >> (8 * (byte_addr % self.WORD_BYTES))) & 0xFF
-        return bytes(out)
+        if length == 0:
+            return b""
+        first = addr - addr % self.WORD_BYTES
+        words = self._words
+        span = b"".join(
+            words.get(word_addr, 0).to_bytes(self.WORD_BYTES, "little")
+            for word_addr in range(first, addr + length, self.WORD_BYTES)
+        )
+        return span[addr - first:addr - first + length]
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         self._check(addr)
-        for offset, byte in enumerate(data):
-            byte_addr = addr + offset
-            word_addr = byte_addr // self.WORD_BYTES * self.WORD_BYTES
-            shift = 8 * (byte_addr % self.WORD_BYTES)
-            word = self._words.get(word_addr, 0)
-            word = (word & ~(0xFF << shift)) | (byte & 0xFF) << shift
-            self._words[word_addr] = word
+        if not data:
+            return
+        size = self.WORD_BYTES
+        end = addr + len(data)
+        first = addr - addr % size
+        last = (end - 1) - (end - 1) % size  # address of the last word
+        words = self._words
+        span = bytearray(last + size - first)
+        # Partially covered boundary words keep their other bytes.
+        if addr != first:
+            span[:size] = words.get(first, 0).to_bytes(size, "little")
+        if end != last + size:
+            span[-size:] = words.get(last, 0).to_bytes(size, "little")
+        span[addr - first:end - first] = data
+        for offset in range(0, len(span), size):
+            words[first + offset] = int.from_bytes(span[offset:offset + size], "little")
 
     # ------------------------------------------------------------------
     # typed helpers

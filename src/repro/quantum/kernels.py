@@ -954,7 +954,11 @@ class ReplayCache:
     ) -> CompiledProgram:
         from repro.runtime.cache import circuit_structure_hash
 
-        key = circuit_structure_hash(circuit, parameters)
+        order = list(parameters) if parameters is not None else circuit.parameters
+        # The structure hash names parameters by position only, so two
+        # circuits share it when they differ just in slots no gate
+        # reads; the replay vector's width still differs.
+        key = f"{circuit_structure_hash(circuit, order)}/{len(order)}"
         program = self._entries.get(key)
         if program is not None:
             self._entries.move_to_end(key)
@@ -962,7 +966,7 @@ class ReplayCache:
             _PROGRAM_CACHE_HITS.increment()
             return program
         self._misses.increment()
-        program = compile_circuit(circuit, parameters)
+        program = compile_circuit(circuit, order)
         program.key = key
         self._entries[key] = program
         self._evict_over_bound()

@@ -29,15 +29,17 @@ class Counter:
     value: int = 0
 
     def increment(self, by: int = 1) -> None:
-        # bool is a subclass of int, so increment(True) would count as
-        # 1 silently; reject it along with floats and other
+        # An exact int (the hot path) skips the numbers.Integral ABC
+        # check.  bool is a subclass of int, so increment(True) would
+        # count as 1 silently; reject it along with floats and other
         # non-integrals.
-        if isinstance(by, bool) or not isinstance(by, numbers.Integral):
-            raise TypeError(
-                f"counter {self.name!r} increment must be an integral count, "
-                f"got {by!r} ({type(by).__name__})"
-            )
-        by = int(by)
+        if type(by) is not int:
+            if isinstance(by, bool) or not isinstance(by, numbers.Integral):
+                raise TypeError(
+                    f"counter {self.name!r} increment must be an integral count, "
+                    f"got {by!r} ({type(by).__name__})"
+                )
+            by = int(by)
         if by < 0:
             raise ValueError("counters only move forward; use Accumulator for signed data")
         self.value += by

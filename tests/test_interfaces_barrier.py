@@ -141,3 +141,36 @@ class TestMemoryBarrier:
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
             MemoryBarrier().mark_put(0, 0, 0)
+
+    def test_remarked_range_wins_over_overlapping_range(self):
+        # Runs at different shot counts stream differently sized
+        # batches into the same buffer: the ranges overlap without
+        # being equal.  Re-marking the wide range makes it the latest
+        # PUT covering 0x1008, even though it was first marked earlier.
+        barrier = MemoryBarrier()
+        barrier.mark_puts([(0x1000, 16)], [ns(100)])
+        barrier.mark_puts([(0x1008, 8)], [ns(200)])
+        assert barrier.query(0x1008, 0) == ns(200)
+        barrier.mark_puts([(0x1000, 16)], [ns(300)])
+        assert barrier.query(0x1008, 0) == ns(300)
+        assert len(barrier) == 2
+
+    def test_mark_puts_equals_one_mark_put_per_range(self):
+        ranges = [(0x0, 8), (0x8, 8), (0x10, 4)]
+        ready = [ns(30), ns(10), ns(20)]
+        bulk, single = MemoryBarrier(), MemoryBarrier()
+        bulk.mark_puts(ranges, ready)
+        for (addr, size), ready_ps in zip(ranges, ready):
+            single.mark_put(addr, size, ready_ps)
+        for barrier in (bulk, single):
+            assert barrier.fence(0) == ns(30)
+            assert barrier.pending_after(ns(15)) == 2
+        assert [bulk.query(a, 0) for a in range(0x18)] == [
+            single.query(a, 0) for a in range(0x18)
+        ]
+
+    def test_mark_puts_rejects_bad_runs(self):
+        with pytest.raises(ValueError, match="ready times"):
+            MemoryBarrier().mark_puts([(0, 8), (8, 8)], [ns(1)])
+        with pytest.raises(ValueError, match="positive"):
+            MemoryBarrier().mark_puts([(0, 8), (8, 0)], [ns(1), ns(2)])

@@ -367,6 +367,19 @@ def test_replay_cache_hits_on_structural_identity():
     assert stats["replay_cache.misses"] == 1
 
 
+def test_replay_cache_keys_on_vector_width():
+    """Same gates, one more (unread) parameter: the structure hashes
+    match but the replay vectors differ in width, so the programs must
+    not be shared."""
+    cache = ReplayCache()
+    circuit = QuantumCircuit(3)
+    circuit.append("cz", (0, 1))
+    wide = cache.get_or_compile(circuit, [Parameter("a"), Parameter("b")])
+    narrow = cache.get_or_compile(circuit, [Parameter("a")])
+    assert wide is not narrow
+    assert len(narrow.execute_batch(np.zeros((3, 1)))) == 3
+
+
 def test_replay_cache_evicts_lru():
     cache = ReplayCache(max_entries=2)
     circuits = []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import QtenonFeatures, QtenonSystem, RunTimeline
+from repro.core import QtenonFeatures, QtenonSystem, RunResult, RunTimeline
 from repro.host import ROCKET
 from repro.vqa import qaoa_workload
 
@@ -191,6 +191,29 @@ class TestOverlapModes:
         # Stopping after batch 2 exposes the backlog the idle gap hides.
         timeline = self._timeline([1_000, 1_500])
         assert system._overlapped_host_done(timeline, 2_000) == 6_000
+
+    def test_kept_overlap_matches_direct_computation(self):
+        # Fault-free runs keep host-done and comm-busy per timeline key
+        # and per-batch host cost: a shifted run, or the same timeline
+        # with another host cost, gets what the direct loop gives.
+        system = QtenonSystem(4)
+        relative = RunTimeline(
+            start_ps=0,
+            quantum_end_ps=9_000,
+            last_put_issue_ps=9_500,
+            last_put_response_ps=10_000,
+            put_issue_times=(600, 1_100, 9_500),
+            put_response_times=(1_000, 1_500, 10_000),
+        )
+        for start, cost in ((0, 2_000), (50_000, 2_000), (50_000, 9_000), (7, 2_000)):
+            timeline = relative.shifted(start)
+            run = RunResult(
+                timeline=timeline, shot_words=(), counts={}, host_addr=0,
+                n_batches=3, timeline_key=("plan", 1, 2),
+            )
+            assert system._overlap(run, cost) == (
+                system._overlapped_host_done(timeline, cost), 400 + 400 + 500
+            )
 
     def test_no_batches_returns_start(self):
         system = QtenonSystem(4)
