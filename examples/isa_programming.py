@@ -4,7 +4,8 @@
 Everything the high-level platform does can be written by hand: this
 example assembles a Qtenon instruction stream from text (the
 reproduction's stand-in for the modified RISC-V GNU toolchain of
-§7.1), executes it against a bare controller, and inspects the
+§7.1), executes it against a bare controller through the RoCC-dispatch
+model (:class:`~repro.core.StreamExecutor`), and inspects the
 architectural state it leaves behind — program entries, regfile
 contents, generated pulses, measurement records.
 
@@ -12,12 +13,11 @@ Run with:  python examples/isa_programming.py
 """
 
 from repro.compiler import lower, transpile
-from repro.core import QtenonConfig, QuantumController
+from repro.core import QtenonConfig, QuantumController, StreamExecutor
 from repro.isa import (
     QAcquire,
     QUpdate,
     assemble,
-    decode_instruction,
     disassemble,
     emit,
     encode_angle,
@@ -26,6 +26,8 @@ from repro.isa import (
 from repro.memory import MemoryHierarchy
 from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
 from repro.sim.clock import to_ns
+
+SHOTS = 32
 
 
 def main():
@@ -67,7 +69,7 @@ def main():
     stream = program.upload_instructions(addr)
     slot = program.slots[0]
     stream.append(QUpdate(config.regfile_qaddr(slot.index), encode_angle(0.785398)))
-    source = emit(stream) + "\nq_gen\nq_run 32\n" + emit(
+    source = emit(stream) + f"\nq_gen\nq_run {SHOTS}\n" + emit(
         [QAcquire(0x2000_0000, config.measure_qaddr(0), length=8)]
     )
     print("assembly source:")
@@ -81,35 +83,23 @@ def main():
     assert disassemble(triples).splitlines()[0] == source.splitlines()[0]
 
     # ------------------------------------------------------------------
-    # 3. execute the stream instruction by instruction
+    # 3. execute the stream instruction by instruction; q_run executes
+    #    the bound circuit of the measurement group
     # ------------------------------------------------------------------
-    now = 0
-    for triple in triples:
-        word = RoccWord.decode(triple.word)
-        instr = decode_instruction(word, triple.rs1, triple.rs2)
-        mnemonic = instr.mnemonic
-        if mnemonic == "q_set":
-            now = controller.execute_q_set(instr, now).end_ps
-        elif mnemonic == "q_update":
-            now = controller.execute_q_update(instr, now)
-        elif mnemonic == "q_gen":
-            report = controller.execute_q_gen(now)
-            now = report.end_ps
-            print(f"\nq_gen: {report.pulses_generated} pulses generated, "
-                  f"{report.slt_hits} SLT hits, "
-                  f"{to_ns(report.duration_ps):.0f} ns")
-        elif mnemonic == "q_run":
-            bound = program.bind_group(0, {theta: 0.785398})
-            run = controller.execute_q_run(
-                bound, instr.shots, now, 0x2000_0000, batched=True
-            )
-            now = run.timeline.last_put_response_ps
-            print(f"q_run: {instr.shots} shots in "
-                  f"{to_ns(run.timeline.quantum_duration_ps):.0f} ns, "
-                  f"{run.n_batches} batched PUTs "
-                  f"(K = {instr.shots // run.n_batches} shots/PUT)")
-        elif mnemonic == "q_acquire":
-            now = controller.execute_q_acquire(instr, now).end_ps
+    executor = StreamExecutor(controller, result_addr=0x2000_0000)
+    executor.bind_circuit(program.bind_group(0, {theta: 0.785398}))
+    log = executor.execute(triples)
+    print("\nexecution log (ps):")
+    for entry in log.entries:
+        print(f"    {entry}")
+    pipeline = controller.pipeline.stats
+    print(f"\nq_gen: {pipeline.counter('pulses_generated').value} pulses "
+          f"generated, {pipeline.counter('slt_hits').value} SLT hits")
+    run = log.runs[0]
+    print(f"q_run: {SHOTS} shots in "
+          f"{to_ns(run.timeline.quantum_duration_ps):.0f} ns, "
+          f"{run.n_batches} batched PUTs "
+          f"(K = {SHOTS // run.n_batches} shots/PUT)")
 
     # ------------------------------------------------------------------
     # 4. inspect architectural state
@@ -123,7 +113,7 @@ def main():
     words = hierarchy.image.read_u64_array(0x2000_0000, 4)
     print(f"first measurement records in host memory: "
           f"{[f'{w:04b}' for w in words]}")
-    print(f"total simulated time: {to_ns(now):.0f} ns")
+    print(f"total simulated time: {to_ns(log.end_ps):.0f} ns")
 
 
 if __name__ == "__main__":

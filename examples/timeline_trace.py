@@ -14,6 +14,7 @@ Output:    qtenon_timeline.json (in the working directory)
 from repro import QtenonSystem
 from repro.analysis import format_table
 from repro.sim.clock import to_us
+from repro.telemetry.tracing import BUILTIN_TRACKS
 from repro.vqa import qaoa_workload
 
 N_QUBITS = 8
@@ -30,7 +31,7 @@ def main():
     trace = system.trace
 
     rows = []
-    for track in trace.TRACKS:
+    for track in BUILTIN_TRACKS:
         spans = trace.spans_on(track)
         rows.append([
             track,

@@ -9,7 +9,6 @@ from repro.analysis.export import (
     to_json,
 )
 from repro.analysis.resilience import campaign_digest, render_campaign
-from repro.analysis.trace import Span, TraceRecorder
 from repro.analysis.tables import (
     format_percentage_breakdown,
     format_speedup,
@@ -32,8 +31,6 @@ __all__ = [
     "report_to_dict",
     "report_from_dict",
     "reports_to_csv",
-    "TraceRecorder",
-    "Span",
     "campaign_digest",
     "render_campaign",
 ]

@@ -40,7 +40,7 @@ from repro.analysis import format_table
 from repro.core import QtenonConfig
 from repro.host import core_by_name
 from repro.service import JobSpec, ServiceAPI, ServiceConfig
-from repro.service.service import WORKLOADS
+from repro.service.platforms import WORKLOADS
 from repro.vqa import make_optimizer
 
 #: --backend choices; "auto" defers to the execution planner.
@@ -248,16 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--trace-out", default=None,
-        help="write the per-tenant Chrome trace timeline to this path",
+        help="write the merged service + per-job sim Chrome trace to this "
+             "path (implies per-job sim tracing)",
     )
     serve.add_argument(
         "--prom-out", default=None,
         help="write the Prometheus text exposition to this path",
-    )
-    serve.add_argument(
-        "--merged-trace-out", default=None,
-        help="write the merged service + per-job sim Chrome trace to this "
-             "path (implies per-job sim tracing)",
     )
 
     session = sub.add_parser(
@@ -635,7 +631,7 @@ def cmd_serve(args) -> int:
         retry_backoff_max_s=max(args.backoff, args.backoff_max),
         core=args.core,
         timing_only=args.timing_only,
-        sim_trace=args.merged_trace_out is not None,
+        sim_trace=args.trace_out is not None,
     )
     telemetry = None
     if args.prom_out is not None:
@@ -690,9 +686,6 @@ def cmd_serve(args) -> int:
     if args.prom_out:
         api.export_prometheus(args.prom_out)
         print(f"prometheus -> {args.prom_out}")
-    if args.merged_trace_out:
-        api.export_merged_trace(args.merged_trace_out)
-        print(f"merged trace -> {args.merged_trace_out}")
     return 0
 
 
@@ -845,7 +838,7 @@ def cmd_telemetry(args) -> int:
             handle.write(text)
         print(f"prometheus -> {args.prom}")
     if args.trace:
-        api.export_merged_trace(args.trace)
+        api.export_trace(args.trace)
         print(f"merged trace -> {args.trace}")
     if args.events:
         api.export_events(args.events)

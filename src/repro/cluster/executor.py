@@ -24,9 +24,7 @@ from typing import Dict, Optional
 from repro.analysis.export import report_to_dict
 from repro.runtime.cache import EvalCache
 from repro.service.jobs import JobSpec
-from repro.service.platforms import build_engine
-from repro.vqa import make_optimizer
-from repro.vqa.runner import HybridRunner
+from repro.service.platforms import build_engine, run_spec
 
 
 def execute_spec(
@@ -44,9 +42,6 @@ def execute_spec(
     worker cannot settle the wrong job), the optimisation trace, and
     the full execution report via :func:`report_to_dict`.
     """
-    from repro.service.service import WORKLOADS
-
-    workload = WORKLOADS[spec.workload](spec.n_qubits)
     engine = build_engine(
         spec,
         core=core,
@@ -54,16 +49,7 @@ def execute_spec(
         cache=cache,
         engine_workers=engine_workers,
     )
-    runner = HybridRunner(
-        engine,
-        workload.ansatz,
-        workload.parameters,
-        workload.observable,
-        make_optimizer(spec.optimizer, seed=spec.seed),
-        shots=spec.shots,
-        iterations=spec.iterations,
-    )
-    result = runner.run(seed=spec.seed)
+    result = run_spec(spec, engine)
     return {
         "digest": spec.digest,
         "final_cost": result.final_cost,

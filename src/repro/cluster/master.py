@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.trace import TraceRecorder
 from repro.cluster import wire
 from repro.cluster.executor import result_fingerprint
 from repro.cluster.hashring import rank_nodes
@@ -154,7 +153,6 @@ class ClusterJob:
     state: JobState = JobState.QUEUED
     attempts: int = 0
     assigned_node: Optional[str] = None
-    dispatched_s: Optional[float] = None
     finished_s: Optional[float] = None
     #: backoff parking: not dispatchable before this master-clock time.
     eligible_s: float = 0.0
@@ -198,7 +196,6 @@ class ClusterMaster:
         self.scheduler: DeficitRoundRobin[ClusterJob] = DeficitRoundRobin(
             quantum=self.config.quantum
         )
-        self.trace = TraceRecorder(process_name="repro.cluster")
         self.nodes: Dict[str, NodeHandle] = {}
         self.jobs: Dict[str, ClusterJob] = {}
         #: session_id -> pinned worker node (the node holding the
@@ -208,7 +205,6 @@ class ClusterMaster:
         self.session_digests: Dict[str, str] = {}
         self._parked: List[ClusterJob] = []
         self._sequence = 0
-        self._epoch = clock()
         self.journal: Optional[JobJournal] = None
         self.recovered_state: Optional[JournalState] = None
         if self.config.journal_path is not None:
@@ -542,7 +538,6 @@ class ClusterMaster:
             job.state = JobState.SCHEDULED
             job.attempts += 1
             job.assigned_node = handle.node_id
-            job.dispatched_s = now
             handle.in_flight[job.job_id] = now
             handle.stats.counter("dispatched").increment()
             self.stats.counter("dispatched").increment()
@@ -700,13 +695,6 @@ class ClusterMaster:
                 fingerprint=job.fingerprint,
                 error=job.error,
             )
-        start = job.dispatched_s if job.dispatched_s is not None else job.submitted_s
-        self.trace.record(
-            track=node_id or "unrouted",
-            name=job.job_id,
-            start_ps=int((start - self._epoch) * 1e12),
-            end_ps=int((job.finished_s - self._epoch) * 1e12),
-        )
         self.admission.release(job.tenant)
 
     # ------------------------------------------------------------------

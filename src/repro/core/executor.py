@@ -3,9 +3,9 @@
 Runs an assembled Qtenon machine-code stream (``MachineTriple``s or
 typed instructions) against a :class:`~repro.core.controller.QuantumController`,
 advancing a timeline exactly the way the host core's RoCC dispatch
-would.  This is the library-grade version of what the
-``isa_programming`` example does by hand — useful for writing custom
-controller-level experiments and for testing hand-crafted streams.
+would — useful for writing custom controller-level experiments and
+for testing hand-crafted streams (``examples/isa_programming.py`` runs
+its assembled stream through it).
 
 ``q_run`` needs a circuit to execute; register them per run slot with
 :meth:`StreamExecutor.bind_circuit` (the hardware analogue: the

@@ -17,7 +17,6 @@ import math
 from typing import Dict, List, Optional
 
 from repro.analysis.breakdown import ExecutionReport
-from repro.analysis.trace import TraceRecorder
 from repro.compiler.transpile import transpile
 from repro.host.cores import CoreModel
 from repro.host.workloads import HostWorkloadModel, WorkloadCosts
@@ -26,6 +25,7 @@ from repro.quantum.device import QuantumDevice
 from repro.quantum.parameters import Parameter
 from repro.quantum.pauli import MeasurementGroup, PauliSum, measurement_circuits
 from repro.quantum.sampler import Sampler
+from repro.telemetry.tracing import Tracer
 
 #: Chrome-trace track of each breakdown category.
 _TRACE_TRACK = {
@@ -71,8 +71,9 @@ class PlatformModel:
         )
         self._base_readout = self.device.readout_noise
         self.report = ExecutionReport(platform=f"{name}-{core.name}")
-        #: optional Chrome-trace timeline (see repro.analysis.trace)
-        self.trace: Optional[TraceRecorder] = None
+        #: optional sim-time Chrome-trace timeline (see
+        #: repro.telemetry.tracing)
+        self.trace: Optional[Tracer] = None
         self.now: int = 0
         self._groups: List[MeasurementGroup] = []
         self._observable: Optional[PauliSum] = None

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.trace import TraceRecorder
 from repro.compiler.incremental import IncrementalCompiler, UpdatePlan
 from repro.compiler.lowering import QtenonProgram, WORDS_PER_ENTRY, lower
 from repro.core.config import QtenonConfig
@@ -48,6 +47,7 @@ from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.pauli import MeasurementGroup, PauliSum
 from repro.quantum.parameters import Parameter
 from repro.sim.clock import HOST_CLOCK
+from repro.telemetry.tracing import Tracer
 
 #: Host memory layout for the reproduction's workloads.
 HOST_PROGRAM_BASE = 0x1000_0000
@@ -125,7 +125,7 @@ class QtenonSystem(PlatformModel):
             fault_injector=fault_injector,
         )
         if trace_events:
-            self.trace = TraceRecorder(f"qtenon-{core.name}")
+            self.trace = Tracer(process_name=f"qtenon-{core.name}")
         self._program: Optional[QtenonProgram] = None
         self._incremental: Optional[IncrementalCompiler] = None
         self._shot_ps: List[int] = []

@@ -89,14 +89,11 @@ class ServiceAPI:
         return self.service.metrics_snapshot()
 
     def export_trace(self, path: str) -> None:
-        """Write the per-tenant job timeline as Chrome trace JSON."""
-        self.service.trace.save(path)
-
-    def export_merged_trace(self, path: str) -> None:
-        """Write the merged service + per-job sim trace (one document;
-        requires the service to run with ``sim_trace=True`` for the
-        per-job sim processes to be present)."""
-        self.service.export_merged_trace(path)
+        """Write the merged Chrome trace: the service timeline (job and
+        session-batch spans) plus, when the service runs with
+        ``sim_trace=True``, one sim-time process per job."""
+        with open(path, "w") as handle:
+            handle.write(self.service.merged_chrome_trace())
 
     def prometheus_text(self) -> str:
         """The attached registry's Prometheus text exposition."""

@@ -1,12 +1,13 @@
-"""Shared platform/engine construction for job execution.
+"""Shared platform/engine construction and job run for job execution.
 
 Both executors of a :class:`~repro.service.jobs.JobSpec` — the job
 service's in-process worker slots and the cluster worker nodes — build
 the same stack: a platform (Qtenon or the decoupled baseline) wrapped
-in an :class:`~repro.runtime.engine.EvaluationEngine`.  Keeping the
-construction here guarantees the two tiers run *the same computation*
-for the same spec, which is what makes cluster re-execution after a
-node failure bit-identical to a single-process run.
+in an :class:`~repro.runtime.engine.EvaluationEngine`, and run the same
+hybrid loop on it (:func:`run_spec`).  Keeping both here guarantees the
+two tiers run *the same computation* for the same spec, which is what
+makes cluster re-execution after a node failure bit-identical to a
+single-process run.
 """
 
 from __future__ import annotations
@@ -20,6 +21,22 @@ from repro.host import core_by_name
 from repro.runtime.cache import EvalCache
 from repro.runtime.engine import EvaluationEngine
 from repro.service.jobs import JobSpec
+from repro.vqa import (
+    ghz_workload,
+    make_optimizer,
+    qaoa_workload,
+    qnn_workload,
+    vqe_workload,
+)
+from repro.vqa.runner import HybridResult, HybridRunner
+
+#: Workload builders by :attr:`JobSpec.workload` name.
+WORKLOADS = {
+    "qaoa": qaoa_workload,
+    "vqe": vqe_workload,
+    "qnn": qnn_workload,
+    "ghz": ghz_workload,
+}
 
 
 def build_platform(
@@ -80,3 +97,18 @@ def build_engine(
     return EvaluationEngine(
         platform, max_workers=engine_workers, cache=cache, seed=spec.seed
     )
+
+
+def run_spec(spec: JobSpec, platform) -> HybridResult:
+    """Run a spec's hybrid optimisation loop on ``platform``."""
+    workload = WORKLOADS[spec.workload](spec.n_qubits)
+    runner = HybridRunner(
+        platform,
+        workload.ansatz,
+        workload.parameters,
+        workload.observable,
+        make_optimizer(spec.optimizer, seed=spec.seed),
+        shots=spec.shots,
+        iterations=spec.iterations,
+    )
+    return runner.run(seed=spec.seed)

@@ -51,12 +51,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.breakdown import CATEGORIES
-from repro.analysis.trace import TraceRecorder
 from repro.faults.plan import InjectedWorkerCrash, InjectedWorkerHang
 from repro.runtime.cache import EvalCache
 from repro.runtime.engine import EvaluationEngine
 from repro.service.health import HealthRegistry
-from repro.service.platforms import build_engine
+# WORKLOADS is re-exported: callers outside the package import it from here.
+from repro.service.platforms import WORKLOADS, build_engine, run_spec  # noqa: F401
 from repro.service.admission import (
     DEFAULT_MAX_OPEN_JOBS,
     DEFAULT_TENANT_QUOTA,
@@ -93,21 +93,7 @@ from repro.telemetry.tracing import (
     make_trace_id,
     merged_chrome_trace as render_merged_trace,
 )
-from repro.vqa import (
-    ghz_workload,
-    make_optimizer,
-    qaoa_workload,
-    qnn_workload,
-    vqe_workload,
-)
-from repro.vqa.runner import HybridResult, HybridRunner
-
-WORKLOADS = {
-    "qaoa": qaoa_workload,
-    "vqe": vqe_workload,
-    "qnn": qnn_workload,
-    "ghz": ghz_workload,
-}
+from repro.vqa.runner import HybridResult
 
 #: Terminal states a primary propagates to its coalesced followers.
 _PROPAGATED = (JobState.DONE, JobState.FAILED, JobState.TIMED_OUT)
@@ -277,8 +263,9 @@ class JobService:
             if self.config.cache_entries > 0
             else None
         )
-        self.trace = TraceRecorder(process_name="repro.service")
         self.records: Dict[str, JobRecord] = {}
+        #: one span per streamed session batch, on the service timeline
+        self._session_spans: List[TraceSpan] = []
         self._platform_factory = platform_factory or self._default_platform
         self._clock = clock
         self._epoch = clock()
@@ -594,12 +581,18 @@ class JobService:
         )
         # One span per batch on the session's own track, so the merged
         # trace shows a session as a dense row of short spans where a
-        # job is one long one.
-        self.trace.record(
-            track=f"session/{session.tenant}",
-            name=f"{session.session_id}[{session.batches}]",
-            start_ps=int((start - self._epoch) * 1e12),
-            end_ps=int((end - self._epoch) * 1e12),
+        # job is one long one.  The trace id is the session's; batch
+        # numbers are unique within it.
+        trace_id = make_trace_id(session.session_id)
+        self._session_spans.append(
+            TraceSpan(
+                track=f"session/{session.tenant}",
+                name=f"{session.session_id}[{session.batches}]",
+                start_ps=self._wall_ps(start),
+                end_ps=self._wall_ps(end),
+                trace_id=trace_id,
+                span_id=f"{trace_id}:{session.batches:04d}",
+            )
         )
         if self.events is not None:
             self.events.emit(
@@ -717,7 +710,6 @@ class JobService:
             raise JobCancelled()
         self._maybe_inject_worker_fault(record)
         spec = record.spec
-        workload = WORKLOADS[spec.workload](spec.n_qubits)
         inner = self._platform_factory(spec)
         tracer: Optional[Tracer] = None
         if self.config.sim_trace:
@@ -728,26 +720,16 @@ class JobService:
             record.trace = tracer
             if isinstance(inner, EvaluationEngine):
                 inner.tracer = tracer
-        platform = _CancellablePlatform(inner, record.cancel_event)
-        runner = HybridRunner(
-            platform,
-            workload.ansatz,
-            workload.parameters,
-            workload.observable,
-            make_optimizer(spec.optimizer, seed=spec.seed),
-            shots=spec.shots,
-            iterations=spec.iterations,
-        )
-        result = runner.run(seed=spec.seed)
+        result = run_spec(spec, _CancellablePlatform(inner, record.cancel_event))
         if tracer is not None:
             # Fold the platform's sim-phase spans into the job trace,
             # parented to the engine's evaluation spans by enclosure.
-            recorder = getattr(getattr(inner, "platform", inner), "trace", None)
-            if recorder is not None:
+            timeline = getattr(getattr(inner, "platform", inner), "trace", None)
+            if timeline is not None:
                 evaluation_spans = [
                     span for span in tracer.spans if span.track == "evaluation"
                 ]
-                tracer.adopt(recorder, parents=evaluation_spans)
+                tracer.adopt(timeline, parents=evaluation_spans)
         return result
 
     def _maybe_inject_worker_fault(self, record: JobRecord) -> None:
@@ -841,13 +823,6 @@ class JobService:
                 state=state.value,
                 attempts=record.attempts,
             )
-        start = record.started_s if record.started_s is not None else record.submitted_s
-        self.trace.record(
-            track=record.tenant,
-            name=record.job_id,
-            start_ps=int((start - self._epoch) * 1e12),
-            end_ps=int((record.finished_s - self._epoch) * 1e12),
-        )
         self.admission.release(record.tenant)
         # Callbacks fire only here — after the terminal state, result
         # and release are all recorded — which is what makes
@@ -875,12 +850,14 @@ class JobService:
     def merged_trace_groups(self) -> List[TraceGroup]:
         """The merged trace's process groups.
 
-        pid 1 is the service timeline — one row per tenant, one root
-        span per job (its wall-clock lifetime).  Each job that carried
-        a sim trace (``sim_trace=True``) follows as its own process,
-        its sim timeline offset to the job's wall-clock start, every
-        span sharing the job's trace id — so in the viewer a tenant's
-        job visibly descends into its evaluation and PGU/bus spans.
+        pid 1 is the service timeline — one row per tenant with one
+        root span per job (its wall-clock lifetime), and one row per
+        tenant's streamed sessions with one span per batch.  Each job
+        that carried a sim trace (``sim_trace=True``) follows as its
+        own process, its sim timeline offset to the job's wall-clock
+        start, every span sharing the job's trace id — so in the viewer
+        a tenant's job visibly descends into its evaluation and PGU/bus
+        spans.
         """
         service_spans: List[TraceSpan] = []
         job_groups: List[TraceGroup] = []
@@ -900,8 +877,8 @@ class JobService:
                 else record.submitted_s
             )
             end = record.finished_s if record.finished_s is not None else start
-            start_ps = int((start - self._epoch) * 1e12)
-            end_ps = max(start_ps, int((end - self._epoch) * 1e12))
+            start_ps = self._wall_ps(start)
+            end_ps = max(start_ps, self._wall_ps(end))
             service_spans.append(
                 TraceSpan(
                     trace_id=trace_id,
@@ -927,17 +904,18 @@ class JobService:
                     )
                 )
                 pid += 1
+        service_spans.extend(self._session_spans)
         return [
             TraceGroup(pid=1, process_name="repro.service", spans=service_spans)
         ] + job_groups
 
+    def _wall_ps(self, clock_s: float) -> int:
+        """A service-clock reading as picoseconds since the service start."""
+        return int((clock_s - self._epoch) * 1e12)
+
     def merged_chrome_trace(self) -> str:
         """One Chrome/Perfetto JSON for the whole service run."""
         return render_merged_trace(self.merged_trace_groups())
-
-    def export_merged_trace(self, path: str) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.merged_chrome_trace())
 
     def metrics_snapshot(self) -> Dict[str, object]:
         """JSON-able service metrics (the ``metrics`` API payload)."""
@@ -966,9 +944,9 @@ class JobService:
             "backends": self.health.snapshot(),
             "latency_s": {
                 "count": len(latencies),
-                "p50": _quantile(latencies, 0.50),
-                "p95": _quantile(latencies, 0.95),
-                "p99": _quantile(latencies, 0.99),
+                "p50": nearest_rank_quantile(latencies, 0.50),
+                "p95": nearest_rank_quantile(latencies, 0.95),
+                "p99": nearest_rank_quantile(latencies, 0.99),
                 "mean": sum(latencies) / len(latencies) if latencies else 0.0,
             },
         }
@@ -977,14 +955,3 @@ class JobService:
             cache_stats["eval_cache.hit_rate"] = self.cache.hit_rate
             snapshot["eval_cache"] = cache_stats
         return snapshot
-
-
-def _quantile(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank quantile of an ascending list (0.0 when empty).
-
-    Delegates to the telemetry layer's ceil-based nearest rank.  The
-    old ``round(q * n) - 1`` rank used banker's rounding, which is
-    biased low on half-ranks: p50 of five samples returned the 2nd
-    value, not the 3rd (the median).
-    """
-    return nearest_rank_quantile(sorted_values, q)

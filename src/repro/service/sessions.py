@@ -54,7 +54,7 @@ from repro.service import stream as wire
 from repro.service.admission import AdmissionController
 from repro.service.health import HealthRegistry
 from repro.service.jobs import JobSpec
-from repro.service.platforms import build_engine
+from repro.service.platforms import WORKLOADS, build_engine
 from repro.sim.stats import StatGroup
 from repro.vqa import make_optimizer
 
@@ -190,8 +190,6 @@ class SessionManager:
         cannot dodge its cap by holding reservations instead of
         submitting work.
         """
-        from repro.service.service import WORKLOADS
-
         with self._lock:
             backend = self.health.backend(spec.platform)
             if not backend.healthy:

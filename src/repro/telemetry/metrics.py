@@ -3,11 +3,11 @@
 The paper's whole evaluation is observability — per-phase latency
 breakdowns (Fig. 13), cache and PGU occupancy counters, end-to-end
 timelines — and production hybrid platforms expose exactly this kind
-of cross-layer telemetry (Karalekas et al. 2020).  Before this module
-the repo had three instrumentation silos (``sim.stats.StatGroup``,
-``analysis.trace.TraceRecorder``, ad-hoc service snapshots) with no
-shared registry and no histograms.  :class:`MetricsRegistry` is the
-single namespace they all publish into, under stable dotted names:
+of cross-layer telemetry (Karalekas et al. 2020).  Subsystems count
+into ``sim.stats.StatGroup`` silos and service snapshots; timelines
+are spans of :mod:`repro.telemetry.tracing`.  :class:`MetricsRegistry`
+is the single namespace the counts publish into, with histograms,
+under stable dotted names:
 
 * :class:`Counter` — monotonically increasing integer counts;
 * :class:`Gauge` — last-write-wins floats (backlog depth, hit rate);

@@ -1,29 +1,38 @@
-"""Span-based tracing with stable trace/span ids.
+"""Span recording and Chrome-trace rendering: one span type, one
+recorder, one renderer for every timeline in the repository.
 
-The repo already had two disjoint timeline recorders: the platforms'
-sim-time :class:`~repro.analysis.trace.TraceRecorder` (quantum /
-controller / host / bus tracks, picoseconds) and the job service's
-wall-clock per-tenant job timeline.  Neither could answer the question
-operators actually ask: *which* service job produced *these* PGU/bus
-spans?
+Two clocks share it:
 
-This module threads one ``job_id → evaluation → sim phase`` chain
-through all layers:
+* a platform's sim-time timeline — ``QtenonSystem(...,
+  trace_events=True)`` records every phase it places on the global
+  timeline (quantum / controller / host / bus tracks, picoseconds)
+  into an id-less :class:`Tracer`, so an evaluation's interleaving of
+  shots, streamed PUT batches and overlapped host post-processing can
+  be inspected in ``chrome://tracing`` / https://ui.perfetto.dev;
+* the job service's wall-clock timeline — one root span per job, one
+  span per streamed session batch.
+
+One ``job_id → evaluation → sim phase`` chain threads through all
+layers:
 
 * a **trace id** is derived deterministically from the job id
   (:func:`make_trace_id`), so replayed campaigns produce identical
   traces;
-* a :class:`Tracer` mints sequential span ids under that trace id and
-  records :class:`TraceSpan` rows; its :attr:`Tracer.root_span_id` is
-  reserved for the job's service-level span;
-* :meth:`Tracer.adopt` folds a platform's sim-time
-  :class:`TraceRecorder` spans into the trace, parenting each sim span
-  to the narrowest enclosing evaluation span;
-* :func:`merged_chrome_trace` renders everything as one Chrome/Perfetto
-  JSON: the service timeline as pid 1 (one row per tenant) and each
-  traced job as its own process whose sim timeline is offset to the
-  job's wall-clock start, every event carrying ``trace_id`` /
-  ``span_id`` / ``parent_id`` args.
+* a :class:`Tracer` with a trace id mints sequential span ids under it
+  and records :class:`TraceSpan` rows; its :attr:`Tracer.root_span_id`
+  is reserved for the job's service-level span;
+* :meth:`Tracer.adopt` folds a platform's sim-time spans into the
+  trace, parenting each to the narrowest enclosing evaluation span;
+* :func:`merged_chrome_trace` renders trace groups as one
+  Chrome/Perfetto JSON: the service timeline as pid 1 (one row per
+  tenant and per tenant's sessions) and each traced job as its own
+  process whose sim timeline is offset to the job's wall-clock start.
+  Spans carrying ids render them as ``trace_id`` / ``span_id`` /
+  ``parent_id`` args; an id-less platform timeline renders as a single
+  group with no args.
+
+Within one track of a platform timeline spans never overlap, which the
+tests assert.
 """
 
 from __future__ import annotations
@@ -33,10 +42,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.trace import TraceRecorder
-
-#: Reserved thread ids for the platform recorder's builtin tracks.
-BUILTIN_TRACKS = TraceRecorder.TRACKS
+#: The platform timeline's tracks, pinned to thread ids 1–4.
+BUILTIN_TRACKS = ("quantum", "controller", "host", "bus")
 
 
 def make_trace_id(text: str) -> str:
@@ -46,15 +53,15 @@ def make_trace_id(text: str) -> str:
 
 @dataclass
 class TraceSpan:
-    """One timed span of one trace, on one named track."""
+    """One timed span on one named track, optionally part of a trace."""
 
-    trace_id: str
-    span_id: str
-    parent_id: Optional[str]
     track: str
     name: str
     start_ps: int
     end_ps: int
+    trace_id: Optional[str] = None
+    span_id: Optional[str] = None
+    parent_id: Optional[str] = None
     args: Dict[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -70,16 +77,27 @@ class TraceSpan:
 
 
 class Tracer:
-    """Collects the spans of one trace under deterministic span ids."""
+    """Collects spans; under a trace id, with deterministic span ids.
 
-    def __init__(self, trace_id: str) -> None:
+    ``Tracer(trace_id)`` is one job's trace: every span gets the next
+    sequential span id and defaults to a child of the reserved root.
+    ``Tracer()`` (no trace id) is a plain timeline, the platform's
+    sim-time recording: its spans carry no ids.
+    """
+
+    def __init__(
+        self, trace_id: Optional[str] = None, process_name: str = "qtenon"
+    ) -> None:
         self.trace_id = trace_id
+        self.process_name = process_name
         self.spans: List[TraceSpan] = []
         self._sequence = 0
         #: span id reserved for the trace's root (the service job span).
         self.root_span_id = self._next_span_id()
 
-    def _next_span_id(self) -> str:
+    def _next_span_id(self) -> Optional[str]:
+        if self.trace_id is None:
+            return None
         span_id = f"{self.trace_id}:{self._sequence:04d}"
         self._sequence += 1
         return span_id
@@ -92,8 +110,12 @@ class Tracer:
         end_ps: int,
         parent_id: Optional[str] = None,
         args: Optional[Dict[str, object]] = None,
-    ) -> str:
-        """Add a completed span; defaults to a child of the root span."""
+    ) -> Optional[str]:
+        """Add a completed span and return its id (None without a trace
+        id); defaults to a child of the root span.  Zero-duration spans
+        are dropped."""
+        if end_ps <= start_ps:
+            return None
         span = TraceSpan(
             trace_id=self.trace_id,
             span_id=self._next_span_id(),
@@ -109,12 +131,13 @@ class Tracer:
 
     def adopt(
         self,
-        recorder: TraceRecorder,
+        timeline: "Tracer",
         parents: Optional[Sequence[TraceSpan]] = None,
     ) -> int:
-        """Fold a sim :class:`TraceRecorder`'s spans into this trace.
+        """Fold another recording's spans (a platform's sim timeline)
+        into this trace.
 
-        Each recorder span is parented to the *narrowest* candidate in
+        Each span is parented to the *narrowest* candidate in
         ``parents`` whose time range encloses it (the evaluation span
         that produced it), falling back to the root span.  Returns the
         number of spans adopted.  Iteration order is sorted, so two
@@ -122,7 +145,7 @@ class Tracer:
         """
         adopted = 0
         for span in sorted(
-            recorder.spans, key=lambda s: (s.start_ps, s.end_ps, s.track, s.name)
+            timeline.spans, key=lambda s: (s.start_ps, s.end_ps, s.track, s.name)
         ):
             parent = None
             for candidate in parents or ():
@@ -140,6 +163,34 @@ class Tracer:
             )
             adopted += 1
         return adopted
+
+    # ------------------------------------------------------------------
+    def spans_on(self, track: str) -> List[TraceSpan]:
+        return sorted(
+            (span for span in self.spans if span.track == track),
+            key=lambda span: span.start_ps,
+        )
+
+    def busy_ps(self, track: str) -> int:
+        return sum(span.duration_ps for span in self.spans_on(track))
+
+    def end_ps(self) -> int:
+        return max((span.end_ps for span in self.spans), default=0)
+
+    def has_overlap(self, track: str) -> bool:
+        """True if two spans on ``track`` overlap (a modelling bug)."""
+        spans = self.spans_on(track)
+        return any(b.start_ps < a.end_ps for a, b in zip(spans, spans[1:]))
+
+    def to_chrome_trace(self) -> str:
+        """This recording as a one-process Chrome trace (pid 1)."""
+        return merged_chrome_trace(
+            [TraceGroup(pid=1, process_name=self.process_name, spans=self.spans)]
+        )
+
+    def save(self, path: str) -> None:
+        with open(path, "w") as handle:
+            handle.write(self.to_chrome_trace())
 
 
 @dataclass
@@ -170,7 +221,8 @@ def _track_ids(spans: Sequence[TraceSpan]) -> Dict[str, int]:
 
 
 def merged_chrome_trace(groups: Sequence[TraceGroup]) -> str:
-    """Render trace groups as one Chrome trace-event JSON document."""
+    """Render trace groups as one Chrome trace-event JSON document
+    ('X' complete events, µs timestamps, one named row per track)."""
     events: List[Dict[str, object]] = []
     for group in groups:
         events.append(
@@ -198,23 +250,23 @@ def merged_chrome_trace(groups: Sequence[TraceGroup]) -> str:
         for span in sorted(
             group.spans, key=lambda s: (s.start_ps, tids[s.track], s.name)
         ):
-            args: Dict[str, object] = {
-                "trace_id": span.trace_id,
-                "span_id": span.span_id,
-            }
+            args: Dict[str, object] = {}
+            if span.trace_id is not None:
+                args["trace_id"] = span.trace_id
+                args["span_id"] = span.span_id
             if span.parent_id is not None:
                 args["parent_id"] = span.parent_id
             args.update(span.args)
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": span.track,
-                    "ph": "X",
-                    "pid": group.pid,
-                    "tid": tids[span.track],
-                    "ts": (span.start_ps + group.time_offset_ps) / 1e6,
-                    "dur": span.duration_ps / 1e6,
-                    "args": args,
-                }
-            )
+            event: Dict[str, object] = {
+                "name": span.name,
+                "cat": span.track,
+                "ph": "X",
+                "pid": group.pid,
+                "tid": tids[span.track],
+                "ts": (span.start_ps + group.time_offset_ps) / 1e6,
+                "dur": span.duration_ps / 1e6,
+            }
+            if args:
+                event["args"] = args
+            events.append(event)
     return json.dumps({"traceEvents": events}, indent=2)

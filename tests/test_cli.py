@@ -220,7 +220,14 @@ class TestServiceCommands:
         assert "fairness (Jain)" in out
         metrics = json.loads(metrics_path.read_text())
         assert metrics["jobs_by_state"] == {"done": 3}
-        assert "traceEvents" in trace_path.read_text()
+        # --trace-out writes the merged trace: the service timeline as
+        # pid 1 plus a sim-time process per executed job.
+        spans = [
+            e for e in json.loads(trace_path.read_text())["traceEvents"]
+            if e["ph"] == "X"
+        ]
+        pids = {e["pid"] for e in spans}
+        assert 1 in pids and len(pids) >= 2
 
     def test_serve_enforces_tenant_quota(self, tmp_path, capsys):
         jobs_file = tmp_path / "jobs.json"

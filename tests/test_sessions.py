@@ -9,6 +9,7 @@ optimisation reproduces the one-shot job's energy history bit for bit.
 """
 
 import concurrent.futures
+import json
 import math
 import struct
 import threading
@@ -557,3 +558,23 @@ class TestServiceHost:
             snapshot = host.metrics()
         sessions = snapshot["sessions"]["sessions"]
         assert sessions["sessions.stream_batches"] >= 1.0
+
+    def test_session_batches_on_the_merged_trace(self):
+        # Streamed batches share the service's one wall-clock timeline:
+        # pid 1, one span per batch on the tenant's session row.
+        with ServiceHost(ServiceConfig(workers=1, cache_entries=0)) as host:
+            session = host.open_session(spec_for(seed=11), tenant="streams")
+            for _ in range(3):
+                host.evaluate(session.session_id, [np.zeros(session.n_params)])
+            host.close_session(session.session_id)
+            doc = json.loads(host.service.merged_chrome_trace())
+        batches = [
+            e for e in doc["traceEvents"]
+            if e["ph"] == "X" and e["cat"] == "session/streams"
+        ]
+        assert len(batches) == 3
+        assert {e["pid"] for e in batches} == {1}
+        assert len({e["args"]["span_id"] for e in batches}) == 3
+        assert {e["name"] for e in batches} == {
+            f"{session.session_id}[{n}]" for n in (1, 2, 3)
+        }

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.service.jobs import JobSpec
-from repro.service.service import JobService, ServiceConfig, _quantile
+from repro.service.jobs import JobRecord, JobSpec
+from repro.service.service import JobService, ServiceConfig
 from repro.service.api import ServiceAPI
 from repro.sim.stats import StatGroup
 from repro.telemetry import (
@@ -29,7 +29,7 @@ from repro.telemetry import (
     set_registry,
     to_prometheus_text,
 )
-from repro.analysis.trace import TraceRecorder
+from repro.telemetry.tracing import BUILTIN_TRACKS
 
 
 # ----------------------------------------------------------------------
@@ -61,8 +61,17 @@ class TestNearestRankQuantile:
 
     def test_service_quantile_delegates(self):
         # The service's metrics snapshot reuses the fixed quantile.
-        assert _quantile([1.0, 2.0, 3.0, 4.0, 5.0], 0.5) == 3.0
-        assert _quantile([], 0.5) == 0.0
+        service = JobService(ServiceConfig(workers=1, cache_entries=0))
+        assert service.metrics_snapshot()["latency_s"]["p50"] == 0.0
+        for i in range(5):
+            service.records[f"job-{i}"] = JobRecord(
+                job_id=f"job-{i}",
+                tenant="t",
+                spec=JobSpec(),
+                submitted_s=0.0,
+                finished_s=float(i + 1),
+            )
+        assert service.metrics_snapshot()["latency_s"]["p50"] == 3.0
 
 
 # ----------------------------------------------------------------------
@@ -285,7 +294,7 @@ class TestTracing:
         outer_id = tracer.record("evaluation", "outer", 0, 100)
         inner_id = tracer.record("evaluation", "inner", 10, 50)
         spans = {s.span_id: s for s in tracer.spans}
-        recorder = TraceRecorder()
+        recorder = Tracer()
         recorder.record("quantum", "shot", 20, 30)  # inside both
         recorder.record("bus", "put", 60, 90)  # inside outer only
         recorder.record("host", "late", 200, 300)  # inside neither
@@ -394,7 +403,7 @@ class TestServiceTelemetry:
         sim_phases = [
             e
             for e in job_spans
-            if e["cat"] in TraceRecorder.TRACKS
+            if e["cat"] in BUILTIN_TRACKS
             and by_id.get(e["args"].get("parent_id"), {}).get("cat")
             == "evaluation"
         ]

@@ -1,31 +1,31 @@
-"""Tests for the execution-timeline trace recorder."""
+"""Tests for the platform's sim-time timeline recording."""
 
 import json
 
 import pytest
 
-from repro.analysis.trace import Span, TraceRecorder
 from repro.core import QtenonSystem
+from repro.telemetry.tracing import BUILTIN_TRACKS, TraceSpan, Tracer, _track_ids
 from repro.vqa import qaoa_workload
 
 
 class TestSpan:
     def test_duration(self):
-        assert Span("host", "x", 10, 25).duration_ps == 15
+        assert TraceSpan("host", "x", 10, 25).duration_ps == 15
 
     def test_backwards_span_rejected(self):
         with pytest.raises(ValueError):
-            Span("host", "x", 25, 10)
+            TraceSpan("host", "x", 25, 10)
 
 
 class TestRecorder:
     def test_zero_duration_dropped(self):
-        recorder = TraceRecorder()
-        recorder.record("host", "x", 5, 5)
+        recorder = Tracer()
+        assert recorder.record("host", "x", 5, 5) is None
         assert recorder.spans == []
 
     def test_busy_per_track(self):
-        recorder = TraceRecorder()
+        recorder = Tracer()
         recorder.record("host", "a", 0, 10)
         recorder.record("host", "b", 20, 25)
         recorder.record("bus", "c", 0, 100)
@@ -34,14 +34,14 @@ class TestRecorder:
         assert recorder.end_ps() == 100
 
     def test_overlap_detection(self):
-        recorder = TraceRecorder()
+        recorder = Tracer()
         recorder.record("host", "a", 0, 10)
         recorder.record("host", "b", 5, 15)
         assert recorder.has_overlap("host")
         assert not recorder.has_overlap("bus")
 
     def test_chrome_trace_structure(self):
-        recorder = TraceRecorder("unit")
+        recorder = Tracer(process_name="unit")
         recorder.record("quantum", "run", 0, 1_000_000)
         data = json.loads(recorder.to_chrome_trace())
         events = data["traceEvents"]
@@ -49,17 +49,19 @@ class TestRecorder:
         assert len(complete) == 1
         assert complete[0]["name"] == "run"
         assert complete[0]["dur"] == pytest.approx(1.0)  # 1e6 ps = 1 us
+        # an id-less timeline carries no trace/span ids
+        assert "args" not in complete[0]
         metadata = [e for e in events if e["ph"] == "M"]
         assert any(e["args"].get("name") == "unit" for e in metadata)
 
     def test_custom_track_gets_own_named_tid(self):
         # Non-builtin tracks used to collapse onto a shared tid 99 with
         # no thread_name metadata; now each gets its own labelled row.
-        recorder = TraceRecorder()
+        recorder = Tracer()
         recorder.record("quantum", "run", 0, 10)
         recorder.record("dma", "burst", 0, 10)
         recorder.record("pgu7", "wave", 5, 20)
-        tids = recorder.track_ids()
+        tids = _track_ids(recorder.spans)
         assert tids["quantum"] == 1
         assert tids["dma"] == 5
         assert tids["pgu7"] == 6
@@ -77,14 +79,14 @@ class TestRecorder:
         assert thread_names[complete["wave"]["tid"]] == "pgu7"
 
     def test_custom_tid_allocation_is_first_appearance_order(self):
-        recorder = TraceRecorder()
+        recorder = Tracer()
         recorder.record("zeta", "a", 0, 10)
         recorder.record("alpha", "b", 0, 10)
-        assert recorder.track_ids()["zeta"] == 5
-        assert recorder.track_ids()["alpha"] == 6
+        assert _track_ids(recorder.spans)["zeta"] == 5
+        assert _track_ids(recorder.spans)["alpha"] == 6
 
     def test_save(self, tmp_path):
-        recorder = TraceRecorder()
+        recorder = Tracer()
         recorder.record("host", "x", 0, 10)
         path = tmp_path / "trace.json"
         recorder.save(str(path))
@@ -102,7 +104,7 @@ class TestSystemIntegration:
 
     def test_tracks_never_self_overlap(self):
         system = self._traced_system()
-        for track in system.trace.TRACKS:
+        for track in BUILTIN_TRACKS:
             assert not system.trace.has_overlap(track), track
 
     def test_trace_end_matches_cursor(self):
