@@ -36,6 +36,10 @@ must be bit-identical to its submit-path job of the same spec (same
 content-addressed evaluation keys => same sampler seeds => identical
 energies) — the session tier's correctness contract.
 
+Each path's time is the best of ``repeats`` campaigns, the two paths
+interleaved in ABBA order after one untimed warm-up of each, so a
+single noisy ~0.1 s smoke campaign cannot decide a gate.
+
 Results persist to ``BENCH_sessions.json`` at the repo root;
 ``--smoke`` re-measures a reduced configuration and fails if streamed
 RPS drops below 3x submit RPS (the acceptance floor), the streamed
@@ -51,6 +55,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import gc
 import json
 import os
 import sys
@@ -94,8 +99,8 @@ REGRESSION_TOLERANCE = 0.20
 RPS_RATIO_FLOOR = 3.0
 WALL_RATIO_CEILING = 1.5
 
-FULL = dict(workload="vqe", qubits=4, shots=200, clients=4, iterations=4)
-SMOKE = dict(workload="vqe", qubits=4, shots=100, clients=2, iterations=3)
+FULL = dict(workload="vqe", qubits=4, shots=200, clients=4, iterations=4, repeats=5)
+SMOKE = dict(workload="vqe", qubits=4, shots=100, clients=2, iterations=3, repeats=7)
 
 SEED = 11
 
@@ -227,16 +232,42 @@ def _stream_path(config: Dict[str, int]) -> Dict[str, object]:
     }
 
 
+def _timed_paths(config: Dict[str, int]) -> Dict[str, Dict[str, object]]:
+    """Best-of-``repeats`` run of each path, interleaved in ABBA order
+    after one untimed warm-up of both.
+
+    A single campaign lasts about 0.1 s at smoke scale, short enough
+    for one scheduler hiccup to swing the wall ratio past its ceiling;
+    the minimum over interleaved repeats keeps host-load drift from
+    landing on one path only.  Every repeat must reproduce the same
+    histories (the campaigns are seeded).
+    """
+    paths = {"submit": _submit_path, "stream": _stream_path}
+    for run in paths.values():
+        run(config)  # warm-up: imports, program cache, thread pools
+    best: Dict[str, Dict[str, object]] = {}
+    for repeat in range(config["repeats"]):
+        order = ("submit", "stream") if repeat % 2 == 0 else ("stream", "submit")
+        for name in order:
+            gc.collect()  # no run pays for its predecessor's garbage
+            result = paths[name](config)
+            if name in best and result["histories"] != best[name]["histories"]:
+                raise AssertionError(f"seeded {name} campaigns diverged between repeats")
+            if name not in best or result["seconds"] < best[name]["seconds"]:
+                best[name] = result
+    return best
+
+
 def run_bench(config: Dict[str, int]) -> Dict[str, object]:
-    submit = _submit_path(config)
-    stream = _stream_path(config)
+    best = _timed_paths(config)
+    submit, stream = best["submit"], best["stream"]
     identical = stream["histories"] == submit["histories"]
     histories = {
         "stream": stream.pop("histories"),
         "oneshot": submit.pop("histories"),
     }
     return {
-        "config": {**config, "cpu_count": os.cpu_count()},
+        "config": {**config, "usable_cpus": len(os.sched_getaffinity(0))},
         "submit": submit,
         "stream": stream,
         "rps_ratio": stream["rps"] / submit["rps"],

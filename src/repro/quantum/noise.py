@@ -78,13 +78,6 @@ class ReadoutNoise:
         """The affine offset ``p10 - p01`` of the ⟨Z⟩ channel."""
         return self.p10 - self.p01
 
-    def mitigation_matrix(self) -> np.ndarray:
-        """The single-qubit assignment matrix A with
-        ``p_observed = A @ p_true`` (invert to mitigate)."""
-        return np.array(
-            [[1.0 - self.p01, self.p10], [self.p01, 1.0 - self.p10]]
-        )
-
 
 def mitigate_single_qubit_expectation(value: float, noise: ReadoutNoise) -> float:
     """Invert the affine readout channel on a ⟨Z⟩-type expectation:

@@ -21,9 +21,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.draw import counts_from_keys
 from repro.quantum.statevector import Statevector
 
 _VALID = frozenset("XYZ")
+
+#: Largest ``members * 2**width`` parity table a group builds (8 MiB of
+#: float64); a wider or larger group estimates from a counts dictionary.
+PARITY_TABLE_MAX_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -211,11 +216,22 @@ class PauliSum:
 
 
 class MeasurementGroup:
-    """Strings sharing a measurement basis, plus that basis."""
+    """Strings sharing a measurement basis, plus that basis.
+
+    Per key width, the group lazily builds an odd-parity table (see
+    :meth:`parity_table`) that depends only on its structure: compiled
+    once per process, then reused by every sampled evaluation.  The
+    tables never travel with a pickled group.
+    """
 
     def __init__(self) -> None:
         self.members: List[Tuple[float, PauliString]] = []
         self.basis: Dict[int, str] = {}
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_parity_tables", None)
+        return state
 
     @classmethod
     def starting_with(cls, coeff: float, string: PauliString) -> "MeasurementGroup":
@@ -267,9 +283,10 @@ class MeasurementGroup:
         Vectorised over members and histogram at once: one
         ``(members, outcomes)`` parity-mask popcount gives every
         member's integer ±1 accumulator, folded into the float total in
-        member order.  The accumulation is exact integer arithmetic, so
-        the result is bit-identical to the per-shot reference loop
-        (pinned in tests).
+        member order by the fold :meth:`expectation_from_keys` shares.
+        The accumulation is exact integer arithmetic, so the result is
+        bit-identical to the per-shot reference loop (pinned in tests)
+        and to the histogram path on the same draw.
         """
         shots = sum(counts.values())
         if shots == 0:
@@ -279,14 +296,12 @@ class MeasurementGroup:
         limit = 0x3FFF_FFFF_FFFF_FFFF
         if max(counts) > limit or any(s.mask > limit for _, s in self.members):
             # Registers beyond int64 (product-state backend at >62
-            # qubits): fold with Python big ints.
-            total = 0.0
-            for coeff, string in self.members:
-                acc = 0
-                for bitstring, count in counts.items():
-                    acc += string.eigenvalue(bitstring) * count
-                total += coeff * (acc / shots)
-            return total
+            # qubits): accumulate with Python big ints.
+            accs = [
+                sum(string.eigenvalue(key) * count for key, count in counts.items())
+                for _, string in self.members
+            ]
+            return self._fold(accs, shots)
         keys = np.fromiter(counts.keys(), dtype=np.int64, count=len(counts))
         weights = np.fromiter(counts.values(), dtype=np.int64, count=len(counts))
         masks = np.fromiter(
@@ -297,8 +312,58 @@ class MeasurementGroup:
         odd = np.bitwise_count(keys[None, :] & masks[:, None]) & np.uint8(1)
         # sum(sign * count) = shots - 2 * (counts with odd parity)
         accs = shots - 2 * (odd.astype(np.int64) @ weights)
+        return self._fold(accs.tolist(), shots)
+
+    def parity_table(self, width: int) -> np.ndarray:
+        """``(members, 2**width)`` float64 0/1: entry ``[m, key]`` is 1
+        when member ``m`` reads ``key`` with odd parity (eigenvalue -1).
+
+        Built on first use per width and cached on the group, so a
+        process pays for it once per group; :meth:`__getstate__` keeps
+        it out of pickles (at 12 qubits and 42 members it is 1.4 MB).
+        """
+        tables = self.__dict__.setdefault("_parity_tables", {})
+        table = tables.get(width)
+        if table is None:
+            keys = np.arange(1 << width, dtype=np.int64)
+            # Keys are below 2**width, so only the mask's low bits can
+            # meet them; truncating first keeps wide masks in int64.
+            low = (1 << width) - 1
+            masks = np.array(
+                [string.mask & low for _, string in self.members], dtype=np.int64
+            )
+            odd = np.bitwise_count(keys[None, :] & masks[:, None]) & np.uint8(1)
+            table = odd.astype(np.float64)
+            table.setflags(write=False)
+            tables[width] = table
+        return table
+
+    def expectation_from_keys(self, keys: np.ndarray, width: int) -> float:
+        """:meth:`expectation_from_counts` of the draw ``keys`` (ints of
+        ``width`` bits), bit-identical, computed from a histogram.
+
+        The keys are binned with ``np.bincount`` and every member's
+        accumulator is ``shots - 2 * (parity_table @ hist)``.  That is
+        exact: each partial sum is an integer no larger than ``shots``,
+        far below 2**53, so no summation order changes a bit.  Groups
+        whose table would exceed :data:`PARITY_TABLE_MAX_ENTRIES` take
+        the counts-dictionary path instead.
+        """
+        if not self.members:
+            return 0.0
+        if len(self.members) << width > PARITY_TABLE_MAX_ENTRIES:
+            return self.expectation_from_counts(counts_from_keys(keys, width))
+        shots = keys.size
+        hist = np.bincount(keys, minlength=1 << width).astype(np.float64)
+        accs = shots - 2.0 * (self.parity_table(width) @ hist)
+        return self._fold(accs.tolist(), shots)
+
+    def _fold(self, accs: Iterable[float], shots: int) -> float:
+        """``sum coeff * acc / shots`` in member order: the one float
+        fold behind both sampled expectations, so they agree bit for
+        bit (``acc`` is an exact integer, as int or float)."""
         total = 0.0
-        for (coeff, _), acc in zip(self.members, accs.tolist()):
+        for (coeff, _), acc in zip(self.members, accs):
             total += coeff * (acc / shots)
         return total
 

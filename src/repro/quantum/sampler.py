@@ -36,9 +36,6 @@ class SampleResult:
     n_qubits: int
     backend_name: str
 
-    def frequency(self, bitstring: int) -> float:
-        return self.counts.get(bitstring, 0) / self.shots
-
     def expectation_z_product(self, qubits: Tuple[int, ...]) -> float:
         """⟨Z...Z⟩ over ``qubits`` directly from counts."""
         total = 0

@@ -26,11 +26,11 @@ Measurement sampling extracts the state's computational-basis support
 — always an affine subspace ``x0 + span(V)`` over GF(2), sampled
 uniformly — by Gaussian elimination over the stabilizer rows with
 exact ``rowsum`` phase tracking.  For small support ranks the sampler
-deliberately mirrors :meth:`Statevector.sample_counts`'s RNG
-consumption (one ``rng.random(shots)`` draw + right-bisect over the
-outcome CDF, then the same subset bit-packing), so a stabilizer run
-under a content-derived sampler seed reproduces the statevector
-backend's sampled histories bit for bit.
+draws through the same helper as :meth:`Statevector.sample_counts`
+(:func:`repro.quantum.draw.draw_keys`: one ``rng.random(shots)`` draw
++ right-bisect over the outcome CDF, then the subset bit-packing), so
+a stabilizer run under a content-derived sampler seed reproduces the
+statevector backend's sampled histories bit for bit.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.draw import counts_from_keys, draw_keys
 from repro.sim.stats import StatGroup
 
 STABILIZER_STATS = StatGroup("stabilizer")
@@ -287,10 +288,10 @@ class Tableau:
         integers over the sorted ``qubits`` subset) as
         :meth:`Statevector.sample_counts`.
 
-        On the enumeration path the RNG consumption *and* the
-        outcome-for-uniform-draw mapping replicate the statevector
-        sampler (``rng.choice`` = one ``rng.random(shots)`` +
-        right-bisect over the CDF), so histories under shared seeds are
+        The enumeration path draws through the statevector sampler's
+        own helper (:func:`~repro.quantum.draw.draw_keys`: one
+        ``rng.random(shots)`` + right-bisect over the uniform CDF, then
+        the subset packing), so histories under shared seeds are
         bit-identical across the two exact backends.
         """
         if shots <= 0:
@@ -307,18 +308,8 @@ class Tableau:
             outcomes = _enumerate_support(x0, basis)
             cdf = np.arange(1, outcomes.size + 1, dtype=np.float64)
             cdf /= outcomes.size
-            draws = rng.random(shots)
-            picked = outcomes[np.searchsorted(cdf, draws, side="right")]
-            if subset == list(range(n)):
-                keys = picked
-            else:
-                keys = np.zeros(shots, dtype=np.int64)
-                for position, qubit in enumerate(subset):
-                    keys |= ((picked >> np.int64(qubit)) & 1) << np.int64(
-                        position
-                    )
-            unique, multiplicity = np.unique(keys, return_counts=True)
-            return dict(zip(unique.tolist(), multiplicity.tolist()))
+            keys = draw_keys(cdf, shots, rng, n, subset, outcomes=outcomes)
+            return counts_from_keys(keys, len(subset))
 
         # Wide path: n or the support rank is too large to enumerate
         # outcome integers, so draw random GF(2) combinations of the

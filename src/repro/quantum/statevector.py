@@ -19,6 +19,7 @@ from typing import Dict, Iterable, Optional, Sequence
 import numpy as np
 
 from repro.quantum.circuit import Operation, QuantumCircuit
+from repro.quantum.draw import counts_from_keys, draw_keys, probability_cdf
 
 #: Refuse to allocate statevectors beyond this width (2^26 complex128
 #: is already 1 GiB); larger circuits go to the product-state backend.
@@ -133,9 +134,6 @@ class Statevector:
     def norm(self) -> float:
         return float(np.sqrt(np.sum(self.probabilities())))
 
-    def probability_of(self, basis_index: int) -> float:
-        return float(abs(self._amplitudes[basis_index]) ** 2)
-
     def marginal_probability_one(self, qubit: int) -> float:
         """P(qubit == 1)."""
         probs = self.probabilities()
@@ -155,29 +153,18 @@ class Statevector:
     ) -> Dict[int, int]:
         """Sample ``shots`` outcomes; keys are little-endian integers over
         the (sorted) ``qubits`` subset, bit *i* of the key = i-th qubit in
-        the sorted subset."""
-        if shots <= 0:
-            raise ValueError(f"shots must be positive, got {shots}")
-        probs = self.probabilities()
-        probs = probs / probs.sum()  # guard tiny fp drift
-        outcomes = np.asarray(
-            rng.choice(probs.size, size=shots, p=probs), dtype=np.int64
+        the sorted subset.  Draws exactly as ``rng.choice(p=probs)``
+        would (see :mod:`repro.quantum.draw`)."""
+        subset = sorted(set(qubits)) if qubits is not None else None
+        keys = draw_keys(
+            probability_cdf(self.probabilities()),
+            shots,
+            rng,
+            self.n_qubits,
+            subset,
         )
-        subset = sorted(set(qubits)) if qubits is not None else list(range(self.n_qubits))
-        if subset == list(range(self.n_qubits)):
-            # All qubits measured in order: the bit packing below is the
-            # identity, so the basis indices are the keys.
-            keys = outcomes
-        else:
-            # Pack the subset bits of every outcome at once: bit i of
-            # the key is the i-th (sorted) measured qubit.  Vectorised
-            # over shots — the per-shot/per-qubit Python loop dominated
-            # sampling time at high shot counts.
-            keys = np.zeros(shots, dtype=np.int64)
-            for position, qubit in enumerate(subset):
-                keys |= ((outcomes >> np.int64(qubit)) & 1) << np.int64(position)
-        unique, multiplicity = np.unique(keys, return_counts=True)
-        return dict(zip(unique.tolist(), multiplicity.tolist()))
+        width = len(subset) if subset is not None else self.n_qubits
+        return counts_from_keys(keys, width)
 
     def inner(self, other: "Statevector") -> complex:
         return complex(np.vdot(self._amplitudes, other._amplitudes))

@@ -68,6 +68,7 @@ from repro.planner import (
     supports_adjoint,
 )
 from repro.quantum.adjoint import adjoint_gradient_batch, supports_program
+from repro.quantum.draw import draw_keys, probability_cdf
 from repro.quantum.kernels import (
     PROGRAM_CACHE,
     CompiledProgram,
@@ -234,7 +235,14 @@ def evaluate_spec_batch(
       column-majority reference vector at the first node that reads a
       slot where it differs, so a parameter-shift probe replays only
       from its shifted gate onward.  Every state is bit-identical to
-      the group program's full replay (see ``replay_groups``);
+      the group program's full replay (see ``replay_groups``).  Each
+      group's shots are drawn exactly as ``rng.choice`` would
+      (:func:`~repro.quantum.draw.draw_keys`), binned with
+      ``np.bincount`` and read against the group's cached parity table
+      (:meth:`~repro.quantum.pauli.MeasurementGroup.expectation_from_keys`)
+      — no counts dictionary, bit-identical to one.  Rows with readout
+      noise keep the dictionary, which the noise channel corrupts shot
+      by shot in key order;
     * sampled, without programs (product, stabilizer or stub routing):
       each row re-binds the group circuits and runs a fresh
       ``Sampler(seed=seeds[k])`` over them;
@@ -276,7 +284,7 @@ def evaluate_spec_batch(
         dtype=np.float64,
     )
     measured = [
-        program.measured_qubits() or list(range(program.n_qubits))
+        sorted(set(program.measured_qubits() or range(program.n_qubits)))
         for program in spec.programs
     ]
     noise = spec.readout_noise
@@ -291,13 +299,24 @@ def evaluate_spec_batch(
                         state.probabilities()
                     )
                 continue
-            # Shot draw first, readout corruption second: the order
-            # Sampler.run consumes a generator in.
-            counts = state.sample_counts(shots, rngs[k], qubits=qubits)
             if noise is not None:
-                counts = noise.apply_to_counts(counts, len(set(qubits)), rngs[k])
+                # Shot draw first, readout corruption second (the order
+                # Sampler.run consumes a generator in); the corruption
+                # walks the counts dictionary shot by shot in key order.
+                counts = state.sample_counts(shots, rngs[k], qubits=qubits)
+                counts = noise.apply_to_counts(counts, len(qubits), rngs[k])
+                if group.members:
+                    totals[k] += group.expectation_from_counts(counts)
+                continue
+            keys = draw_keys(
+                probability_cdf(state.probabilities()),
+                shots,
+                rngs[k],
+                state.n_qubits,
+                qubits,
+            )
             if group.members:
-                totals[k] += group.expectation_from_counts(counts)
+                totals[k] += group.expectation_from_keys(keys, len(qubits))
     return [float(total) for total in totals]
 
 

@@ -55,11 +55,6 @@ class TestAttenuationAndMitigation:
         noise = ReadoutNoise(p01=0.02, p10=0.05)
         assert noise.expected_z_attenuation() == pytest.approx(0.93)
 
-    def test_mitigation_matrix_columns_are_distributions(self):
-        matrix = ReadoutNoise(0.02, 0.05).mitigation_matrix()
-        assert matrix[:, 0].sum() == pytest.approx(1.0)
-        assert matrix[:, 1].sum() == pytest.approx(1.0)
-
     def test_affine_channel_parameters(self):
         noise = ReadoutNoise(p01=0.02, p10=0.08)
         assert noise.expected_z_attenuation() == pytest.approx(0.90)

@@ -17,11 +17,11 @@ def backend():
 class TestBasicStates:
     def test_zero_state(self):
         state = Statevector.zero_state(2)
-        assert state.probability_of(0b00) == pytest.approx(1.0)
+        assert state.probabilities()[0b00] == pytest.approx(1.0)
 
     def test_x_flips(self, backend):
         state = backend.run(QuantumCircuit(1).x(0))
-        assert state.probability_of(1) == pytest.approx(1.0)
+        assert state.probabilities()[1] == pytest.approx(1.0)
 
     def test_h_superposition(self, backend):
         state = backend.run(QuantumCircuit(1).h(0))
@@ -39,13 +39,13 @@ class TestBasicStates:
         for q in range(3):
             qc.cx(q, q + 1)
         state = backend.run(qc)
-        assert state.probability_of(0) == pytest.approx(0.5)
-        assert state.probability_of(0b1111) == pytest.approx(0.5)
+        assert state.probabilities()[0] == pytest.approx(0.5)
+        assert state.probabilities()[0b1111] == pytest.approx(0.5)
 
     def test_little_endian_convention(self, backend):
         # X on qubit 1 of three -> basis index 0b010 = 2.
         state = backend.run(QuantumCircuit(3).x(1))
-        assert state.probability_of(0b010) == pytest.approx(1.0)
+        assert state.probabilities()[0b010] == pytest.approx(1.0)
 
 
 class TestGateAlgebra:
@@ -67,9 +67,9 @@ class TestGateAlgebra:
 
     def test_cx_direction_matters(self, backend):
         a = backend.run(QuantumCircuit(2).x(0).cx(0, 1))
-        assert a.probability_of(0b11) == pytest.approx(1.0)
+        assert a.probabilities()[0b11] == pytest.approx(1.0)
         b = backend.run(QuantumCircuit(2).x(0).cx(1, 0))
-        assert b.probability_of(0b01) == pytest.approx(1.0)
+        assert b.probabilities()[0b01] == pytest.approx(1.0)
 
     def test_rzz_diagonal_phases(self, backend):
         theta = 0.8
