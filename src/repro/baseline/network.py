@@ -41,9 +41,6 @@ class LinkModel:
         wire = int(n_bytes / self.bandwidth_bytes_per_s * 1e12)
         return self.per_message_latency_ps + wire
 
-    def round_trip_ps(self, up_bytes: int, down_bytes: int) -> int:
-        return self.transfer_ps(up_bytes) + self.transfer_ps(down_bytes)
-
 
 #: The paper baseline: 100 GbE + UDP, optimal conditions (§7.1).  The
 #: per-message cost covers the kernel network stack and NIC DMA; the

@@ -198,11 +198,6 @@ class ClusterMaster:
         )
         self.nodes: Dict[str, NodeHandle] = {}
         self.jobs: Dict[str, ClusterJob] = {}
-        #: session_id -> pinned worker node (the node holding the
-        #: session's compiled programs hot in its PROGRAM_CACHE).
-        self.session_pins: Dict[str, str] = {}
-        #: session_id -> content digest used for rendezvous routing.
-        self.session_digests: Dict[str, str] = {}
         self._parked: List[ClusterJob] = []
         self._sequence = 0
         self.journal: Optional[JobJournal] = None
@@ -359,16 +354,6 @@ class ClusterMaster:
         handle.alive = False
         handle.stats.counter(f"lost_{reason}").increment()
         self.stats.counter("nodes_lost").increment()
-        # Sessions pinned to the lost node are orphaned; the pin is
-        # dropped now and the next route_session() call re-pins by the
-        # same rendezvous ranking (minus the dead node) — the client's
-        # stream fails over without re-registering the structure.
-        for session_id in [
-            sid for sid, nid in self.session_pins.items()
-            if nid == handle.node_id
-        ]:
-            del self.session_pins[session_id]
-            self.stats.counter("sessions_orphaned").increment()
         in_flight = list(handle.in_flight)
         handle.in_flight.clear()
         if in_flight:
@@ -382,79 +367,6 @@ class ClusterMaster:
                 continue
             self.stats.counter("reassigned").increment()
             self._requeue(job, error=f"node {handle.node_id} {reason}")
-
-    # ------------------------------------------------------------------
-    # session routing
-    # ------------------------------------------------------------------
-    def pin_session(self, session_id: str, digest: str) -> Optional[str]:
-        """Pin a streamed session to its rendezvous-preferred node.
-
-        Sessions reuse the job tier's routing function — the same
-        digest that makes one-shot jobs cache-affine makes a session's
-        *stream* land where its structure is (or will be) compiled.
-        Returns the pinned node id, or ``None`` when no admissible node
-        exists right now.
-        """
-        handle = self._route_session(digest)
-        if handle is None:
-            self.stats.counter("session_route_misses").increment()
-            return None
-        self.session_pins[session_id] = handle.node_id
-        self.session_digests[session_id] = digest
-        handle.stats.counter("sessions_pinned").increment()
-        self.stats.counter("sessions_pinned").increment()
-        return handle.node_id
-
-    def route_session(self, session_id: str) -> Optional[str]:
-        """The node a session's stream should go to right now.
-
-        The pinned node wins while it is alive and healthy; a session
-        orphaned by a node loss is transparently re-pinned through the
-        same rendezvous ranking.
-        """
-        node_id = self.session_pins.get(session_id)
-        if node_id is not None:
-            handle = self.nodes.get(node_id)
-            if (
-                handle is not None
-                and handle.alive
-                and self.health.backend(node_id).healthy
-            ):
-                return node_id
-            del self.session_pins[session_id]
-            self.stats.counter("sessions_orphaned").increment()
-        digest = self.session_digests.get(session_id)
-        if digest is None:
-            return None
-        handle = self._route_session(digest)
-        if handle is None:
-            self.stats.counter("session_route_misses").increment()
-            return None
-        self.session_pins[session_id] = handle.node_id
-        handle.stats.counter("sessions_pinned").increment()
-        self.stats.counter("sessions_repinned").increment()
-        return handle.node_id
-
-    def release_session(self, session_id: str) -> None:
-        self.session_pins.pop(session_id, None)
-        self.session_digests.pop(session_id, None)
-
-    def _route_session(self, digest: str) -> Optional[NodeHandle]:
-        """Rendezvous-preferred admissible node for a session digest.
-
-        Unlike job routing this does not consult the breaker's
-        ``allow()`` (a pin is not a dispatch; consuming half-open
-        probes on lookups would wedge the breaker) — an unhealthy
-        node is excluded through the health registry instead.
-        """
-        alive = [h.node_id for h in self.nodes.values() if h.alive]
-        if not alive:
-            return None
-        ranking = rank_nodes(digest, alive)
-        for node_id in ranking[: 1 + self.config.spill_limit]:
-            if self.health.backend(node_id).healthy:
-                return self.nodes[node_id]
-        return None
 
     # ------------------------------------------------------------------
     # time and dispatch
@@ -743,10 +655,6 @@ class ClusterMaster:
                 "fairness_jain": jain_index(list(served.values())),
             },
             "jobs_by_state": jobs_by_state,
-            "sessions": {
-                "pinned": len(self.session_pins),
-                "registered": len(self.session_digests),
-            },
             "nodes": {
                 node_id: handle.snapshot()
                 for node_id, handle in sorted(self.nodes.items())

@@ -26,8 +26,6 @@ from repro.cluster import wire
 from repro.faults.protocol import StreamDecoder, StreamError, StreamWriter, recv_frames
 from repro.runtime.cache import EvalCache
 from repro.service.jobs import JobSpec
-from repro.service.platforms import build_engine
-from repro.service.sessions import SessionManager
 from repro.cluster.executor import execute_spec
 from repro.sim.stats import StatGroup
 
@@ -57,49 +55,6 @@ class WorkerNode:
         )
         self.stats = StatGroup(f"worker.{node_id}")
         self.completions = 0
-        # Streamed sessions pinned to this node by the master's
-        # rendezvous routing.  The manager shares the node's eval
-        # cache and engine construction, so a streamed evaluation and
-        # a dispatched one-shot of the same content hit the same
-        # entries and derive the same sampler seeds (bit-identical).
-        self.sessions = SessionManager(
-            engine_factory=self._session_engine
-        )
-
-    def _session_engine(self, spec: JobSpec):
-        return build_engine(
-            spec,
-            core=self.core,
-            timing_only=self.timing_only,
-            cache=self.cache,
-            engine_workers=self.engine_workers,
-        )
-
-    def open_session(
-        self, spec_payload: Dict[str, object], tenant: str = "default"
-    ) -> Dict[str, object]:
-        """Open a pinned session from an untrusted spec payload.
-
-        Raises ``ValueError`` on malformed payloads and
-        :class:`~repro.service.sessions.SessionError` on admission or
-        setup failure — both reported back over the wire as structured
-        errors, mirroring :meth:`execute`.
-        """
-        spec = JobSpec.from_dict(spec_payload)
-        session = self.sessions.open(spec, tenant=tenant)
-        self.stats.counter("sessions_opened").increment()
-        return session.handle_dict(self.sessions.lease_timeout_s)
-
-    def stream_session(self, session_id: str, vectors, shots: int = 0):
-        """One streamed batch against a session pinned on this node."""
-        values = self.sessions.evaluate(session_id, vectors, shots)
-        self.stats.counter("session_batches").increment()
-        return values
-
-    def close_session(self, session_id: str) -> Dict[str, object]:
-        stats = self.sessions.close(session_id)
-        self.stats.counter("sessions_closed").increment()
-        return stats
 
     def execute(self, spec_payload: Dict[str, object]) -> Dict[str, object]:
         """Run one dispatched spec; raises ``ValueError`` on malformed

@@ -35,10 +35,6 @@ class UpdatePlan:
     def n_updates(self) -> int:
         return len(self.slot_angles)
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.slot_angles
-
 
 class IncrementalCompiler:
     """Stateful diff engine over a lowered program's regfile slots."""

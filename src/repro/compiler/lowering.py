@@ -112,9 +112,6 @@ class QtenonProgram:
             seen.setdefault(id(slot.parameter), slot.parameter)
         return list(seen.values())
 
-    def slots_of_parameter(self, parameter: Parameter) -> List[RegfileSlot]:
-        return [slot for slot in self.slots if slot.parameter is parameter]
-
     def gates_for_slot(self, slot_index: int) -> List[LoweredGate]:
         return [self.gates[i] for i in self.slot_gates.get(slot_index, [])]
 

@@ -55,16 +55,12 @@ class MemoryBarrier:
     # ------------------------------------------------------------------
     # controller side
     # ------------------------------------------------------------------
-    def mark_put(self, addr: int, size: int, ready_ps: int) -> None:
-        """Record that [addr, addr+size) is valid from ``ready_ps``
-        (the PUT request has been sent through the system bus)."""
-        self.mark_puts(((addr, size),), (ready_ps,))
-
     def mark_puts(
         self, ranges: Sequence[Tuple[int, int]], ready_times: Sequence[int]
     ) -> None:
-        """:meth:`mark_put` for a whole run's PUTs, in issue order:
-        ``ranges[i]`` (addr, size) is valid from ``ready_times[i]``."""
+        """Record a whole run's PUTs, in issue order: ``ranges[i]``
+        (addr, size) is valid from ``ready_times[i]`` (the PUT request
+        has been sent through the system bus)."""
         if len(ranges) != len(ready_times):
             raise ValueError(
                 f"{len(ranges)} ranges but {len(ready_times)} ready times"
@@ -109,7 +105,3 @@ class MemoryBarrier:
     def fence(self, now_ps: int) -> int:
         """Coarse FENCE (Fig. 9a): wait for *all* recorded operations."""
         return max(now_ps, self._latest_ps)
-
-    def pending_after(self, now_ps: int) -> int:
-        """How many synchronised ranges are not yet valid at ``now_ps``."""
-        return sum(1 for ready_ps in self._ranges.values() if ready_ps > now_ps)

@@ -184,10 +184,6 @@ class QuantumController:
             return self.qcc.regfile_read(gate.slot)
         return gate.static_data
 
-    @property
-    def dirty_count(self) -> int:
-        return len(self._dirty)
-
     # ------------------------------------------------------------------
     # q_gen: pulse pipeline sweep
     # ------------------------------------------------------------------

@@ -33,7 +33,6 @@ class RoccInterface:
         self.clock = clock
         self.stats = StatGroup("rocc")
         self._transfers = self.stats.counter("transfers")
-        self._queries = self.stats.counter("barrier_queries")
 
     @property
     def latency_ps(self) -> int:
@@ -42,11 +41,6 @@ class RoccInterface:
     def transfer(self, now_ps: int) -> int:
         """Move one 64-bit value; returns the completion time."""
         self._transfers.increment()
-        return now_ps + self.latency_ps
-
-    def barrier_query(self, now_ps: int) -> int:
-        """Non-blocking barrier probe (§6.2): single-cycle latency."""
-        self._queries.increment()
         return now_ps + self.latency_ps
 
 

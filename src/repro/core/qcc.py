@@ -112,29 +112,11 @@ class QuantumControllerCache:
         else:  # .measure is host-readable; writes are legal but unusual
             self._measure[where.index] = value & 0xFFFF_FFFF_FFFF_FFFF
 
-    def host_read(self, qaddr: int) -> int:
-        """Host-side read of one entry-sized value."""
-        where = self.resolve(qaddr)
-        if where.segment not in self.PUBLIC_SEGMENTS:
-            raise PrivateSegmentError(
-                f"host read of private segment {where.segment} at {qaddr:#x}"
-            )
-        if where.segment == ".program":
-            entry = self._program.get((where.qubit, where.index))
-            return entry.pack() if entry else 0
-        if where.segment == ".regfile":
-            return self._regfile.get(where.index, 0)
-        return self._measure.get(where.index, 0)
-
     # ------------------------------------------------------------------
     # controller-internal access
     # ------------------------------------------------------------------
     def program_entry(self, qubit: int, index: int) -> Optional[ProgramEntry]:
         return self._program.get((qubit, index))
-
-    def set_program_entry(self, qubit: int, index: int, entry: ProgramEntry) -> None:
-        self.config.program_qaddr(qubit, index)  # bounds check
-        self._program[(qubit, index)] = entry
 
     def link_pulse(self, qubit: int, index: int, qaddr: int) -> None:
         """Point a loaded program entry at its chunk-relative pulse
@@ -143,13 +125,6 @@ class QuantumControllerCache:
         entry = self._program.get(key)
         if entry is not None:
             self._program[key] = entry.with_pulse(qaddr)
-
-    def program_length(self, qubit: int) -> int:
-        """Number of contiguous entries loaded for ``qubit``."""
-        length = 0
-        while (qubit, length) in self._program:
-            length += 1
-        return length
 
     def regfile_read(self, index: int) -> int:
         return self._regfile.get(index, 0)

@@ -100,11 +100,6 @@ class RunTimeline:
     def quantum_duration_ps(self) -> int:
         return self.quantum_end_ps - self.start_ps
 
-    @property
-    def comm_tail_ps(self) -> int:
-        """Transmission time not hidden behind quantum execution."""
-        return max(0, self.last_put_response_ps - self.quantum_end_ps)
-
     def shifted(self, offset_ps: int) -> "RunTimeline":
         """The same timeline started ``offset_ps`` later.
 

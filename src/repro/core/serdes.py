@@ -68,11 +68,6 @@ class PulseOutputPath:
         (the paper sizes the 640-bit entry for this)."""
         return self.sram_bits_per_ns >= self.required_bits_per_ns
 
-    @property
-    def serdes_ratio(self) -> int:
-        """Serialisation factor between SRAM and DAC clocks (10:1)."""
-        return self.config.dac_clock.freq_hz * 1 // self.config.sram_clock.freq_hz
-
     # ------------------------------------------------------------------
     # drain scheduling
     # ------------------------------------------------------------------
@@ -102,13 +97,3 @@ class PulseOutputPath:
             schedule.append((fetch, drained))
             fetch += sram_period
         return schedule
-
-    def underruns(self, n_entries: int) -> int:
-        """DAC starvation events in a back-to-back stream (0 when the
-        path is rate-balanced, as the paper's sizing guarantees)."""
-        schedule = self.stream_schedule(n_entries)
-        gaps = 0
-        for (_, drained), (fetch, _) in zip(schedule, schedule[1:]):
-            if fetch > drained:
-                gaps += 1
-        return gaps

@@ -73,11 +73,6 @@ class SltLookupResult(NamedTuple):
     evicted: bool = False     #: a valid victim was written back
     allocated: bool = False   #: a brand-new pulse address was allocated
 
-    @property
-    def needs_generation(self) -> bool:
-        """True when the pulse must actually be computed by a PGU."""
-        return self.allocated
-
 
 class QSpace:
     """Per-qubit DRAM spill region for evicted SLT entries.
@@ -106,17 +101,6 @@ class QSpace:
         else:
             self._loads.increment()
         return qaddr
-
-    def resident_tags(self, qubit: int) -> int:
-        return len(self._slots[qubit])
-
-    def address_of(self, qubit: int, tag: int, base: int = 0) -> int:
-        """The DRAM byte address of a tag's slot (Fig. 7 translation)."""
-        return (
-            base
-            + qubit * self.config.qspace_bytes_per_qubit
-            + tag * self.config.qspace_entry_bytes
-        )
 
 
 class SkipLookupTable:
@@ -205,14 +189,3 @@ class SkipLookupTable:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def occupancy(self) -> int:
-        return sum(
-            1 for ways in self._sets for entry in ways if entry is not None and entry.valid
-        )
-
-    def invalidate_all(self) -> None:
-        for ways in self._sets:
-            for entry in ways:
-                if entry is not None:
-                    entry.valid = False

@@ -230,19 +230,6 @@ class FaultPlan:
     worker: WorkerFaults = field(default_factory=WorkerFaults)
     node: NodeFaults = field(default_factory=NodeFaults)
 
-    @property
-    def is_benign(self) -> bool:
-        """True when the plan injects nothing at all."""
-        l, m, r, w = self.link, self.measurement, self.readout, self.worker
-        return (
-            l.loss_p == l.reorder_p == 0.0 and l.jitter_ps == 0
-            and m.drop_p == m.corrupt_p == m.stuck_acquire_p == 0.0
-            and r.rate_per_evaluation == 0.0
-            and w.crash_p == w.hang_p == w.slowdown_p == 0.0
-            and w.crash_burst == 0
-            and not self.node.events
-        )
-
     def _canonical(self) -> str:
         parts = [f"seed={self.seed}"]
         for section_name in ("link", "measurement", "readout", "worker", "node"):

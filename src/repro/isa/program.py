@@ -135,10 +135,6 @@ class ProgramEntry:
     def invalidated(self) -> "ProgramEntry":
         return replace(self, status=STATUS_INVALID, qaddr=0)
 
-    def with_data(self, data: int) -> "ProgramEntry":
-        """New immediate payload; the cached pulse becomes stale."""
-        return replace(self, data=data, status=STATUS_INVALID, qaddr=0)
-
     def angle(self) -> float:
         """Decode the immediate as a rotation angle (reg_flag must be 0)."""
         if self.reg_flag:

@@ -127,10 +127,3 @@ class Cache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def invalidate_all(self) -> None:
-        self._sets.clear()
-
-    def contains(self, addr: int) -> bool:
-        index, tag = self._locate(addr // self.geometry.line_bytes * self.geometry.line_bytes)
-        return tag in self._sets.get(index, {})

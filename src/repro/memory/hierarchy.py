@@ -60,10 +60,6 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
     # host-side (through L1D)
     # ------------------------------------------------------------------
-    def host_read(self, addr: int, size: int, now_ps: int) -> int:
-        """Latency of a host data read."""
-        return self.l1d.access(addr, size, is_write=False, now_ps=now_ps)
-
     def host_write(self, addr: int, size: int, now_ps: int) -> int:
         """Latency of a host data write."""
         return self.l1d.access(addr, size, is_write=True, now_ps=now_ps)

@@ -11,7 +11,7 @@ model layers hit/miss behaviour on top.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 
 class MemoryImage:
@@ -22,21 +22,6 @@ class MemoryImage:
     def __init__(self, name: str = "mem") -> None:
         self.name = name
         self._words: Dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # word access
-    # ------------------------------------------------------------------
-    def read_word(self, addr: int) -> int:
-        """Read the aligned 64-bit word containing ``addr``."""
-        self._check(addr)
-        return self._words.get(addr // self.WORD_BYTES * self.WORD_BYTES, 0)
-
-    def write_word(self, addr: int, value: int) -> None:
-        """Write an aligned 64-bit word at ``addr``."""
-        self._check(addr)
-        if addr % self.WORD_BYTES:
-            raise ValueError(f"unaligned word write at {addr:#x}")
-        self._words[addr] = value & 0xFFFF_FFFF_FFFF_FFFF
 
     # ------------------------------------------------------------------
     # byte access
@@ -79,12 +64,6 @@ class MemoryImage:
     # ------------------------------------------------------------------
     # typed helpers
     # ------------------------------------------------------------------
-    def read_u32(self, addr: int) -> int:
-        return int.from_bytes(self.read_bytes(addr, 4), "little")
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write_bytes(addr, (value & 0xFFFF_FFFF).to_bytes(4, "little"))
-
     def read_u64(self, addr: int) -> int:
         return int.from_bytes(self.read_bytes(addr, 8), "little")
 
@@ -94,16 +73,7 @@ class MemoryImage:
     def read_u64_array(self, addr: int, count: int) -> List[int]:
         return [self.read_u64(addr + 8 * i) for i in range(count)]
 
-    def write_u64_array(self, addr: int, values: Iterable[int]) -> None:
-        for i, value in enumerate(values):
-            self.write_u64(addr + 8 * i, value)
-
     # ------------------------------------------------------------------
-    @property
-    def footprint_bytes(self) -> int:
-        """Bytes of words actually touched (sparse footprint)."""
-        return len(self._words) * self.WORD_BYTES
-
     def clear(self) -> None:
         self._words.clear()
 

@@ -120,10 +120,6 @@ class TileLinkBus:
     def get(self, now_ps: int, size_bytes: int, target_latency_ps: int) -> TileLinkTransaction:
         return self.issue(now_ps, size_bytes, target_latency_ps, is_put=False)
 
-    def drain_time(self) -> int:
-        """When every in-flight transaction has responded."""
-        return max(self._tag_free_at)
-
     def reset(self) -> None:
         self._tag_free_at = [0] * len(self._tag_free_at)
         self._channel_free_at = 0

@@ -182,28 +182,10 @@ class QuantumCircuit:
     def is_bound(self) -> bool:
         return not any(op.is_symbolic for op in self.operations)
 
-    def count_ops(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for op in self.operations:
-            counts[op.name] = counts.get(op.name, 0) + 1
-        return counts
-
     def gate_count(self, include_measure: bool = True) -> int:
         if include_measure:
             return len(self.operations)
         return sum(1 for op in self.operations if not op.is_measurement)
-
-    def two_qubit_gate_count(self) -> int:
-        return sum(1 for op in self.operations if op.spec.n_qubits == 2)
-
-    def depth(self) -> int:
-        """Circuit depth via per-qubit track scheduling (unit weights)."""
-        track = [0] * self.n_qubits
-        for op in self.operations:
-            layer = max(track[q] for q in op.qubits) + 1
-            for q in op.qubits:
-                track[q] = layer
-        return max(track, default=0)
 
     def measured_qubits(self) -> List[int]:
         return [op.qubits[0] for op in self.operations if op.is_measurement]

@@ -64,18 +64,6 @@ class QuantumDevice:
             raise ValueError(f"device needs at least one qubit, got {self.n_qubits}")
 
     # ------------------------------------------------------------------
-    # bandwidth (paper §5.2 arithmetic)
-    # ------------------------------------------------------------------
-    @property
-    def pulse_bits_per_ns_per_qubit(self) -> float:
-        """16 bits x 2 DACs x 2 GHz = 64 bits/ns per qubit."""
-        return self.dac_bits * self.dacs_per_qubit * self.dac_freq_hz / 1e9
-
-    @property
-    def pulse_bytes_per_s_per_qubit(self) -> float:
-        return self.pulse_bits_per_ns_per_qubit * 1e9 / 8.0
-
-    # ------------------------------------------------------------------
     # circuit timing
     # ------------------------------------------------------------------
     def gate_duration_ns(self, gate_name: str, n_qubits: int) -> float:
@@ -118,9 +106,3 @@ class QuantumDevice:
             duration += ns(self.timing.measurement_ns)
             duration += ns(self.timing.readout_processing_ns)
         return duration
-
-    def run_duration_ps(self, circuit: QuantumCircuit, shots: int) -> int:
-        """Total quantum time of a ``shots``-shot execution."""
-        if shots <= 0:
-            raise ValueError(f"shots must be positive, got {shots}")
-        return self.shot_duration_ps(circuit) * shots

@@ -88,36 +88,6 @@ class GateSpec:
             return cached
         return self.matrix_factory(*params)
 
-    @property
-    def is_parameterized(self) -> bool:
-        return self.n_params > 0
-
-    def dagger(self, *params: float) -> Tuple["GateSpec", Tuple[float, ...]]:
-        """Inverse as a library gate: ``(spec, params)`` with
-        ``spec.matrix(*params)`` the conjugate transpose of
-        ``self.matrix(*params_in)``.
-
-        Pauli rotations negate their angle (``R(theta)^† = R(-theta)``),
-        the self-inverse fixed gates return themselves, and the two
-        non-Hermitian phase gates swap with their registered partners
-        (``s``↔``sdg``, ``t``↔``tdg``) — so circuit inversion and the
-        adjoint reverse sweep stay inside the gate library.
-        """
-        if len(params) != self.n_params:
-            raise ValueError(
-                f"{self.name} takes {self.n_params} parameter(s), got {len(params)}"
-            )
-        if self.is_parameterized:
-            if self.name not in _ROTATION_DAGGERS:
-                raise ValueError(
-                    f"no dagger rule for parameterized gate {self.name!r}"
-                )
-            return self, tuple(-p for p in params)
-        partner = _FIXED_DAGGERS.get(self.name)
-        if partner is None:
-            raise ValueError(f"no dagger rule for gate {self.name!r}")
-        return GATE_LIBRARY[partner], ()
-
     def __reduce__(self):
         # Fixed gates close over their matrix, so a GateSpec cannot be
         # pickled field-by-field; reconstruct from the registry instead
@@ -210,27 +180,6 @@ MEASURE = _register(
 #: the always-on ZZ coupling).  The transpiler rewrites everything
 #: else into this set.
 NATIVE_GATES: Tuple[str, ...] = ("rx", "ry", "rz", "cz", "rzz", "measure")
-
-#: Rotations satisfying ``R(theta)^† = R(-theta)`` (exp of a Hermitian
-#: generator) — the only parameterized gates :meth:`GateSpec.dagger`
-#: accepts.
-_ROTATION_DAGGERS = frozenset({"rx", "ry", "rz", "rzz"})
-
-#: Fixed-gate inverses by name; self-inverse gates map to themselves
-#: (``measure`` included: its pseudo-unitary is the identity).
-_FIXED_DAGGERS: Dict[str, str] = {
-    "x": "x",
-    "y": "y",
-    "z": "z",
-    "h": "h",
-    "cz": "cz",
-    "cx": "cx",
-    "measure": "measure",
-    "s": "sdg",
-    "sdg": "s",
-    "t": "tdg",
-    "tdg": "t",
-}
 
 
 def gate_spec(name: str) -> GateSpec:

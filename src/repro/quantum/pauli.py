@@ -53,19 +53,6 @@ class PauliString:
         object.__setattr__(self, "terms", tuple(items))
         object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Build from a dense label, leftmost char = highest qubit
-        (e.g. ``"ZIX"`` on 3 qubits is Z2, X0)."""
-        mapping: Dict[int, str] = {}
-        n = len(label)
-        for position, char in enumerate(label.upper()):
-            qubit = n - 1 - position
-            if char == "I":
-                continue
-            mapping[qubit] = char
-        return cls(mapping)
-
     @property
     def support(self) -> Tuple[int, ...]:
         return tuple(q for q, _ in self.terms)
@@ -88,15 +75,6 @@ class PauliString:
             if q == qubit:
                 return p
         return "I"
-
-    def commutes_qubitwise(self, other: "PauliString") -> bool:
-        """Qubit-wise commutation: on every shared qubit the operators
-        are identical (the grouping criterion for shared measurement)."""
-        mine = dict(self.terms)
-        for qubit, pauli in other.terms:
-            if qubit in mine and mine[qubit] != pauli:
-                return False
-        return True
 
     def eigenvalue(self, bitstring: int) -> int:
         """±1 eigenvalue of a measured bitstring **in this string's
@@ -148,20 +126,6 @@ class PauliSum:
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         return PauliSum(self.terms + other.terms, self.constant + other.constant)
-
-    def scaled(self, factor: float) -> "PauliSum":
-        return PauliSum(
-            [(coeff * factor, string) for coeff, string in self.terms],
-            self.constant * factor,
-        )
-
-    @property
-    def n_qubits_required(self) -> int:
-        highest = -1
-        for _, string in self.terms:
-            if string.terms:
-                highest = max(highest, string.terms[-1][0])
-        return highest + 1
 
     @property
     def is_diagonal(self) -> bool:

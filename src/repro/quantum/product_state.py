@@ -57,9 +57,6 @@ class ProductState:
     def probability_one(self, qubit: int) -> float:
         return float(abs(self.amplitudes[qubit, 1]) ** 2)
 
-    def probabilities_one(self) -> np.ndarray:
-        return np.abs(self.amplitudes[:, 1]) ** 2
-
     def expectation_z(self, qubit: int) -> float:
         return 1.0 - 2.0 * self.probability_one(qubit)
 

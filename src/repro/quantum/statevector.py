@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
-from repro.quantum.circuit import Operation, QuantumCircuit
+from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.draw import counts_from_keys, draw_keys, probability_cdf
 
 #: Refuse to allocate statevectors beyond this width (2^26 complex128
@@ -84,7 +84,6 @@ class Statevector:
         self.n_qubits = n_qubits
         self._amplitudes = amplitudes.astype(complex, copy=False)
         self._probs_cache: Optional[np.ndarray] = None
-        self._scratch: Optional[np.ndarray] = None
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -100,25 +99,6 @@ class Statevector:
         amplitudes = np.zeros(1 << n_qubits, dtype=complex)
         amplitudes[0] = 1.0
         return cls(amplitudes, n_qubits)
-
-    # ------------------------------------------------------------------
-    # gate application
-    # ------------------------------------------------------------------
-    def apply(self, op: Operation) -> None:
-        matrix = op.spec.matrix(*(float(p) for p in op.params))
-        if op.spec.n_qubits not in (1, 2):  # pragma: no cover - no >2q gates
-            raise NotImplementedError(f"{op.spec.n_qubits}-qubit gates")
-        from repro.quantum.kernels import apply_1q, apply_2q, scratch_size
-
-        self._probs_cache = None
-        if self._scratch is None:
-            self._scratch = np.empty(scratch_size(self.n_qubits), dtype=complex)
-        if op.spec.n_qubits == 1:
-            apply_1q(self._amplitudes, matrix, op.qubits[0], self._scratch)
-        else:
-            apply_2q(
-                self._amplitudes, matrix, op.qubits[0], op.qubits[1], self._scratch
-            )
 
     # ------------------------------------------------------------------
     # inspection & sampling

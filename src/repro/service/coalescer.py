@@ -60,11 +60,6 @@ class RequestCoalescer:
         self.stats.counter("coalesced_jobs").increment()
         return primary
 
-    def followers_of(self, record: JobRecord) -> List[JobRecord]:
-        if self._primaries.get(record.spec.digest) is not record:
-            return []
-        return list(self._followers.get(record.spec.digest, []))
-
     def detach_follower(self, record: JobRecord) -> bool:
         """Remove one follower (its individual cancellation)."""
         followers = self._followers.get(record.spec.digest)

@@ -290,9 +290,6 @@ class SessionManager:
             session.last_renewed_s = self._clock()
             return session
 
-    def renew(self, session_id: str) -> None:
-        self.checkout(session_id)
-
     def evaluate(
         self,
         session_id: str,

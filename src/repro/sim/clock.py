@@ -88,12 +88,6 @@ class Clock:
             raise ValueError(f"negative cycle count {cycles}")
         return cycles * self.period_ps
 
-    def ps_to_cycles(self, ps: int) -> int:
-        """Whole cycles that fit in ``ps`` picoseconds (floor)."""
-        if ps < 0:
-            raise ValueError(f"negative duration {ps}")
-        return ps // self.period_ps
-
     def next_edge(self, now_ps: int) -> int:
         """Timestamp of the first rising edge at or after ``now_ps``."""
         period = self.period_ps

@@ -33,6 +33,7 @@ from repro.quantum import (
     compile_circuit,
 )
 from repro.quantum.adjoint import (
+    _undo_matrix,
     adjoint_gradient,
     adjoint_gradient_batch,
     supports_program,
@@ -68,58 +69,63 @@ def _exact_energy(program, observable, vector) -> float:
 
 
 # ----------------------------------------------------------------------
-# GateSpec.dagger
+# gate inverses the reverse sweep relies on
 # ----------------------------------------------------------------------
 class TestDagger:
+    """The reverse sweep undoes every node with the conjugate transpose
+    of its matrix, which is the gate's inverse only because every
+    library matrix is unitary; each inverse is itself a library gate."""
+
     @pytest.mark.parametrize(
         "name",
         [n for n, s in sorted(GATE_LIBRARY.items()) if n != "measure"],
     )
     def test_dagger_matrix_is_conjugate_transpose(self, name):
         spec = GATE_LIBRARY[name]
-        params = (0.731,) * spec.n_params
-        partner, partner_params = spec.dagger(*params)
+        matrix = spec.matrix(*(0.731,) * spec.n_params)
         assert np.allclose(
-            partner.matrix(*partner_params),
-            spec.matrix(*params).conj().T,
-            atol=1e-15,
+            _undo_matrix(matrix) @ matrix, np.eye(len(matrix)), atol=1e-15
         )
 
     def test_rotation_dagger_negates_angle(self):
-        spec = GATE_LIBRARY["rzz"]
-        partner, params = spec.dagger(0.5)
-        assert partner is spec
-        assert params == (-0.5,)
+        for name in ("rx", "ry", "rz", "rzz"):
+            spec = GATE_LIBRARY[name]
+            assert np.allclose(
+                spec.matrix(-0.5), _undo_matrix(spec.matrix(0.5)), atol=1e-15
+            )
 
     def test_phase_gates_swap_partners(self):
-        assert GATE_LIBRARY["s"].dagger()[0] is GATE_LIBRARY["sdg"]
-        assert GATE_LIBRARY["sdg"].dagger()[0] is GATE_LIBRARY["s"]
-        assert GATE_LIBRARY["t"].dagger()[0] is GATE_LIBRARY["tdg"]
-        assert GATE_LIBRARY["tdg"].dagger()[0] is GATE_LIBRARY["t"]
+        for gate, partner in (("s", "sdg"), ("sdg", "s"), ("t", "tdg"), ("tdg", "t")):
+            assert np.allclose(
+                _undo_matrix(GATE_LIBRARY[gate].matrix()),
+                GATE_LIBRARY[partner].matrix(),
+                atol=1e-15,
+            )
 
     def test_measure_is_its_own_pseudo_inverse(self):
-        assert GATE_LIBRARY["measure"].dagger()[0] is GATE_LIBRARY["measure"]
+        identity = GATE_LIBRARY["measure"].matrix()
+        assert np.array_equal(identity, np.eye(2))
+        assert np.array_equal(_undo_matrix(identity), identity)
 
     def test_wrong_arity_raises(self):
         with pytest.raises(ValueError, match="takes 1 parameter"):
-            GATE_LIBRARY["rx"].dagger()
+            GATE_LIBRARY["rx"].matrix()
         with pytest.raises(ValueError, match="takes 0 parameter"):
-            GATE_LIBRARY["h"].dagger(0.3)
+            GATE_LIBRARY["h"].matrix(0.3)
 
-    def test_unregistered_gate_has_no_rule(self):
+    def test_unregistered_gate_has_no_rule(self, monkeypatch):
         rogue = GateSpec(
             "u_rogue", 1, 1,
             lambda theta: np.eye(2, dtype=complex) * np.exp(1j * theta),
             0x7F, ONE_QUBIT_NS,
         )
-        with pytest.raises(ValueError, match="no dagger rule"):
-            rogue.dagger(0.1)
-        fixed = GateSpec(
-            "f_rogue", 1, 0, lambda: np.eye(2, dtype=complex), 0x7E,
-            ONE_QUBIT_NS,
-        )
-        with pytest.raises(ValueError, match="no dagger rule"):
-            fixed.dagger()
+        monkeypatch.setitem(GATE_LIBRARY, "u_rogue", rogue)
+        theta = Parameter("theta")
+        program = compile_circuit(QuantumCircuit(1).append("u_rogue", [0], [theta]))
+        assert not supports_program(program)
+        observable = PauliSum([(1.0, PauliString({0: "Z"}))])
+        with pytest.raises(ValueError, match="does not support"):
+            adjoint_gradient(program, observable, np.array([0.1]))
 
 
 # ----------------------------------------------------------------------

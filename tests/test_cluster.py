@@ -759,80 +759,3 @@ class TestLeaseRenewalRace:
         assert master.nodes["node-0"].alive
         master.tick(now=2.0 + 1e-9)
         assert not master.nodes["node-0"].alive
-
-
-# ----------------------------------------------------------------------
-# session routing: rendezvous pins + failover
-# ----------------------------------------------------------------------
-class TestSessionRouting:
-    def test_pin_is_rendezvous_preferred_and_stable(self):
-        master = make_master()
-        nodes = [f"node-{i}" for i in range(3)]
-        for node in nodes:
-            master.register_node(node, capacity=1)
-        digest = "structure-abc"
-        pinned = master.pin_session("sess-1", digest)
-        assert pinned == rank_nodes(digest, nodes)[0]
-        # The stream keeps landing on its pin while the node is alive.
-        for _ in range(3):
-            assert master.route_session("sess-1") == pinned
-
-    def test_no_admissible_node_means_no_pin(self):
-        master = make_master()
-        assert master.pin_session("sess-1", "structure-abc") is None
-        assert master.route_session("sess-1") is None
-
-    def test_lost_node_orphans_then_repins_session(self):
-        clock = ManualClock()
-        master = make_master(clock, lease_timeout_s=2.0)
-        nodes = [f"node-{i}" for i in range(3)]
-        for node in nodes:
-            master.register_node(node, capacity=1)
-        digest = "structure-abc"
-        pinned = master.pin_session("sess-1", digest)
-        survivors = [node for node in nodes if node != pinned]
-
-        clock.advance(5.0)  # past the lease ...
-        for node in survivors:
-            master.heartbeat(node)  # ... for the pinned node only
-        master.tick()
-        assert not master.nodes[pinned].alive
-        assert "sess-1" not in master.session_pins  # orphaned eagerly
-
-        # The next route re-pins through the same rendezvous ranking
-        # minus the dead node — no structure re-registration needed.
-        repinned = master.route_session("sess-1")
-        assert repinned == rank_nodes(digest, survivors)[0]
-        assert master.stats.counter("sessions_repinned").value == 1
-
-    def test_release_forgets_pin_and_digest(self):
-        master = make_master()
-        master.register_node("node-0", capacity=1)
-        master.pin_session("sess-1", "structure-abc")
-        master.release_session("sess-1")
-        assert master.route_session("sess-1") is None
-
-
-class TestWorkerNodeSessions:
-    def test_streamed_batch_matches_dispatched_one_shot(self):
-        """A session streamed on a node shares the node's cache and
-        engine construction, so its energies match the one-shot path's
-        evaluations of the same content bit for bit."""
-        from repro.cluster.worker import WorkerNode
-        from repro.service.sessions import drive_session
-
-        spec = make_spec(seed=4, iterations=2)
-        node = WorkerNode("node-0", timing_only=True)
-        handle = node.open_session(spec.as_dict(), tenant="alice")
-        assert handle["n_params"] > 0
-        _params, streamed = drive_session(
-            spec,
-            int(handle["n_params"]),
-            lambda vectors: node.stream_session(handle["session_id"], vectors),
-        )
-        stats = node.close_session(handle["session_id"])
-        assert stats["state"] == "closed"
-
-        oneshot = WorkerNode("node-1", timing_only=True)
-        payload = oneshot.execute(spec.as_dict())
-        assert streamed == payload["cost_history"]

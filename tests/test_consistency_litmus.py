@@ -34,7 +34,9 @@ def rig():
     controller.attach_program(program)
     # install the program entries as a q_set upload would
     for gate in program.gates:
-        controller.qcc.set_program_entry(gate.qubit, gate.index, gate.program_entry())
+        controller.qcc.host_write(
+            config.program_qaddr(gate.qubit, gate.index), gate.program_entry().pack()
+        )
     return config, hierarchy, controller, program, theta
 
 
@@ -160,6 +162,6 @@ class TestBarrierMonotonicity:
     def test_release_times_follow_batch_order(self):
         barrier = MemoryBarrier()
         for batch, ready in enumerate([ns(100), ns(200), ns(300)]):
-            barrier.mark_put(0x1000 + 32 * batch, 32, ready)
+            barrier.mark_puts(((0x1000 + 32 * batch, 32),), (ready,))
         releases = [barrier.query(0x1000 + 32 * b, 0) for b in range(3)]
         assert releases == sorted(releases)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.compiler import lower, transpile
 from repro.core import QtenonConfig, QuantumController, HOST_RESULT_BASE
-from repro.isa import QAcquire, QSet, QUpdate, encode_angle
+from repro.isa import ProgramEntry, QAcquire, QSet, QUpdate, encode_angle
 from repro.memory import MemoryHierarchy
 from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
 
@@ -38,7 +38,9 @@ class TestQSet:
         instr = QSet(classical_addr=addr, quantum_addr=config.program_qaddr(0, 0),
                      length=len(entries) * 3)
         controller.execute_q_set(instr, 0)
-        assert controller.qcc.program_length(0) == len(entries)
+        loaded = [controller.qcc.program_entry(0, i) for i in range(len(entries))]
+        assert loaded == [ProgramEntry.unpack(raw) for raw in entries]
+        assert controller.qcc.program_entry(0, len(entries)) is None
 
     def test_upload_marks_entries_dirty(self, setup):
         config, hierarchy, controller, program, _ = setup
@@ -46,11 +48,11 @@ class TestQSet:
         addr = 0x2000
         for i, raw in enumerate(entries):
             hierarchy.image.write_bytes(addr + i * 12, raw.to_bytes(12, "little"))
-        before = controller.dirty_count
+        controller.execute_q_gen(0)  # drain anything already dirty
         controller.execute_q_set(
             QSet(addr, config.program_qaddr(1, 0), len(entries) * 3), 0
         )
-        assert controller.dirty_count == before + len(entries)
+        assert controller.execute_q_gen(0).entries_processed == len(entries)
 
     def test_transfer_timing_positive(self, setup):
         config, hierarchy, controller, program, _ = setup
@@ -77,7 +79,8 @@ class TestQUpdate:
             QUpdate(config.regfile_qaddr(slot.index), encode_angle(0.7)), 0
         )
         controller.mark_gates_dirty(program.gates_for_slot(slot.index))
-        assert controller.dirty_count == len(program.gates_for_slot(slot.index))
+        report = controller.execute_q_gen(0)
+        assert report.entries_processed == len(program.gates_for_slot(slot.index))
 
 
 class TestQGen:
@@ -90,7 +93,7 @@ class TestQGen:
         controller.mark_gates_dirty(program.gates_for_slot(slot.index))
         report = controller.execute_q_gen(0)
         assert report.pulses_generated > 0
-        assert controller.dirty_count == 0
+        assert controller.execute_q_gen(0).entries_processed == 0  # drained
 
     def test_second_gen_with_same_angle_hits_slt(self, setup):
         config, _, controller, program, _ = setup
@@ -132,7 +135,8 @@ class TestQRun:
         result = controller.execute_q_run(
             bound, shots=64, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
         )
-        assert controller.barrier.pending_after(0) == result.n_batches
+        assert len(controller.barrier) == result.n_batches
+        assert controller.barrier.fence(0) == max(result.timeline.put_issue_times)
 
     def test_repeated_evaluations_keep_one_run_of_barrier_ranges(self):
         """Every q_run streams into the same result buffer, so each
@@ -159,9 +163,9 @@ class TestQRun:
         from repro.sim.clock import ns
 
         barrier = MemoryBarrier()
-        barrier.mark_put(0x1000, 64, ready_ps=ns(500))
-        barrier.mark_put(0x2000, 64, ready_ps=ns(900))
-        barrier.mark_put(0x1000, 64, ready_ps=ns(300))  # re-PUT, earlier ready
+        barrier.mark_puts(((0x1000, 64),), (ns(500),))
+        barrier.mark_puts(((0x2000, 64),), (ns(900),))
+        barrier.mark_puts(((0x1000, 64),), (ns(300),))  # re-PUT, earlier ready
         assert len(barrier) == 2
         assert barrier.query(0x1000, 0) == ns(300)  # latest PUT wins
         assert barrier.fence(0) == ns(900)

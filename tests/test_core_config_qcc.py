@@ -120,22 +120,19 @@ class TestPublicPrivateIsolation:
         self.config = QtenonConfig(n_qubits=64)
         self.qcc = QuantumControllerCache(self.config)
 
-    def test_host_cannot_read_pulse(self):
-        with pytest.raises(PrivateSegmentError):
-            self.qcc.host_read(0x80000)
-
     def test_host_cannot_write_pulse(self):
         with pytest.raises(PrivateSegmentError):
             self.qcc.host_write(0x80000, 1)
 
     def test_host_reads_public_segments(self):
-        self.qcc.host_write(0x70000, 0x1234)
-        assert self.qcc.host_read(0x70000) == 0x1234
+        self.qcc.host_write(self.config.regfile_qaddr(3), 0x1234)
+        self.qcc.host_write(self.config.measure_qaddr(5), 0xBEEF)
+        assert self.qcc.regfile_read(3) == 0x1234
+        assert self.qcc.measure_read(5) == 0xBEEF
 
     def test_program_round_trip_through_host_path(self):
         entry = ProgramEntry(gate_type=2, reg_flag=True, data=7)
         self.qcc.host_write(0x400, entry.pack())
-        assert ProgramEntry.unpack(self.qcc.host_read(0x400)) == entry
         assert self.qcc.program_entry(1, 0) == entry
 
 
@@ -178,7 +175,10 @@ class TestMeasureSegment:
 
     def test_program_length_contiguous(self):
         qcc = QuantumControllerCache(QtenonConfig(n_qubits=4))
+        config = qcc.config
         for i in range(3):
-            qcc.set_program_entry(0, i, ProgramEntry(gate_type=1, data=i))
-        assert qcc.program_length(0) == 3
-        assert qcc.program_length(1) == 0
+            entry = ProgramEntry(gate_type=1, data=i)
+            qcc.host_write(config.program_qaddr(0, i), entry.pack())
+        assert [qcc.program_entry(0, i).data for i in range(3)] == [0, 1, 2]
+        assert qcc.program_entry(0, 3) is None
+        assert qcc.program_entry(1, 0) is None

@@ -43,7 +43,9 @@ def rig():
     program = lower([transpile(circuit)], config)
     controller.attach_program(program)
     for gate in program.gates:
-        controller.qcc.set_program_entry(gate.qubit, gate.index, gate.program_entry())
+        controller.qcc.host_write(
+            config.program_qaddr(gate.qubit, gate.index), gate.program_entry().pack()
+        )
     return config, controller, program, theta
 
 

@@ -116,7 +116,7 @@ class TestSltPressure:
             # distinct tags, same set (see test above for the bit maths)
             slt.lookup_or_allocate(1, i << 11, lambda: next(counter))
         # only 2 ways live in the set; the rest were spilled to QSpace.
-        assert qspace.resident_tags(0) >= 40 - 2
+        assert qspace.stats.counter("writebacks").value >= 40 - 2
 
 
 class TestBusSaturation:
@@ -125,7 +125,7 @@ class TestBusSaturation:
         responses = [bus.put(0, 32, 1_000_000).response_ps for _ in range(64)]
         # every transaction got a response, monotonically schedulable.
         assert len(responses) == 64
-        assert bus.drain_time() >= max(responses)
+        assert responses == sorted(responses)
 
     def test_tag_reuse_preserves_ordering_per_tag(self):
         bus = TileLinkBus(num_tags=1)
@@ -140,7 +140,7 @@ class TestEntryStateMachine:
         assert not entry.has_valid_pulse
         valid = entry.with_pulse(0x123)
         assert valid.has_valid_pulse
-        stale = valid.with_data(6)
+        stale = valid.invalidated()
         assert not stale.has_valid_pulse
         assert stale.qaddr == 0
         again = stale.with_pulse(0x200)

@@ -19,8 +19,10 @@ from repro.core.scheduler import compute_run_timeline, plan_transmissions
 from repro.faults import (
     FaultInjector,
     FaultPlan,
+    LinkDecision,
     LinkFaults,
     MeasurementFaults,
+    PutDecision,
     PutFramer,
     PutVerifier,
     ReadoutDriftFaults,
@@ -70,12 +72,24 @@ class TestFaultPlan:
         )
 
     def test_is_benign(self):
-        assert FaultPlan().is_benign
-        assert not FaultPlan(link=LinkFaults(loss_p=0.01)).is_benign
-        assert not FaultPlan(worker=WorkerFaults(crash_burst=1)).is_benign
-        assert not FaultPlan(
-            readout=ReadoutDriftFaults(rate_per_evaluation=0.1)
-        ).is_benign
+        # The default plan injects nothing: every decision is the
+        # fault-free one.
+        benign = FaultInjector(FaultPlan())
+        base = ReadoutNoise(p01=0.02, p10=0.03)
+        for i in range(50):
+            assert benign.link_message(i, 64) == LinkDecision(0, 0, False)
+            assert benign.measurement_put(i, 0) == PutDecision(1, 0, 0)
+            assert benign.acquire_stuck(i) == 0
+            assert benign.worker_event("site", i) is None
+        assert benign.drifted_readout(base, 10) is base
+        lossy = FaultInjector(FaultPlan(link=LinkFaults(loss_p=1.0)))
+        assert lossy.link_message(0, 64).drops > 0
+        burst = FaultInjector(FaultPlan(worker=WorkerFaults(crash_burst=1)))
+        assert burst.worker_event("site", 0) == "crash"
+        drift = FaultInjector(
+            FaultPlan(readout=ReadoutDriftFaults(rate_per_evaluation=0.1))
+        )
+        assert drift.drifted_readout(base, 10) != base
 
     @pytest.mark.parametrize(
         "bad",

@@ -94,7 +94,9 @@ class TestLinkModels:
         assert link.transfer_ps(1000) == us(1)
 
     def test_round_trip(self):
-        assert UDP_100GBE.round_trip_ps(100, 100) == 2 * UDP_100GBE.transfer_ps(100)
+        tracker = LinkTracker(UDP_100GBE)
+        round_trip = tracker.send(100) + tracker.send(100)
+        assert round_trip == 2 * UDP_100GBE.transfer_ps(100)
 
     def test_tracker_accounting(self):
         tracker = LinkTracker(UDP_100GBE)

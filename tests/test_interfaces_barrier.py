@@ -25,9 +25,13 @@ class TestRoccInterface:
         assert rocc.stats.counter("transfers").value == 2
 
     def test_barrier_query_single_cycle_nonblocking(self):
+        # The host's barrier probe is one RoCC cycle; an address no PUT
+        # covers is usable right after it.
         rocc = RoccInterface()
-        assert rocc.barrier_query(ns(5)) == ns(6)
-        assert rocc.stats.counter("barrier_queries").value == 1
+        assert rocc.latency_ps == ns(1)
+        barrier = MemoryBarrier()
+        assert barrier.query(0x1000, ns(5)) == ns(5) + rocc.latency_ps
+        assert barrier.stats.counter("queries").value == 1
 
 
 class TestReorderBufferQueue:
@@ -94,30 +98,30 @@ class TestMemoryBarrier:
 
     def test_marked_address_waits_for_put(self):
         barrier = MemoryBarrier()
-        barrier.mark_put(0x1000, 64, ready_ps=ns(100))
+        barrier.mark_puts(((0x1000, 64),), (ns(100),))
         assert barrier.query(0x1000, ns(10)) == ns(100)
 
     def test_ready_put_does_not_block(self):
         barrier = MemoryBarrier()
-        barrier.mark_put(0x1000, 64, ready_ps=ns(5))
+        barrier.mark_puts(((0x1000, 64),), (ns(5),))
         assert barrier.query(0x1000, ns(50)) == ns(51)
 
     def test_latest_covering_put_wins(self):
         barrier = MemoryBarrier()
-        barrier.mark_put(0x1000, 64, ready_ps=ns(100))
-        barrier.mark_put(0x1000, 64, ready_ps=ns(200))
+        barrier.mark_puts(((0x1000, 64),), (ns(100),))
+        barrier.mark_puts(((0x1000, 64),), (ns(200),))
         assert barrier.query(0x1000, 0) == ns(200)
 
     def test_query_is_per_address(self):
         barrier = MemoryBarrier()
-        barrier.mark_put(0x1000, 64, ready_ps=ns(1000))
+        barrier.mark_puts(((0x1000, 64),), (ns(1000),))
         # An address outside the range is not quantum-synchronised.
         assert barrier.query(0x2000, ns(10)) == ns(11)
 
     def test_fence_waits_for_everything(self):
         barrier = MemoryBarrier()
-        barrier.mark_put(0x1000, 64, ready_ps=ns(100))
-        barrier.mark_put(0x2000, 64, ready_ps=ns(300))
+        barrier.mark_puts(((0x1000, 64),), (ns(100),))
+        barrier.mark_puts(((0x2000, 64),), (ns(300),))
         assert barrier.fence(ns(10)) == ns(300)
 
     def test_fence_with_nothing_pending(self):
@@ -126,21 +130,24 @@ class TestMemoryBarrier:
     def test_fine_grained_beats_fence(self):
         """The §6.2 claim: per-address sync releases earlier than FENCE."""
         barrier = MemoryBarrier()
-        barrier.mark_put(0x1000, 64, ready_ps=ns(100))   # first batch
-        barrier.mark_put(0x2000, 64, ready_ps=ns(900))   # last batch
+        barrier.mark_puts(((0x1000, 64),), (ns(100),))   # first batch
+        barrier.mark_puts(((0x2000, 64),), (ns(900),))   # last batch
         fine = barrier.query(0x1000, ns(50))
         coarse = barrier.fence(ns(50))
         assert fine < coarse
 
     def test_pending_after(self):
         barrier = MemoryBarrier()
-        barrier.mark_put(0x0, 8, ns(10))
-        barrier.mark_put(0x8, 8, ns(20))
-        assert barrier.pending_after(ns(15)) == 1
+        barrier.mark_puts(((0x0, 8),), (ns(10),))
+        barrier.mark_puts(((0x8, 8),), (ns(20),))
+        query_done = ns(15) + barrier.clock.period_ps
+        # At 15 ns only the second range is still waiting for its PUT.
+        assert barrier.query(0x0, ns(15)) == query_done
+        assert barrier.query(0x8, ns(15)) == ns(20)
 
     def test_zero_size_rejected(self):
         with pytest.raises(ValueError):
-            MemoryBarrier().mark_put(0, 0, 0)
+            MemoryBarrier().mark_puts(((0, 0),), (0,))
 
     def test_remarked_range_wins_over_overlapping_range(self):
         # Runs at different shot counts stream differently sized
@@ -161,10 +168,9 @@ class TestMemoryBarrier:
         bulk, single = MemoryBarrier(), MemoryBarrier()
         bulk.mark_puts(ranges, ready)
         for (addr, size), ready_ps in zip(ranges, ready):
-            single.mark_put(addr, size, ready_ps)
+            single.mark_puts(((addr, size),), (ready_ps,))
         for barrier in (bulk, single):
             assert barrier.fence(0) == ns(30)
-            assert barrier.pending_after(ns(15)) == 2
         assert [bulk.query(a, 0) for a in range(0x18)] == [
             single.query(a, 0) for a in range(0x18)
         ]

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.core import QtenonConfig, QuantumControllerCache
 from repro.isa import (
     CUSTOM0_OPCODE,
     EncodingError,
@@ -134,7 +135,16 @@ class TestProgramEntry:
         assert entry.qaddr == 0x55
 
     def test_with_data_invalidates_pulse(self):
-        entry = ProgramEntry(gate_type=1).with_pulse(0x55).with_data(99)
+        # A new immediate payload arrives as a re-uploaded entry, which
+        # replaces the linked one: its cached pulse is stale.
+        config = QtenonConfig(n_qubits=1)
+        qcc = QuantumControllerCache(config)
+        qaddr = config.program_qaddr(0, 0)
+        qcc.host_write(qaddr, ProgramEntry(gate_type=1).pack())
+        qcc.link_pulse(0, 0, 0x55)
+        assert qcc.program_entry(0, 0).has_valid_pulse
+        qcc.host_write(qaddr, ProgramEntry(gate_type=1, data=99).pack())
+        entry = qcc.program_entry(0, 0)
         assert not entry.has_valid_pulse
         assert entry.data == 99
 

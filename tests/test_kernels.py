@@ -572,9 +572,7 @@ def test_probabilities_cached_until_invalidated():
     with pytest.raises(ValueError):
         probs[0] = 0.5  # cached array is read-only
 
-    from repro.quantum.circuit import Operation
-
-    state.apply(Operation(gate_spec("h"), (0,), ()))
+    state.amplitudes = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
     fresh = state.probabilities()
     assert fresh is not probs
     assert np.allclose(fresh, [0.5, 0.5, 0.0, 0.0])

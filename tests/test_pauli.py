@@ -14,14 +14,19 @@ from repro.quantum import (
 
 class TestPauliString:
     def test_from_label(self):
-        string = PauliString.from_label("ZIX")
+        # Dense labels put the highest qubit leftmost.
+        string = PauliString({2: "Z", 0: "X"})
+        assert string.label(3) == "ZIX"
         assert string.pauli_on(0) == "X"
         assert string.pauli_on(1) == "I"
         assert string.pauli_on(2) == "Z"
 
     def test_label_round_trip(self):
         string = PauliString({0: "X", 2: "Y"})
-        assert PauliString.from_label(string.label(4)) == string
+        label = string.label(4)
+        assert label == "IYIX"
+        parsed = {q: p for q, p in enumerate(reversed(label)) if p != "I"}
+        assert PauliString(parsed) == string
 
     def test_invalid_pauli_rejected(self):
         with pytest.raises(ValueError):
@@ -47,8 +52,9 @@ class TestPauliString:
         a = PauliString({0: "Z", 1: "X"})
         b = PauliString({1: "X", 2: "Z"})
         c = PauliString({1: "Z"})
-        assert a.commutes_qubitwise(b)
-        assert not a.commutes_qubitwise(c)
+        # The grouping criterion: identical operators on shared qubits.
+        assert len(PauliSum([(1.0, a), (1.0, b)]).grouped_qubitwise()) == 1
+        assert len(PauliSum([(1.0, a), (1.0, c)]).grouped_qubitwise()) == 2
 
 
 class TestPauliSum:
@@ -71,13 +77,16 @@ class TestPauliSum:
     def test_addition_and_scaling(self):
         z0 = PauliString({0: "Z"})
         x1 = PauliString({1: "X"})
-        total = (PauliSum([(1.0, z0)]) + PauliSum([(2.0, x1)], constant=1.0)).scaled(2.0)
-        assert total.constant == pytest.approx(2.0)
-        assert len(total) == 2
+        total = PauliSum([(1.0, z0)]) + PauliSum([(2.0, x1), (1.0, z0)], constant=1.0)
+        assert total.constant == pytest.approx(1.0)
+        assert dict((s, c) for c, s in total.terms) == {z0: 2.0, x1: 2.0}
 
     def test_n_qubits_required(self):
         total = PauliSum([(1.0, PauliString({5: "Z"}))])
-        assert total.n_qubits_required == 6
+        string = total.terms[0][1]
+        assert string.label(6) == "ZIIIII"
+        with pytest.raises(ValueError, match="outside"):
+            string.label(5)
 
 
 class TestGrouping:

@@ -28,7 +28,8 @@ def items_for(config, qcc, specs):
     for gate_type, data, qubit in specs:
         index = per_qubit.get(qubit, 0)
         per_qubit[qubit] = index + 1
-        qcc.set_program_entry(qubit, index, ProgramEntry(gate_type=gate_type, data=data))
+        entry = ProgramEntry(gate_type=gate_type, data=data)
+        qcc.host_write(config.program_qaddr(qubit, index), entry.pack())
         items.append(PipelineWorkItem(qubit=qubit, index=index, gate_type=gate_type, data=data))
     return items
 

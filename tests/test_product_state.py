@@ -107,7 +107,7 @@ class TestProductState:
     def test_zero_state(self):
         state = ProductState.zero_state(4)
         assert state.n_qubits == 4
-        assert state.probabilities_one() == pytest.approx(np.zeros(4))
+        assert [state.probability_one(q) for q in range(4)] == [0.0] * 4
 
     def test_expectation_z(self):
         state = ProductState.zero_state(1)

@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.core import (
+    HOST_RESULT_BASE,
+    PulseOutputPath,
+    compute_run_timeline,
+    plan_transmissions,
+)
 from repro.quantum import DeviceTiming, QuantumCircuit, QuantumDevice, Sampler
 from repro.sim.clock import ns
 
@@ -121,13 +127,19 @@ class TestDeviceTiming:
     def test_run_duration_scales_with_shots(self):
         device = QuantumDevice(1)
         qc = QuantumCircuit(1).rx(0.1, 0).measure_all()
-        assert device.run_duration_ps(qc, 500) == 500 * device.shot_duration_ps(qc)
+        shot_ps = device.shot_duration_ps(qc)
+        batches = plan_transmissions(1, 500, HOST_RESULT_BASE, batched=True)
+        timeline = compute_run_timeline(batches, 0, shot_ps, 0, 0)
+        assert timeline.quantum_duration_ps == 500 * shot_ps
 
     def test_pulse_bandwidth_arithmetic(self):
         device = QuantumDevice(64)
-        # 16 bits x 2 DACs x 2 GHz = 64 bits/ns = 8 GB/s (paper §5.2).
-        assert device.pulse_bits_per_ns_per_qubit == pytest.approx(64.0)
-        assert device.pulse_bytes_per_s_per_qubit == pytest.approx(8e9)
+        # 16 bits x 2 DACs x 2 GHz = 64 bits/ns = 8 GB/s (paper §5.2),
+        # the demand the pulse output path is sized for.
+        bits_per_ns = device.dac_bits * device.dacs_per_qubit * device.dac_freq_hz / 1e9
+        assert bits_per_ns == pytest.approx(64.0)
+        assert bits_per_ns == pytest.approx(PulseOutputPath().required_bits_per_ns)
+        assert bits_per_ns * 1e9 / 8 == pytest.approx(8e9)
 
     def test_width_check(self):
         device = QuantumDevice(2)
@@ -135,6 +147,5 @@ class TestDeviceTiming:
             device.circuit_duration_ps(QuantumCircuit(3))
 
     def test_zero_shots_rejected(self):
-        device = QuantumDevice(1)
-        with pytest.raises(ValueError):
-            device.run_duration_ps(QuantumCircuit(1), 0)
+        with pytest.raises(ValueError, match="shots must be positive"):
+            plan_transmissions(1, 0, HOST_RESULT_BASE, batched=True)

@@ -99,7 +99,8 @@ class TestRunTimeline:
 
     def test_comm_tail_is_only_the_last_batch(self):
         timeline = self.make_timeline(shots=8)
-        assert timeline.comm_tail_ps == ns(1) + ns(50)
+        # Transmission not hidden behind the quantum run.
+        assert timeline.last_put_response_ps - timeline.quantum_end_ps == ns(1) + ns(50)
 
     def test_immediate_policy_issues_more_puts(self):
         batched = self.make_timeline(shots=8, batched=True)

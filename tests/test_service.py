@@ -246,7 +246,6 @@ class TestCoalescer:
         assert coalescer.attach(primary) is None
         assert coalescer.attach(follower) is primary
         assert follower.coalesced_with == primary.job_id
-        assert coalescer.followers_of(primary) == [follower]
         assert coalescer.settle(primary) == [follower]
         # Settled digest starts a fresh flight.
         assert coalescer.attach(self._record(3, spec)) is None

@@ -320,8 +320,9 @@ class TestLeaseExpiry:
         manager, clock = self._manager_with_clock(timeout=10.0)
         session = manager.open(spec_for())
         clock.advance(10.0)
-        # Renewal and sweep land on the same tick: renewal wins.
-        manager.renew(session.session_id)
+        # Renewal (every checkout renews) and sweep land on the same
+        # tick: renewal wins.
+        manager.checkout(session.session_id)
         assert manager.expire_idle(now=clock.now) == []
         assert session.state == "open"
 

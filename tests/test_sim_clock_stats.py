@@ -47,9 +47,6 @@ class TestClock:
     def test_cycles_to_ps(self):
         assert HOST_CLOCK.cycles_to_ps(1000) == ns(1000)
 
-    def test_ps_to_cycles_floors(self):
-        assert HOST_CLOCK.ps_to_cycles(ns(2.5)) == 2
-
     def test_next_edge_alignment(self):
         clock = Clock(200_000_000)
         assert clock.next_edge(0) == 0

@@ -93,7 +93,8 @@ def _pipeline():
 def _items(qcc, specs):
     items = []
     for index, (qubit, gate_type, data) in enumerate(specs):
-        qcc.set_program_entry(qubit, index, ProgramEntry(gate_type=gate_type, data=data))
+        entry = ProgramEntry(gate_type=gate_type, data=data)
+        qcc.host_write(qcc.config.program_qaddr(qubit, index), entry.pack())
         items.append(PipelineWorkItem(qubit, index, gate_type, data))
     return items
 

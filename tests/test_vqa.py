@@ -1,6 +1,8 @@
 """Tests for ansätze, Hamiltonians, optimizers, and workload builders."""
 
 
+from collections import Counter
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ class TestQaoaAnsatz:
     def test_structure(self):
         graph = random_regular_graph(6, seed=0)
         circuit, _ = qaoa_ansatz(graph, n_layers=2)
-        counts = circuit.count_ops()
+        counts = Counter(op.name for op in circuit.operations)
         assert counts["h"] == 6
         assert counts["rzz"] == 2 * graph.number_of_edges()
         assert counts["rx"] == 12
@@ -125,7 +127,8 @@ class TestMolecularHamiltonian:
         assert a.constant == b.constant
 
     def test_width(self):
-        assert molecular_hamiltonian(10).n_qubits_required == 10
+        hamiltonian = molecular_hamiltonian(10)
+        assert max(max(s.support) for _, s in hamiltonian.terms) == 9
 
     def test_minimum_size(self):
         with pytest.raises(ValueError):
@@ -205,7 +208,7 @@ class TestOptimizers:
             return 0.0
 
         optimizer.run_iteration(np.zeros(4), cost)
-        assert len(calls) == optimizer.evaluations_per_iteration(4) == 9
+        assert len(calls) == 2 * 4 + 1
 
     def test_spsa_constant_evaluations(self):
         optimizer = Spsa(seed=0)
@@ -216,7 +219,7 @@ class TestOptimizers:
             return float(np.sum(vector**2))
 
         optimizer.run_iteration(np.ones(50), cost)
-        assert len(calls) == optimizer.evaluations_per_iteration(50) == 3
+        assert len(calls) == 3
 
     def test_spsa_decreases_quadratic(self):
         optimizer = Spsa(a=0.3, c=0.1, seed=1)
