@@ -15,48 +15,35 @@ statevector path:
 
 Before timing anything, the bench pins the numerical contract: at the
 largest P the adjoint gradient must match the analytic parameter-shift
-gradient entrywise to ``PARITY_TOL``, and two back-to-back adjoint
-trajectories must produce bit-identical energy histories.  The
-speedup-vs-P curve must be monotone non-decreasing — the whole point
-is that adjoint cost does not scale with P.
-
-Results persist to ``BENCH_adjoint.json`` at the repo root;
-``--smoke`` runs a reduced configuration and fails unless the adjoint
-step is at least ``MIN_SPEEDUP_SMOKE``x the shift step at the largest
-P (full runs gate at ``MIN_SPEEDUP_FULL``x).
+gradient entrywise to ``PARITY_TOL``.  Gates: every repeated adjoint
+trajectory at the largest P produces a bit-identical energy history;
+the speedup-vs-P curve is monotone non-decreasing — the whole point is
+that adjoint cost does not scale with P; and the adjoint step is at
+least ``MIN_SPEEDUP_SMOKE``x the shift step at the largest P in smoke
+runs, ``MIN_SPEEDUP_FULL``x in full runs.
 
 Usage::
 
-    python benchmarks/bench_adjoint.py            # full run, update JSON
+    python benchmarks/bench_adjoint.py            # full run, writes BENCH_adjoint.json
     python benchmarks/bench_adjoint.py --smoke    # quick CI gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import sys
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro import EvaluationEngine, HybridRunner, QtenonSystem  # noqa: E402
-from repro.quantum import QuantumCircuit, compile_circuit, parameter_vector  # noqa: E402
-from repro.quantum.adjoint import adjoint_gradient  # noqa: E402
-from repro.quantum.parameters import Parameter  # noqa: E402
-from repro.vqa.hamiltonians import molecular_hamiltonian  # noqa: E402
-from repro.vqa.optimizers import GradientDescent  # noqa: E402
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_adjoint.json"
-)
+from repro import EvaluationEngine, HybridRunner, QtenonSystem
+from repro.quantum import QuantumCircuit, compile_circuit, parameter_vector
+from repro.quantum.adjoint import adjoint_gradient
+from repro.quantum.parameters import Parameter
+from repro.vqa.hamiltonians import molecular_hamiltonian
+from repro.vqa.optimizers import GradientDescent
 
 #: Absolute per-step floors: adjoint must beat parameter shift by this
 #: factor at the largest parameter count (theory predicts ~(2P+1)/3).
@@ -69,8 +56,10 @@ PARITY_TOL = 1e-10
 #: Parameter-count sweep (largest one is the headline 60-param config).
 PARAM_SWEEP = (8, 16, 32, 60)
 
-FULL = dict(qubits=12, iterations=3)
-SMOKE = dict(qubits=12, iterations=1)
+#: ``inner`` trajectories per timed run: an adjoint step lasts only
+#: 8-25 ms, so its regions repeat it to a few tenths of a second.
+FULL = dict(qubits=12, iterations=3, rounds=3, inner={"shift": 1, "adjoint": 10})
+SMOKE = dict(qubits=12, iterations=1, rounds=3, inner={"shift": 2, "adjoint": 20})
 
 SEED = 7
 
@@ -89,8 +78,8 @@ def _ansatz(qubits: int, n_params: int):
     return circuit, parameters
 
 
-def _run_gd(gradient: str, n_params: int, config: Dict[str, int]):
-    """One exact-path GD trajectory; returns wall-clock + history."""
+def _run_gd(clock, gradient: str, n_params: int, config: Dict[str, int]) -> List[float]:
+    """One exact-path GD trajectory; returns its energy history."""
     ansatz, parameters = _ansatz(config["qubits"], n_params)
     observable = molecular_hamiltonian(config["qubits"], seed=0)
     engine = EvaluationEngine(
@@ -106,19 +95,11 @@ def _run_gd(gradient: str, n_params: int, config: Dict[str, int]):
             shots=0,
             iterations=config["iterations"],
         )
-        start = time.perf_counter()
-        result = runner.run(seed=SEED)
-        elapsed = time.perf_counter() - start
+        with clock:
+            result = runner.run(seed=SEED)
     finally:
         engine.close()
-    steps = config["iterations"]
-    evals = (1 if gradient == "adjoint" else 2 * n_params + 1) * steps
-    return {
-        "seconds": elapsed,
-        "ms_per_step": 1_000.0 * elapsed / steps,
-        "history": list(result.cost_history),
-        "evaluations": evals,
-    }
+    return list(result.cost_history)
 
 
 def _check_gradient_parity(n_params: int, config: Dict[str, int]) -> float:
@@ -153,53 +134,52 @@ def run_bench(config: Dict[str, int]) -> Dict[str, object]:
             f"max |delta| = {parity_err:.3e} > {PARITY_TOL:.0e}"
         )
 
-    first = _run_gd("adjoint", headline, config)
-    second = _run_gd("adjoint", headline, config)
-    identical = first["history"] == second["history"]
-    if not identical:
-        raise AssertionError(
-            "back-to-back adjoint trajectories diverge:\n"
-            f"  first  {first['history']}\n"
-            f"  second {second['history']}"
-        )
-
+    steps = config["iterations"]
     sweep = []
     for n_params in PARAM_SWEEP:
-        shift = _run_gd("shift", n_params, config)
-        adjoint = _run_gd("adjoint", n_params, config)
+        timed = harness.best_of(
+            {
+                gradient: (lambda clock, g=gradient: _run_gd(clock, g, n_params, config))
+                for gradient in ("shift", "adjoint")
+            },
+            config["rounds"],
+            config["inner"],
+        )
+        shift_ms, adjoint_ms = (
+            1_000.0 * timed[g].seconds / steps for g in ("shift", "adjoint")
+        )
         sweep.append(
             {
                 "params": n_params,
-                "shift_ms_per_step": shift["ms_per_step"],
-                "adjoint_ms_per_step": adjoint["ms_per_step"],
-                "shift_evaluations": shift["evaluations"],
-                "adjoint_evaluations": adjoint["evaluations"],
-                "speedup": shift["ms_per_step"] / adjoint["ms_per_step"],
+                "shift_ms_per_step": shift_ms,
+                "adjoint_ms_per_step": adjoint_ms,
+                "shift_evaluations": (2 * n_params + 1) * steps,
+                "adjoint_evaluations": steps,
+                "speedup": shift_ms / adjoint_ms,
             }
         )
-
+    histories = timed["adjoint"].outputs  # every run at the headline P
     speedups = [point["speedup"] for point in sweep]
-    monotone = all(b >= a for a, b in zip(speedups, speedups[1:]))
-    if not monotone:
-        raise AssertionError(
-            "speedup-vs-P curve is not monotone non-decreasing: "
-            + ", ".join(
-                f"P={p['params']}: {p['speedup']:.2f}x" for p in sweep
-            )
-        )
-
     return {
-        "config": {**config, "cpu_count": os.cpu_count()},
+        "config": config,
         "gradient_parity": True,
         "gradient_parity_max_err": parity_err,
-        "identical_histories": identical,
+        "identical_histories": all(h == histories[0] for h in histories),
         "sweep": sweep,
         "headline": {
             "params": headline,
             "speedup": sweep[-1]["speedup"],
-            "monotone_speedup": monotone,
+            "monotone_speedup": all(b >= a for a, b in zip(speedups, speedups[1:])),
         },
     }
+
+
+def gates(host, smoke: bool) -> List[Gate]:
+    return [
+        Gate("headline.speedup", ">=", MIN_SPEEDUP_SMOKE if smoke else MIN_SPEEDUP_FULL),
+        Gate("headline.monotone_speedup", "==", True),
+        Gate("identical_histories", "==", True),
+    ]
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
@@ -221,47 +201,10 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
             f"{point['speedup']:.2f}x"
         )
     print(
-        "  back-to-back adjoint histories bit-identical: "
+        "  repeated adjoint histories bit-identical: "
         f"{result['identical_histories']}"
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help=f"reduced configuration; fail below {MIN_SPEEDUP_SMOKE}x speedup",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    floor = MIN_SPEEDUP_SMOKE if args.smoke else MIN_SPEEDUP_FULL
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-
-    speedup = result["headline"]["speedup"]
-    if speedup < floor:
-        print(
-            f"adjoint gate FAILED: {speedup:.2f}x < {floor}x required over "
-            f"the parameter-shift path at P={PARAM_SWEEP[-1]}"
-        )
-        return 1
-    print(f"adjoint gate passed ({speedup:.2f}x >= {floor}x)")
-
-    if args.smoke:
-        return 0
-
-    recorded: Dict[str, object] = {}
-    if os.path.exists(RESULT_PATH):
-        with open(RESULT_PATH) as handle:
-            recorded = json.load(handle)
-    recorded[mode] = result
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"recorded -> {RESULT_PATH}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

@@ -14,60 +14,43 @@ cluster exists to provide:
   fresh master replays it) loses no accepted job;
 * **scaling** — with real worker subprocesses over the socket
   protocol, 3 nodes drain a seed-disjoint batch at least
-  ``SCALING_FLOOR``× faster than 1 node.  The gate is cores-aware: it
-  needs >= 4 usable CPUs (master + 3 workers); on fewer cores the
-  measurement is recorded but the gate is skipped with a notice.
-
-Results persist to ``BENCH_cluster.json`` at the repo root; ``--smoke``
-re-measures a reduced configuration under the same absolute gates.
+  ``SCALING_FLOOR``× faster than 1 node on >= 4 usable CPUs (master +
+  3 workers), ``SCALING_FLOOR_FEW_CORES``× on 2-3; below 2 the
+  measurement is recorded and the gate skipped.
 
 Usage::
 
-    python benchmarks/bench_cluster.py            # full run, update JSON
+    python benchmarks/bench_cluster.py            # full run, writes BENCH_cluster.json
     python benchmarks/bench_cluster.py --smoke    # quick gate
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
-import json
 import os
 import subprocess
 import sys
-import time
 from typing import Dict, List, Optional, Tuple
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro.cluster import ClusterConfig, LocalCluster  # noqa: E402
-from repro.faults.injector import FaultInjector  # noqa: E402
-from repro.faults.plan import FaultPlan, NodeFaults  # noqa: E402
-from repro.service.jobs import JobSpec  # noqa: E402
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_cluster.json"
-)
+from repro.cluster import ClusterConfig, LocalCluster
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, NodeFaults
+from repro.service.jobs import JobSpec
 
 #: 1 -> 3 nodes must scale at least this much on >= 4 usable cores.
 SCALING_FLOOR = 1.7
 #: relaxed floor when only 2-3 cores are visible (workers share them).
 SCALING_FLOOR_FEW_CORES = 1.1
 
-FULL = dict(qubits=4, shots=128, iterations=2, chaos_jobs=12, scaling_jobs=12)
-SMOKE = dict(qubits=4, shots=64, iterations=1, chaos_jobs=8, scaling_jobs=6)
+#: ``rounds`` interleaved timed drains per node count; every drain
+#: starts its own worker processes, outside the timed region.
+FULL = dict(qubits=4, shots=128, iterations=2, chaos_jobs=12, scaling_jobs=12, rounds=2)
+SMOKE = dict(qubits=4, shots=64, iterations=1, chaos_jobs=8, scaling_jobs=6, rounds=2)
 
 SEED = 0
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity, not machine)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        return os.cpu_count() or 1
 
 
 def _specs(config: Dict[str, object], count: int) -> List[Tuple[str, JobSpec]]:
@@ -215,7 +198,7 @@ def run_recovery(config: Dict[str, object], workdir: str) -> Dict[str, object]:
 # throughput scaling (socket protocol, real worker subprocesses)
 # ----------------------------------------------------------------------
 def _drain_with_workers(
-    submissions: List[Tuple[str, JobSpec]], n_nodes: int
+    clock, submissions: List[Tuple[str, JobSpec]], n_nodes: int
 ) -> Dict[str, object]:
     from repro.cluster import ClusterMaster, MasterServer
 
@@ -224,9 +207,7 @@ def _drain_with_workers(
     )
     server = MasterServer(master, tick_interval_s=0.02).start()
     env = dict(os.environ)
-    src = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"
-    )
+    src = os.path.join(harness.ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     workers = [
         subprocess.Popen(
@@ -245,12 +226,11 @@ def _drain_with_workers(
     try:
         if not server.wait_for_nodes(n_nodes, timeout_s=60.0):
             raise RuntimeError(f"{n_nodes} workers did not join the master")
-        start = time.perf_counter()
-        for tenant, spec in submissions:
-            server.submit(spec, tenant)
-        if not server.drain(timeout_s=600.0):
-            raise RuntimeError("cluster did not drain")
-        elapsed = time.perf_counter() - start
+        with clock:
+            for tenant, spec in submissions:
+                server.submit(spec, tenant)
+            if not server.drain(timeout_s=600.0):
+                raise RuntimeError("cluster did not drain")
         fingerprints = master.fingerprints()
         done = sum(
             1 for job in master.jobs.values() if job.state.value == "done"
@@ -262,111 +242,74 @@ def _drain_with_workers(
                 worker.wait(timeout=15)
             except subprocess.TimeoutExpired:
                 worker.kill()
-    return {
-        "seconds": elapsed,
-        "done": done,
-        "jobs_per_s": done / elapsed if elapsed > 0 else 0.0,
-        "fingerprints": fingerprints,
-    }
+    return {"done": done, "fingerprints": fingerprints}
 
 
 def run_scaling(config: Dict[str, object]) -> Dict[str, object]:
     submissions = _specs(config, int(config["scaling_jobs"]))
-    one = _drain_with_workers(submissions, n_nodes=1)
-    three = _drain_with_workers(submissions, n_nodes=3)
+    timed = harness.best_of(
+        {
+            "one": lambda clock: _drain_with_workers(clock, submissions, n_nodes=1),
+            "three": lambda clock: _drain_with_workers(clock, submissions, n_nodes=3),
+        },
+        config["rounds"],
+    )
+    one, three = timed["one"], timed["three"]
+    fingerprints = [run["fingerprints"] for t in (one, three) for run in t.outputs]
     return {
         "jobs": len(submissions),
-        "one_node_s": one["seconds"],
-        "three_node_s": three["seconds"],
-        "speedup": one["seconds"] / three["seconds"]
-        if three["seconds"] > 0
-        else 0.0,
-        "one_node_done": one["done"],
-        "three_node_done": three["done"],
-        "transport_bit_identical": one["fingerprints"] == three["fingerprints"],
+        "one_node_s": one.seconds,
+        "three_node_s": three.seconds,
+        "speedup": one.seconds / three.seconds,
+        "one_node_done": min(run["done"] for run in one.outputs),
+        "three_node_done": min(run["done"] for run in three.outputs),
+        "transport_bit_identical": all(f == fingerprints[0] for f in fingerprints),
     }
 
 
 # ----------------------------------------------------------------------
 def run_bench(config: Dict[str, object]) -> Dict[str, object]:
-    chaos = run_chaos(config)
-    recovery = run_recovery(
-        config, os.path.dirname(os.path.abspath(__file__))
-    )
-    scaling = run_scaling(config)
     return {
-        "config": dict(
-            config,
-            seed=SEED,
-            cpu_count=os.cpu_count(),
-            usable_cpus=usable_cpus(),
-        ),
-        "chaos": chaos,
-        "recovery": recovery,
-        "scaling": scaling,
+        "config": dict(config, seed=SEED),
+        "chaos": run_chaos(config),
+        "recovery": run_recovery(config, os.path.dirname(os.path.abspath(__file__))),
+        "scaling": run_scaling(config),
     }
 
 
-def _check_gates(result: Dict[str, object]) -> List[str]:
-    failures: List[str] = []
-    for name, scenario in result["chaos"]["scenarios"].items():
-        for prop in ("all_settled", "zero_loss", "bit_identical", "deterministic"):
-            if not scenario[prop]:
-                failures.append(f"chaos/{name}: {prop} is false")
-    kill = result["chaos"]["scenarios"]["kill"]["counters"]
-    if kill.get("cluster.reassigned", 0) < 1:
-        failures.append(
-            "chaos/kill: no in-flight job was reassigned — the kill did "
-            "not exercise failover"
-        )
-    partition = result["chaos"]["scenarios"]["partition"]["counters"]
-    if partition.get("cluster.duplicate_results", 0) < 1:
-        failures.append(
-            "chaos/partition: healed node delivered no stale duplicate — "
-            "idempotent settlement not exercised"
-        )
-    recovery = result["recovery"]
-    for prop in ("all_settled", "zero_loss", "bit_identical"):
-        if not recovery[prop]:
-            failures.append(f"recovery: {prop} is false")
-    if recovery["replayed_open"] < 1:
-        failures.append("recovery: journal replay re-admitted no open jobs")
-
-    scaling = result["scaling"]
-    if not scaling["transport_bit_identical"]:
-        failures.append("scaling: socket results diverge between 1 and 3 nodes")
-    if scaling["three_node_done"] != scaling["jobs"]:
-        failures.append(
-            f"scaling: only {scaling['three_node_done']}/{scaling['jobs']} "
-            "jobs settled on 3 nodes"
-        )
-    cores = result["config"]["usable_cpus"]
-    if cores >= 4:
-        if scaling["speedup"] < SCALING_FLOOR:
-            failures.append(
-                f"scaling: {scaling['speedup']:.2f}x < floor {SCALING_FLOOR}x "
-                f"on {cores} cores"
-            )
-    elif cores >= 2:
-        if scaling["speedup"] < SCALING_FLOOR_FEW_CORES:
-            failures.append(
-                f"scaling: {scaling['speedup']:.2f}x < relaxed floor "
-                f"{SCALING_FLOOR_FEW_CORES}x on {cores} cores"
-            )
+def gates(host, smoke: bool) -> List[Gate]:
+    cores = host["usable_cpus"]
+    if cores < 2:
+        scaling = Gate("scaling.speedup", ">=", SCALING_FLOOR_FEW_CORES,
+                       skipped=f"{cores} usable CPU: 3 worker processes cannot "
+                               "outrun 1")
     else:
-        print(
-            f"  scaling-speedup gate SKIPPED: only {cores} usable core(s) "
-            "visible (os.sched_getaffinity) — 3 worker processes cannot "
-            "outrun 1 here; correctness gates still apply"
-        )
-    return failures
+        scaling = Gate("scaling.speedup", ">=",
+                       SCALING_FLOOR if cores >= 4 else SCALING_FLOOR_FEW_CORES)
+    return [
+        Gate(f"chaos.scenarios.{name}.{prop}", "==", True)
+        for name in ("kill", "hang", "partition")
+        for prop in ("all_settled", "zero_loss", "bit_identical", "deterministic")
+    ] + [
+        # the kill must force a real reassignment, and the healed
+        # partition's stale result must exercise duplicate settlement
+        Gate("chaos.scenarios.kill.counters.cluster.reassigned", ">=", 1),
+        Gate("chaos.scenarios.partition.counters.cluster.duplicate_results", ">=", 1),
+    ] + [
+        Gate(f"recovery.{prop}", "==", True)
+        for prop in ("all_settled", "zero_loss", "bit_identical")
+    ] + [
+        Gate("recovery.replayed_open", ">=", 1),
+        Gate("scaling.transport_bit_identical", "==", True),
+        Gate("scaling.three_node_done", "==", (SMOKE if smoke else FULL)["scaling_jobs"]),
+        scaling,
+    ]
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
     config = result["config"]
     print(
-        f"[bench_cluster/{mode}] 3-node cluster, qaoa/spsa "
-        f"{config['qubits']}q, {config['usable_cpus']} usable core(s)"
+        f"[bench_cluster/{mode}] 3-node cluster, qaoa/spsa {config['qubits']}q"
     )
     clean = result["chaos"]["clean"]
     print(
@@ -396,43 +339,5 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced configuration + the same absolute gates",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measured results into BENCH_cluster.json",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-
-    failures = _check_gates(result)
-    if failures:
-        for failure in failures:
-            print(f"  GATE FAILED -> {failure}")
-        return 1
-    print("cluster gates passed")
-
-    if args.update or not args.smoke:
-        recorded: Dict[str, object] = {}
-        if os.path.exists(RESULT_PATH):
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        # fingerprint maps are per-digest noise in the JSON; keep the
-        # digests and drop the raw maps before recording.
-        recorded[mode] = result
-        with open(RESULT_PATH, "w") as handle:
-            json.dump(recorded, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded -> {RESULT_PATH}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

@@ -23,34 +23,20 @@ properties the fault layer exists to provide:
   the job service keeps availability above the floor despite per-
   dispatch worker crashes.
 
-Results persist to ``BENCH_faults.json`` at the repo root; ``--smoke``
-re-measures a reduced configuration and applies the same absolute
-gates (resilience properties are pass/fail, not ratios, so there is no
-recorded-baseline comparison to go flaky).
-
 Usage::
 
-    python benchmarks/bench_faults.py            # full run, update JSON
+    python benchmarks/bench_faults.py            # full run, writes BENCH_faults.json
     python benchmarks/bench_faults.py --smoke    # quick gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro.faults.campaign import CampaignConfig, run_campaign  # noqa: E402
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_faults.json"
-)
+from repro.faults.campaign import CampaignConfig, run_campaign
 
 #: Jobs that survive worker crashes via bounded retries; with
 #: ``max_attempts=2`` and per-dispatch crash probability 0.3 the
@@ -82,75 +68,56 @@ def run_bench(config: Dict[str, object]) -> Dict[str, object]:
     campaign_config = _campaign_config(config)
     first = run_campaign(campaign_config)
     second = run_campaign(campaign_config)
+    # Visibility without resting on one draw: at every lossy point the
+    # baseline retransmits exactly the drops the injector decided, and
+    # its latency exceeds the fault-free point's by exactly the
+    # recovery time charged.
+    sweep = first["link_loss_sweep"]
+    clean = sweep[0]["baseline"]
+    visibility = [
+        {
+            "loss_p": point["loss_p"],
+            "unmatched_retransmits": (
+                point["baseline"]["retransmits"] - point["baseline"]["injected_drops"]
+            ),
+            "unexplained_delay_ps": (
+                point["baseline"]["end_to_end_ps"] - clean["end_to_end_ps"]
+                - point["baseline"]["recovery_ps"]
+            ),
+        }
+        for point in sweep[1:]
+    ]
     return {
         "config": dict(config, seed=SEED),
         "digest": first["digest"],
         "deterministic": first["digest"] == second["digest"],
+        "visibility": visibility,
         "campaign": first,
     }
 
 
-def _check_gates(result: Dict[str, object]) -> List[str]:
-    """Absolute pass/fail properties; returns the list of failures."""
-    failures: List[str] = []
-    campaign = result["campaign"]
-
-    if not result["deterministic"]:
-        failures.append("determinism: campaign digests differ between runs")
-
-    sweep = campaign["link_loss_sweep"]
-    for point in sweep:
-        if not point["qtenon_trace_identical"]:
-            failures.append(
-                f"masking: qtenon trace diverged at {point['loss_p']:.1%} loss"
-            )
-    clean = min(sweep, key=lambda p: p["loss_p"])
-    if clean["loss_p"] > 0.0:
-        failures.append("visibility: the sweep has no fault-free point")
-    for point in sweep:
-        if point["loss_p"] == 0.0:
-            continue
-        base = point["baseline"]
-        if base["retransmits"] != base["injected_drops"]:
-            failures.append(
-                f"visibility: {base['retransmits']} baseline retransmits at "
-                f"{point['loss_p']:.1%} loss, injector dropped "
-                f"{base['injected_drops']}"
-            )
-        delay = base["end_to_end_ps"] - clean["baseline"]["end_to_end_ps"]
-        if delay != base["recovery_ps"]:
-            failures.append(
-                f"visibility: baseline latency at {point['loss_p']:.1%} loss is "
-                f"{delay} ps above fault-free, recovery charged "
-                f"{base['recovery_ps']} ps"
-            )
-    certain = [point for point in sweep if point["loss_p"] >= 1.0]
-    if not certain:
-        failures.append("visibility: no sweep point makes a drop certain")
-    for point in certain:
-        if point["baseline"]["retransmits"] <= 0:
-            failures.append(
-                f"visibility: no baseline retransmits at {point['loss_p']:.1%} loss"
-            )
-
-    breaker = campaign["breaker_recovery"]
-    if breaker["opens"] < 1 or breaker["recoveries"] < 1:
-        failures.append(
-            f"recovery: breaker opens={breaker['opens']} "
-            f"recoveries={breaker['recoveries']} (want >=1 each)"
-        )
-    if breaker["final_state"] != "closed":
-        failures.append(f"recovery: breaker ended {breaker['final_state']!r}")
-    if not breaker["values_identical"]:
-        failures.append("recovery: serial-fallback values diverge from pool values")
-
-    service = campaign["service_availability"]
-    if service["availability"] < AVAILABILITY_FLOOR:
-        failures.append(
-            f"availability: {service['availability']:.1%} "
-            f"< floor {AVAILABILITY_FLOOR:.0%}"
-        )
-    return failures
+def gates(host, smoke: bool) -> List[Gate]:
+    losses = (SMOKE if smoke else FULL)["losses"]
+    sweep = "campaign.link_loss_sweep"
+    return (
+        [Gate("deterministic", "==", True)]
+        + [Gate(f"{sweep}.{i}.qtenon_trace_identical", "==", True)
+           for i in range(len(losses))]
+        + [Gate(f"{sweep}.0.loss_p", "==", 0.0)]  # the fault-free reference point
+        + [Gate(f"visibility.{i}.{name}", "==", 0)
+           for i in range(len(losses) - 1)
+           for name in ("unmatched_retransmits", "unexplained_delay_ps")]
+        # a point whose plan makes a drop certain must show retransmits
+        + [Gate(f"{sweep}.{i}.baseline.retransmits", ">", 0)
+           for i, loss in enumerate(losses) if loss >= 1.0]
+        + [
+            Gate("campaign.breaker_recovery.opens", ">=", 1),
+            Gate("campaign.breaker_recovery.recoveries", ">=", 1),
+            Gate("campaign.breaker_recovery.final_state", "==", "closed"),
+            Gate("campaign.breaker_recovery.values_identical", "==", True),
+            Gate("campaign.service_availability.availability", ">=", AVAILABILITY_FLOOR),
+        ]
+    )
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
@@ -189,41 +156,5 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced configuration + the same absolute gates",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measured results into BENCH_faults.json",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-
-    failures = _check_gates(result)
-    if failures:
-        for failure in failures:
-            print(f"  GATE FAILED -> {failure}")
-        return 1
-    print("resilience gates passed")
-
-    if args.update or not args.smoke:
-        recorded: Dict[str, object] = {}
-        if os.path.exists(RESULT_PATH):
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        recorded[mode] = result
-        with open(RESULT_PATH, "w") as handle:
-            json.dump(recorded, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded -> {RESULT_PATH}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

@@ -21,51 +21,42 @@ asserts that before reporting any number.  A second scenario times
 program compilation against replay to expose the §6.1-style split the
 cache exploits: structure work once, parameter work per probe.
 
-Results persist to ``BENCH_kernels.json`` at the repo root;
-``--smoke`` runs a reduced configuration and fails unless the kernel
-path is at least ``MIN_SPEEDUP``x the reference path (an absolute
-floor, portable across machines) with identical histories.
+Gate: the kernel path is at least ``MIN_SPEEDUP``x the reference
+path (an absolute floor, portable across machines) with identical
+histories.
 
 Usage::
 
-    python benchmarks/bench_kernels.py            # full run, update JSON
+    python benchmarks/bench_kernels.py            # full run, writes BENCH_kernels.json
     python benchmarks/bench_kernels.py --smoke    # quick CI gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro import EvaluationEngine, HybridRunner, QtenonSystem  # noqa: E402
-from repro.quantum.circuit import QuantumCircuit  # noqa: E402
-from repro.quantum.kernels import KERNEL_STATS, PROGRAM_CACHE, compile_circuit  # noqa: E402
-from repro.quantum.statevector import Statevector  # noqa: E402
-from repro.runtime import engine as engine_module  # noqa: E402
-from repro.vqa import make_optimizer  # noqa: E402
-from repro.vqa.ansatz import hardware_efficient_ansatz  # noqa: E402
-from repro.vqa.hamiltonians import molecular_hamiltonian  # noqa: E402
+from repro import EvaluationEngine, HybridRunner, QtenonSystem
+from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.kernels import KERNEL_STATS, PROGRAM_CACHE, compile_circuit
+from repro.quantum.statevector import Statevector
+from repro.runtime import engine as engine_module
+from repro.vqa import make_optimizer
+from repro.vqa.ansatz import hardware_efficient_ansatz
+from repro.vqa.hamiltonians import molecular_hamiltonian
 
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_kernels.json"
-)
-
-#: The smoke gate's absolute floor: kernels must beat the reference
-#: tensor-contraction path by at least this factor end to end.
+#: Absolute floor: kernels must beat the reference tensor-contraction
+#: path by at least this factor end to end.
 MIN_SPEEDUP = 2.0
 
-FULL = dict(qubits=12, shots=1_000, iterations=3, replay_rounds=200)
-SMOKE = dict(qubits=12, shots=1_000, iterations=1, replay_rounds=50)
+#: ``rounds`` interleaved timed runs per scenario after a warm-up; a
+#: smoke reference trajectory already lasts ~2.5 s.
+FULL = dict(qubits=12, shots=1_000, iterations=3, replay_rounds=200, rounds=2)
+SMOKE = dict(qubits=12, shots=1_000, iterations=1, replay_rounds=50, rounds=2)
 
 SEED = 7
 
@@ -129,8 +120,8 @@ def _reference_batch(spec, vectors, shots, seeds) -> List[float]:
     return out
 
 
-def _run_vqe(reference: bool, config: Dict[str, int]) -> Dict[str, object]:
-    """One GD trajectory; returns wall-clock + the energy history.
+def _run_vqe(clock, reference: bool, config: Dict[str, int]) -> List[float]:
+    """One GD trajectory; returns the energy history.
 
     ``reference=True`` swaps the engine's functional batch for the
     frozen :func:`_reference_batch` for the duration of the run.
@@ -151,93 +142,64 @@ def _run_vqe(reference: bool, config: Dict[str, int]) -> Dict[str, object]:
     if reference:
         engine_module.evaluate_spec_batch = _reference_batch
     try:
-        start = time.perf_counter()
-        result = runner.run(seed=SEED)
-        elapsed = time.perf_counter() - start
+        with clock:
+            result = runner.run(seed=SEED)
     finally:
         engine_module.evaluate_spec_batch = production
         engine.close()
-    evals = (2 * len(parameters) + 1) * config["iterations"]
-    return {
-        "seconds": elapsed,
-        "history": result.cost_history,
-        "evaluations": evals,
-        "ms_per_eval": 1_000.0 * elapsed / evals,
-    }
+    return result.cost_history
 
 
-def _run_replay(config: Dict[str, int]) -> Dict[str, float]:
+def _replay_paths(config: Dict[str, int]):
     """Structure-once vs per-probe cost, across the three regimes:
     recompile every probe, content-addressed cache lookup per probe
     (pays the structure hash), and direct program replay (what the
-    engine's spec does — the hash amortised over the whole run)."""
+    engine's spec does — the hash amortised over the whole run).
+
+    Content-addressed lookups go through the process-wide
+    PROGRAM_CACHE — the same cache the engine replays through — so the
+    run's ``program_cache_hits`` counter reflects this scenario."""
     ansatz, parameters, _ = _workload(config["qubits"])
     rng = np.random.default_rng(SEED)
     vectors = [
         rng.uniform(-0.5, 0.5, size=len(parameters))
         for _ in range(config["replay_rounds"])
     ]
-
-    start = time.perf_counter()
-    for vector in vectors:
-        compile_circuit(ansatz, parameters).execute(vector)
-    recompile_s = time.perf_counter() - start
-
-    # Content-addressed lookups go through the process-wide
-    # PROGRAM_CACHE — the same cache the engine replays through — so
-    # the run's `program_cache_hits` counter reflects this scenario.
-    # Hit rate comes from the cache's own stats deltas (the cache may
-    # already hold this structure from the VQE scenario).
-    cache_before = PROGRAM_CACHE.stats.as_dict()
-    start = time.perf_counter()
-    for vector in vectors:
-        PROGRAM_CACHE.get_or_compile(ansatz, parameters).execute(vector)
-    cached_s = time.perf_counter() - start
-    cache_after = PROGRAM_CACHE.stats.as_dict()
-    hits = cache_after["replay_cache.hits"] - cache_before.get(
-        "replay_cache.hits", 0
-    )
-    misses = cache_after["replay_cache.misses"] - cache_before.get(
-        "replay_cache.misses", 0
-    )
-
     program = PROGRAM_CACHE.get_or_compile(ansatz, parameters)
-    start = time.perf_counter()
-    for vector in vectors:
-        program.execute(vector)
-    replay_s = time.perf_counter() - start
 
-    return {
-        "rounds": float(config["replay_rounds"]),
-        "recompile_s": recompile_s,
-        "cached_s": cached_s,
-        "replay_s": replay_s,
-        "cached_speedup": recompile_s / cached_s if cached_s else float("inf"),
-        "replay_speedup": recompile_s / replay_s if replay_s else float("inf"),
-        "cache_hit_rate": hits / max(1, hits + misses),
-        "source_gates": float(program.source_gates),
-        "program_nodes": float(program.n_nodes),
-    }
+    def recompile(clock):
+        with clock:
+            for vector in vectors:
+                compile_circuit(ansatz, parameters).execute(vector)
+
+    def cached(clock):
+        with clock:
+            for vector in vectors:
+                PROGRAM_CACHE.get_or_compile(ansatz, parameters).execute(vector)
+
+    def replay(clock):
+        with clock:
+            for vector in vectors:
+                program.execute(vector)
+
+    return program, {"recompile": recompile, "cached": cached, "replay": replay}
 
 
 def run_bench(config: Dict[str, int]) -> Dict[str, object]:
-    # The counter window spans BOTH kernel-path scenarios (the VQE loop
-    # and the replay study) — the replay scenario is what exercises the
-    # process-wide program cache's hit path, so a window around the VQE
-    # run alone under-reports `program_cache_hits` as 0.
+    # The counter window spans one untimed pass of BOTH kernel-path
+    # scenarios (the VQE loop and the replay study) — the replay
+    # scenario is what exercises the process-wide program cache's hit
+    # path, so a window around the VQE run alone under-reports
+    # `program_cache_hits` as 0.
     before = KERNEL_STATS.as_dict()
-    kernel = _run_vqe(False, config)
-    replay = _run_replay(config)
+    _run_vqe(harness.Clock(), False, config)
+    program, replay_paths = _replay_paths(config)
+    replay_paths["recompile"](harness.Clock())
+    cache_before = PROGRAM_CACHE.stats.as_dict()
+    replay_paths["cached"](harness.Clock())
+    cache_after = PROGRAM_CACHE.stats.as_dict()
+    replay_paths["replay"](harness.Clock())
     after = KERNEL_STATS.as_dict()
-    reference = _run_vqe(True, config)
-
-    if kernel["history"] != reference["history"]:
-        raise AssertionError(
-            "kernel and reference energy histories diverge:\n"
-            f"  kernel    {kernel['history']}\n"
-            f"  reference {reference['history']}"
-        )
-
     counters = {
         key.split(".", 1)[1]: after[key] - before.get(key, 0)
         for key in after
@@ -247,25 +209,55 @@ def run_bench(config: Dict[str, int]) -> Dict[str, object]:
             "program cache never hit during the bench window: "
             f"counters={counters}"
         )
-    return {
-        "config": {
-            **config,
-            "params": 60,
-            "usable_cpus": len(os.sched_getaffinity(0)),
-            "numpy": np.__version__,
+    hits, misses = (
+        cache_after[f"replay_cache.{k}"] - cache_before.get(f"replay_cache.{k}", 0)
+        for k in ("hits", "misses")
+    )
+
+    vqe = harness.best_of(
+        {
+            "kernel": lambda clock: _run_vqe(clock, False, config),
+            "reference": lambda clock: _run_vqe(clock, True, config),
         },
+        config["rounds"],
+    )
+    if vqe["kernel"].output != vqe["reference"].output:
+        raise AssertionError(
+            "kernel and reference energy histories diverge:\n"
+            f"  kernel    {vqe['kernel'].output}\n"
+            f"  reference {vqe['reference'].output}"
+        )
+    replay = harness.best_of(replay_paths, config["rounds"])
+    recompile_s = replay["recompile"].seconds
+    evals = (2 * 60 + 1) * config["iterations"]
+    return {
+        "config": {**config, "params": 60},
         "vqe": {
-            "reference_s": reference["seconds"],
-            "kernel_s": kernel["seconds"],
-            "speedup": reference["seconds"] / kernel["seconds"],
-            "reference_ms_per_eval": reference["ms_per_eval"],
-            "kernel_ms_per_eval": kernel["ms_per_eval"],
-            "evaluations": kernel["evaluations"],
+            "reference_s": vqe["reference"].seconds,
+            "kernel_s": vqe["kernel"].seconds,
+            "speedup": vqe["reference"].seconds / vqe["kernel"].seconds,
+            "reference_ms_per_eval": 1_000.0 * vqe["reference"].seconds / evals,
+            "kernel_ms_per_eval": 1_000.0 * vqe["kernel"].seconds / evals,
+            "evaluations": evals,
             "identical_histories": True,
         },
         "kernel_counters": counters,
-        "replay": replay,
+        "replay": {
+            "rounds": float(config["replay_rounds"]),
+            "recompile_s": recompile_s,
+            "cached_s": replay["cached"].seconds,
+            "replay_s": replay["replay"].seconds,
+            "cached_speedup": recompile_s / replay["cached"].seconds,
+            "replay_speedup": recompile_s / replay["replay"].seconds,
+            "cache_hit_rate": hits / max(1, hits + misses),
+            "source_gates": float(program.source_gates),
+            "program_nodes": float(program.n_nodes),
+        },
     }
+
+
+def gates(host, smoke: bool) -> List[Gate]:
+    return [Gate("vqe.speedup", ">=", MIN_SPEEDUP)]
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
@@ -306,40 +298,5 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
     )
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help=f"reduced configuration; fail below {MIN_SPEEDUP}x speedup",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-
-    if args.smoke:
-        speedup = result["vqe"]["speedup"]
-        if speedup < MIN_SPEEDUP:
-            print(
-                f"kernel gate FAILED: {speedup:.2f}x < {MIN_SPEEDUP}x "
-                "required over the reference path"
-            )
-            return 1
-        print(f"kernel gate passed ({speedup:.2f}x >= {MIN_SPEEDUP}x)")
-        return 0
-
-    recorded: Dict[str, object] = {}
-    if os.path.exists(RESULT_PATH):
-        with open(RESULT_PATH) as handle:
-            recorded = json.load(handle)
-    recorded[mode] = result
-    with open(RESULT_PATH, "w") as handle:
-        json.dump(recorded, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"recorded -> {RESULT_PATH}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

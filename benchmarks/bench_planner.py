@@ -19,41 +19,28 @@ approximation — and gates the three claims the design rests on:
   produce bit-identical energy histories under shared seeds, the
   invariant that keeps cache keys and replayable runs stable.
 
-Results persist to ``BENCH_planner.json`` at the repo root; ``--smoke``
-runs a reduced configuration for CI and fails on any violated gate.
-
 Usage::
 
-    python benchmarks/bench_planner.py            # full run, update JSON
+    python benchmarks/bench_planner.py            # full run, writes BENCH_planner.json
     python benchmarks/bench_planner.py --smoke    # quick CI gate
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro.planner import DEFAULT_PLANNER  # noqa: E402
-from repro.quantum.kernels import gate_census  # noqa: E402
-from repro.quantum.stabilizer import STABILIZER_STATS  # noqa: E402
-from repro.runtime.engine import build_spec, evaluate_spec_batch  # noqa: E402
-from repro.vqa import ghz_circuit, ghz_observable  # noqa: E402
+from repro.planner import DEFAULT_PLANNER
+from repro.quantum.kernels import gate_census
+from repro.quantum.stabilizer import STABILIZER_STATS
+from repro.runtime.engine import build_spec, evaluate_spec_batch
+from repro.vqa import ghz_circuit, ghz_observable
 
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_planner.json"
-)
-
-#: The smoke gate: planning one job must cost less than this fraction
+#: The gate: planning one job must cost less than this fraction
 #: of running it (spec build + ``JOB_EVALS`` evaluations).
 MAX_OVERHEAD_FRACTION = 0.01
 
@@ -68,6 +55,7 @@ FULL = dict(
     parity_qubits=8,
     parity_rounds=20,
     overhead_rounds=200,
+    timer_rounds=3,
 )
 SMOKE = dict(
     widths=[64],
@@ -76,6 +64,7 @@ SMOKE = dict(
     parity_qubits=8,
     parity_rounds=5,
     overhead_rounds=50,
+    timer_rounds=3,
 )
 
 SEED = 11
@@ -93,16 +82,20 @@ def _run_wide_clifford(config: Dict[str, object]) -> List[Dict[str, float]]:
                 f"planner routed ghz_{width} to {spec.backend_id!r}, "
                 "expected 'stabilizer'"
             )
-        wide_before = STABILIZER_STATS.as_dict()["stabilizer.wide_path_samples"]
-        start = time.perf_counter()
-        exact = True
-        for round_index in range(config["rounds"]):
-            (value,) = evaluate_spec_batch(
-                spec, [_EMPTY], config["shots"], [SEED + round_index]
-            )
-            exact = exact and value == float(width - 1)
-        elapsed = time.perf_counter() - start
-        wide_after = STABILIZER_STATS.as_dict()["stabilizer.wide_path_samples"]
+
+        def evaluate(clock):
+            wide_before = STABILIZER_STATS.as_dict()["stabilizer.wide_path_samples"]
+            with clock:
+                values = [
+                    evaluate_spec_batch(spec, [_EMPTY], config["shots"], [SEED + i])[0]
+                    for i in range(config["rounds"])
+                ]
+            wide_after = STABILIZER_STATS.as_dict()["stabilizer.wide_path_samples"]
+            return values, wide_after - wide_before
+
+        timed = harness.best_of({"ghz": evaluate}, config["timer_rounds"])["ghz"]
+        _values, wide_shots = timed.output
+        elapsed = timed.seconds
         out.append(
             {
                 "qubits": float(width),
@@ -110,8 +103,12 @@ def _run_wide_clifford(config: Dict[str, object]) -> List[Dict[str, float]]:
                 "seconds": elapsed,
                 "evals_per_s": config["rounds"] / elapsed,
                 "shots_per_s": config["rounds"] * config["shots"] / elapsed,
-                "exact": exact,
-                "wide_path_shots": wide_after - wide_before,
+                "exact": all(
+                    value == float(width - 1)
+                    for values, _ in timed.outputs
+                    for value in values
+                ),
+                "wide_path_shots": wide_shots,
             }
         )
     return out
@@ -122,27 +119,35 @@ def _run_overhead(config: Dict[str, object]) -> Dict[str, float]:
     ``build_spec``) against the job it plans: the spec build plus
     ``JOB_EVALS`` evaluations."""
     width = config["widths"][0]
-
-    start = time.perf_counter()
-    spec = build_spec(ghz_circuit(width), ghz_observable(width))
-    build_s = time.perf_counter() - start
-    censuses = [gate_census(circuit) for circuit in spec.group_circuits]
-
+    circuit, observable = ghz_circuit(width), ghz_observable(width)
+    spec = build_spec(circuit, observable)
+    censuses = [gate_census(c) for c in spec.group_circuits]
     rounds = config["overhead_rounds"]
-    start = time.perf_counter()
-    for _ in range(rounds):
-        DEFAULT_PLANNER.decide(
-            n_qubits=width,
-            censuses=[gate_census(c) for c in spec.group_circuits],
-            exact_limit=spec.exact_limit,
-        )
-    plan_s = (time.perf_counter() - start) / rounds
 
-    start = time.perf_counter()
-    for round_index in range(config["rounds"]):
-        evaluate_spec_batch(spec, [_EMPTY], config["shots"], [round_index])
-    eval_s = (time.perf_counter() - start) / config["rounds"]
+    def build(clock):
+        with clock:
+            build_spec(circuit, observable)
 
+    def plan(clock):
+        with clock:
+            for _ in range(rounds):
+                DEFAULT_PLANNER.decide(
+                    n_qubits=width,
+                    censuses=[gate_census(c) for c in spec.group_circuits],
+                    exact_limit=spec.exact_limit,
+                )
+
+    def evaluate(clock):
+        with clock:
+            for round_index in range(config["rounds"]):
+                evaluate_spec_batch(spec, [_EMPTY], config["shots"], [round_index])
+
+    timed = harness.best_of(
+        {"build": build, "plan": plan, "evaluate": evaluate}, config["timer_rounds"]
+    )
+    build_s = timed["build"].seconds
+    plan_s = timed["plan"].seconds / rounds
+    eval_s = timed["evaluate"].seconds / config["rounds"]
     job_s = build_s + JOB_EVALS * eval_s
     return {
         "qubits": float(width),
@@ -151,7 +156,7 @@ def _run_overhead(config: Dict[str, object]) -> Dict[str, float]:
         "plan_us_per_job": 1e6 * plan_s,
         "build_spec_ms": 1e3 * build_s,
         "eval_ms": 1e3 * eval_s,
-        "overhead_fraction": plan_s / job_s if job_s else float("inf"),
+        "overhead_fraction": plan_s / job_s,
     }
 
 
@@ -189,11 +194,19 @@ def _run_parity(config: Dict[str, object]) -> Dict[str, object]:
 
 def run_bench(config: Dict[str, object]) -> Dict[str, object]:
     return {
-        "config": {**config, "cpu_count": os.cpu_count()},
+        "config": config,
         "wide_clifford": _run_wide_clifford(config),
         "overhead": _run_overhead(config),
         "parity": _run_parity(config),
     }
+
+
+def gates(host, smoke: bool) -> List[Gate]:
+    widths = (SMOKE if smoke else FULL)["widths"]
+    return [Gate(f"wide_clifford.{i}.exact", "==", True) for i in range(len(widths))] + [
+        Gate("overhead.overhead_fraction", "<", MAX_OVERHEAD_FRACTION),
+        Gate("parity.identical_histories", "==", True),
+    ]
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
@@ -221,57 +234,5 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
     )
 
 
-def _gate(result: Dict[str, object]) -> List[str]:
-    failures = []
-    for row in result["wide_clifford"]:
-        if not row["exact"]:
-            failures.append(
-                f"ghz_{row['qubits']:.0f} energy deviated from the exact "
-                "n-1 witness value"
-            )
-    fraction = result["overhead"]["overhead_fraction"]
-    if fraction >= MAX_OVERHEAD_FRACTION:
-        failures.append(
-            f"planner overhead {100 * fraction:.2f}% >= "
-            f"{100 * MAX_OVERHEAD_FRACTION:.0f}% of a "
-            f"{JOB_EVALS}-evaluation job"
-        )
-    if not result["parity"]["identical_histories"]:
-        failures.append("planned vs forced energy histories diverge")
-    return failures
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced configuration; fail on any violated gate",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-
-    failures = _gate(result)
-    if failures:
-        for failure in failures:
-            print(f"planner gate FAILED: {failure}")
-        return 1
-    print("planner gates passed (exact wide Clifford, <1% overhead, parity)")
-
-    if not args.smoke:
-        recorded: Dict[str, object] = {}
-        if os.path.exists(RESULT_PATH):
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        recorded[mode] = result
-        with open(RESULT_PATH, "w") as handle:
-            json.dump(recorded, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded -> {RESULT_PATH}")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

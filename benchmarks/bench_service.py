@@ -16,55 +16,34 @@ scenario submits an asymmetric (10x-skewed) all-unique stream and
 reports how fairly the scheduler served tenants while they were all
 backlogged (Jain index over served cost at the contended prefix).
 
-Results persist to ``BENCH_service.json`` at the repo root;
-``--smoke`` re-measures a reduced configuration and fails on a >20%
-regression of the recorded ratio metrics (capped, so a lucky recorded
-baseline cannot make the gate flaky).
+Gates are constant floors: the duplicate-heavy speedup (coalescing
+alone guarantees 2x; the floor sits at 80% of that), and a contended
+fairness index that only catches a scheduler which stops interleaving
+tenants.
 
 Usage::
 
-    python benchmarks/bench_service.py            # full run, update JSON
-    python benchmarks/bench_service.py --smoke    # quick regression gate
+    python benchmarks/bench_service.py            # full run, writes BENCH_service.json
+    python benchmarks/bench_service.py --smoke    # quick gate run
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import sys
-import time
-from typing import Dict, List, Optional, Tuple
+import asyncio
+from typing import Dict, List, Tuple
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro import EvaluationEngine, HybridRunner, QtenonSystem  # noqa: E402
-from repro.service import JobService, JobSpec, ServiceConfig, jain_index  # noqa: E402
-from repro.service.service import WORKLOADS  # noqa: E402
-from repro.vqa import make_optimizer  # noqa: E402
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_service.json"
-)
-
-#: >20% regression against the recorded ratios fails the smoke gate.
-REGRESSION_TOLERANCE = 0.20
-
-#: Caps keep the gate portable: the duplicate-heavy speedup is gated at
-#: the acceptance-level 2x (coalescing alone guarantees it) rather than
-#: at whatever a fast machine once recorded; the contended-fairness
-#: floor only catches a scheduler that stops interleaving tenants.
-GATE_CAPS = {
-    "duplicate_heavy.speedup": 2.0,
-    "skewed.fairness_contended": 0.6,
-}
+from repro import EvaluationEngine, HybridRunner, QtenonSystem
+from repro.service import JobService, JobSpec, ServiceConfig, jain_index
+from repro.service.service import WORKLOADS
+from repro.vqa import make_optimizer
 
 FULL = dict(qubits=5, shots=2_000, distinct=4, tenants=6, workers=4,
-            hog_jobs=10, mouse_jobs=2)
+            hog_jobs=10, mouse_jobs=2, rounds=2, inner=1)
 SMOKE = dict(qubits=4, shots=400, distinct=3, tenants=4, workers=2,
-             hog_jobs=6, mouse_jobs=2)
+             hog_jobs=6, mouse_jobs=2, rounds=3, inner=4)
 
 SEED = 7
 CACHE_ENTRIES = 4096
@@ -100,10 +79,11 @@ def _direct_run(spec: JobSpec):
 
 
 def _run_service(
+    clock,
     config: Dict[str, int],
     waves: List[List[Tuple[str, JobSpec]]],
     quantum: float,
-) -> Tuple[JobService, float]:
+) -> JobService:
     """Drive one service through successive submit-then-drain waves.
 
     Waves matter for what they exercise: duplicates *within* a wave
@@ -111,8 +91,6 @@ def _run_service(
     resubmitted in a *later* wave starts a fresh flight and re-executes
     — which is exactly what the shared content-addressed ``EvalCache``
     exists to absorb."""
-    import asyncio
-
     n_jobs = sum(len(wave) for wave in waves)
     service = JobService(
         ServiceConfig(
@@ -131,11 +109,10 @@ def _run_service(
                 assert outcome.accepted, outcome.rejection
             await service.drain()
 
-    start = time.perf_counter()
-    asyncio.run(drive())
-    elapsed = time.perf_counter() - start
+    with clock:
+        asyncio.run(drive())
     service.close()
-    return service, elapsed
+    return service
 
 
 def _duplicate_heavy(config: Dict[str, int]) -> Dict[str, object]:
@@ -160,20 +137,31 @@ def _duplicate_heavy(config: Dict[str, int]) -> Dict[str, object]:
     waves = [wave, wave]
     n_jobs = sum(len(w) for w in waves)
 
-    # Naive schedule: every job executed in full, one at a time.
-    start = time.perf_counter()
-    naive_results = {spec.digest: _direct_run(spec) for spec in specs}
-    naive_one = time.perf_counter() - start
-    naive_s = naive_one / config["distinct"] * n_jobs  # all jobs, no reuse
+    def naive(clock):
+        """Every job executed in full, one at a time."""
+        with clock:
+            return {spec.digest: _direct_run(spec).cost_history for spec in specs}
 
-    service, service_s = _run_service(config, waves, quantum=16.0)
-    identical = True
-    for record in service.records.values():
-        reference = naive_results[record.spec.digest]
-        if record.result is None or (
-            record.result.cost_history != reference.cost_history
-        ):
-            identical = False
+    timed = harness.best_of(
+        {
+            "naive": naive,
+            "service": lambda clock: _run_service(clock, config, waves, quantum=16.0),
+        },
+        config["rounds"],
+        config["inner"],
+    )
+    # The naive schedule runs the distinct jobs; all jobs, without
+    # reuse, cost that times the duplication.
+    naive_s = timed["naive"].seconds / config["distinct"] * n_jobs
+    service_s = timed["service"].seconds
+    service = timed["service"].output
+    reference = timed["naive"].output
+    identical = all(
+        record.result is not None
+        and record.result.cost_history == reference[record.spec.digest]
+        for run in timed["service"].outputs
+        for record in run.records.values()
+    )
     snapshot = service.metrics_snapshot()
     latency = snapshot["latency_s"]
     cache_hits = snapshot.get("eval_cache", {}).get("eval_cache.hits", 0.0)
@@ -237,7 +225,9 @@ def _skewed(config: Dict[str, int]) -> Dict[str, object]:
     # worker makes the dispatch order the completion order.
     cost = submissions[0][1].cost
     single = dict(config, workers=1)
-    service, elapsed = _run_service(single, [submissions], quantum=cost)
+    clock = harness.Clock()
+    service = _run_service(clock, single, [submissions], quantum=cost)
+    elapsed = clock.seconds
     completions = sorted(
         service.records.values(), key=lambda record: record.finished_s
     )
@@ -259,16 +249,19 @@ def _skewed(config: Dict[str, int]) -> Dict[str, object]:
 
 
 def run_bench(config: Dict[str, int]) -> Dict[str, object]:
-    duplicate_heavy = _duplicate_heavy(config)
-    if not duplicate_heavy["identical_results"]:
-        raise AssertionError("service results diverge from direct HybridRunner runs")
-    skewed = _skewed(config)
     return {
-        "config": {**config, "cache_entries": CACHE_ENTRIES,
-                   "cpu_count": os.cpu_count()},
-        "duplicate_heavy": duplicate_heavy,
-        "skewed": skewed,
+        "config": {**config, "cache_entries": CACHE_ENTRIES},
+        "duplicate_heavy": _duplicate_heavy(config),
+        "skewed": _skewed(config),
     }
+
+
+def gates(host, smoke: bool) -> List[Gate]:
+    return [
+        Gate("duplicate_heavy.speedup", ">=", 1.6),
+        Gate("skewed.fairness_contended", ">=", 0.48),
+        Gate("duplicate_heavy.identical_results", "==", True),
+    ]
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
@@ -293,63 +286,5 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
     print(f"  results bit-identical to direct runs: {dup['identical_results']}")
 
 
-def _load_recorded() -> Dict[str, object]:
-    if not os.path.exists(RESULT_PATH):
-        return {}
-    with open(RESULT_PATH) as handle:
-        return json.load(handle)
-
-
-def _check_regression(recorded: Dict[str, object], current: Dict[str, object]) -> int:
-    failures = []
-    checks = [
-        ("duplicate_heavy.speedup", recorded["duplicate_heavy"]["speedup"],
-         current["duplicate_heavy"]["speedup"]),
-        ("skewed.fairness_contended", recorded["skewed"]["fairness_contended"],
-         current["skewed"]["fairness_contended"]),
-    ]
-    for name, baseline, measured in checks:
-        floor = min(baseline, GATE_CAPS[name]) * (1.0 - REGRESSION_TOLERANCE)
-        status = "ok" if measured >= floor else "REGRESSION"
-        print(f"  {name}: {measured:.3f} vs recorded {baseline:.3f} "
-              f"(floor {floor:.3f}) {status}")
-        if measured < floor:
-            failures.append(name)
-    if not current["duplicate_heavy"]["identical_results"]:
-        failures.append("duplicate_heavy.identical_results")
-    if failures:
-        print(f"regression gate FAILED: {', '.join(failures)}")
-        return 1
-    print("regression gate passed")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced configuration + regression gate against BENCH_service.json",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measured results into BENCH_service.json",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-
-    recorded = _load_recorded()
-    if args.update or not args.smoke or mode not in recorded:
-        recorded[mode] = result
-        with open(RESULT_PATH, "w") as handle:
-            json.dump(recorded, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded -> {RESULT_PATH}")
-        return 0
-    return _check_regression(recorded[mode], result)
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

@@ -36,43 +36,34 @@ must be bit-identical to its submit-path job of the same spec (same
 content-addressed evaluation keys => same sampler seeds => identical
 energies) — the session tier's correctness contract.
 
-Each path's time is the best of ``repeats`` campaigns, the two paths
-interleaved in ABBA order after one untimed warm-up of each, so a
-single noisy ~0.1 s smoke campaign cannot decide a gate.
-
-Results persist to ``BENCH_sessions.json`` at the repo root;
-``--smoke`` re-measures a reduced configuration and fails if streamed
-RPS drops below 3x submit RPS (the acceptance floor), the streamed
-campaign takes >1.5x the submit wall time, or histories diverge.
+Each path's time is the best of ``repeats`` runs, the two paths
+interleaved in ABBA order after one untimed warm-up of each; a run
+repeats ``inner`` campaigns, so a single noisy ~0.05 s smoke campaign
+cannot decide a gate.  Gates: streamed RPS at least 3x submit RPS (the
+acceptance floor), the streamed campaign at most 1.5x the submit wall
+time, and identical histories.
 
 Usage::
 
-    python benchmarks/bench_sessions.py            # full run, update JSON
-    python benchmarks/bench_sessions.py --smoke    # quick regression gate
+    python benchmarks/bench_sessions.py            # full run, writes BENCH_sessions.json
+    python benchmarks/bench_sessions.py --smoke    # quick gate run
 """
 
 from __future__ import annotations
 
-import argparse
 import concurrent.futures
-import gc
-import json
-import os
-import sys
-import time
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro.service import (  # noqa: E402
+from repro.service import (
     JobSpec,
     ServiceConfig,
     ServiceHost,
     drive_session,
 )
-from repro.service.stream import (  # noqa: E402
+from repro.service.stream import (
     KIND_EVAL,
     KIND_VALUE,
     StreamDecoder,
@@ -83,14 +74,6 @@ from repro.service.stream import (  # noqa: E402
     unpack_values,
 )
 
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_sessions.json",
-)
-
-#: >20% regression against the recorded ratio fails the smoke gate.
-REGRESSION_TOLERANCE = 0.20
-
 #: Acceptance floors: streamed requests/s must beat submitted jobs/s
 #: by at least 3x, and the streamed campaign must not take materially
 #: longer than the submit campaign end-to-end.  The wall ceiling is a
@@ -99,8 +82,11 @@ REGRESSION_TOLERANCE = 0.20
 RPS_RATIO_FLOOR = 3.0
 WALL_RATIO_CEILING = 1.5
 
-FULL = dict(workload="vqe", qubits=4, shots=200, clients=4, iterations=4, repeats=5)
-SMOKE = dict(workload="vqe", qubits=4, shots=100, clients=2, iterations=3, repeats=7)
+#: ``inner`` campaigns per timed run bring each region to about a second.
+FULL = dict(workload="vqe", qubits=4, shots=200, clients=4, iterations=4, repeats=5,
+            inner=8)
+SMOKE = dict(workload="vqe", qubits=4, shots=100, clients=2, iterations=3, repeats=5,
+             inner=30)
 
 SEED = 11
 
@@ -138,26 +124,22 @@ def _submit_and_settle(host: ServiceHost, spec: JobSpec, tenant: str):
     return done
 
 
-def _submit_path(config: Dict[str, int]) -> Dict[str, object]:
+def _submit_path(clock, config: Dict[str, int]) -> Dict[str, object]:
     """One job request per client campaign, all enqueued up front."""
     specs = _specs(config)
     with _make_host(config, len(specs)) as host:
-        start = time.perf_counter()
-        futures = [
-            _submit_and_settle(host, spec, f"tenant{j}")
-            for j, spec in enumerate(specs)
-        ]
-        records = [f.result(timeout=600) for f in futures]
-        elapsed = time.perf_counter() - start
+        with clock:
+            futures = [
+                _submit_and_settle(host, spec, f"tenant{j}")
+                for j, spec in enumerate(specs)
+            ]
+            records = [f.result(timeout=600) for f in futures]
     failed = [r.job_id for r in records if r.result is None]
     if failed:
         raise AssertionError(f"submit-path jobs failed: {failed}")
-    n_requests = len(specs)
     return {
-        "requests": n_requests,
-        "steps": n_requests * config["iterations"],
-        "seconds": elapsed,
-        "rps": n_requests / elapsed,
+        "requests": len(specs),
+        "steps": len(specs) * config["iterations"],
         "histories": [list(r.result.cost_history) for r in records],
     }
 
@@ -183,7 +165,7 @@ def _wire_evaluate(host: ServiceHost, session_id: str):
     return evaluate_batch
 
 
-def _stream_path(config: Dict[str, int]) -> Dict[str, object]:
+def _stream_path(clock, config: Dict[str, int]) -> Dict[str, object]:
     """The same campaigns, remotely steered over sessions.
 
     Clients run concurrently (each one's own loop is sequential — an
@@ -212,19 +194,15 @@ def _stream_path(config: Dict[str, int]) -> Dict[str, object]:
             host.close_session(session.session_id)
             return list(history)
 
-        start = time.perf_counter()
-        with concurrent.futures.ThreadPoolExecutor(n_clients) as clients:
-            histories = list(clients.map(drive_client, range(n_clients)))
-        elapsed = time.perf_counter() - start
+        with clock:
+            with concurrent.futures.ThreadPoolExecutor(n_clients) as clients:
+                histories = list(clients.map(drive_client, range(n_clients)))
         snapshot = host.metrics()
-    requests = sum(counts)
 
     return {
         "clients": n_clients,
-        "requests": requests,
+        "requests": sum(counts),
         "steps": n_clients * config["iterations"],
-        "seconds": elapsed,
-        "rps": requests / elapsed,
         "histories": histories,
         "stream_batches": snapshot["sessions"]["sessions"].get(
             "sessions.stream_batches", 0.0
@@ -232,49 +210,40 @@ def _stream_path(config: Dict[str, int]) -> Dict[str, object]:
     }
 
 
-def _timed_paths(config: Dict[str, int]) -> Dict[str, Dict[str, object]]:
-    """Best-of-``repeats`` run of each path, interleaved in ABBA order
-    after one untimed warm-up of both.
-
-    A single campaign lasts about 0.1 s at smoke scale, short enough
-    for one scheduler hiccup to swing the wall ratio past its ceiling;
-    the minimum over interleaved repeats keeps host-load drift from
-    landing on one path only.  Every repeat must reproduce the same
-    histories (the campaigns are seeded).
-    """
-    paths = {"submit": _submit_path, "stream": _stream_path}
-    for run in paths.values():
-        run(config)  # warm-up: imports, program cache, thread pools
-    best: Dict[str, Dict[str, object]] = {}
-    for repeat in range(config["repeats"]):
-        order = ("submit", "stream") if repeat % 2 == 0 else ("stream", "submit")
-        for name in order:
-            gc.collect()  # no run pays for its predecessor's garbage
-            result = paths[name](config)
-            if name in best and result["histories"] != best[name]["histories"]:
-                raise AssertionError(f"seeded {name} campaigns diverged between repeats")
-            if name not in best or result["seconds"] < best[name]["seconds"]:
-                best[name] = result
-    return best
-
-
 def run_bench(config: Dict[str, int]) -> Dict[str, object]:
-    best = _timed_paths(config)
-    submit, stream = best["submit"], best["stream"]
-    identical = stream["histories"] == submit["histories"]
-    histories = {
-        "stream": stream.pop("histories"),
-        "oneshot": submit.pop("histories"),
-    }
+    timed = harness.best_of(
+        {
+            "submit": lambda clock: _submit_path(clock, config),
+            "stream": lambda clock: _stream_path(clock, config),
+        },
+        config["repeats"],
+        config["inner"],
+    )
+    for name, run in timed.items():
+        if any(output != run.outputs[0] for output in run.outputs):
+            raise AssertionError(f"seeded {name} campaigns diverged between repeats")
+    submit, stream = dict(timed["submit"].output), dict(timed["stream"].output)
+    for path, seconds in ((submit, timed["submit"].seconds), (stream, timed["stream"].seconds)):
+        path["seconds"] = seconds
+        path["rps"] = path["requests"] / seconds
+    histories = {"stream": stream.pop("histories"), "oneshot": submit.pop("histories")}
     return {
-        "config": {**config, "usable_cpus": len(os.sched_getaffinity(0))},
+        "config": config,
         "submit": submit,
         "stream": stream,
         "rps_ratio": stream["rps"] / submit["rps"],
         "wall_ratio": stream["seconds"] / submit["seconds"],
-        "identical_histories": identical,
+        "identical_histories": histories["stream"] == histories["oneshot"],
         "histories": histories,
     }
+
+
+def gates(host, smoke: bool) -> List[Gate]:
+    return [
+        Gate("rps_ratio", ">=", RPS_RATIO_FLOOR),
+        Gate("wall_ratio", "<=", WALL_RATIO_CEILING),
+        Gate("identical_histories", "==", True),
+    ]
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
@@ -304,70 +273,5 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
     )
 
 
-def _load_recorded() -> Dict[str, object]:
-    if not os.path.exists(RESULT_PATH):
-        return {}
-    with open(RESULT_PATH) as handle:
-        return json.load(handle)
-
-
-def _check_regression(recorded: Dict[str, object], current: Dict[str, object]) -> int:
-    failures = []
-    baseline = recorded["rps_ratio"]
-    floor = min(baseline, RPS_RATIO_FLOOR) * (1.0 - REGRESSION_TOLERANCE)
-    floor = max(floor, RPS_RATIO_FLOOR)  # never gate below the acceptance 3x
-    measured = current["rps_ratio"]
-    status = "ok" if measured >= floor else "REGRESSION"
-    print(
-        f"  rps_ratio: {measured:.2f} vs recorded {baseline:.2f} "
-        f"(floor {floor:.2f}) {status}"
-    )
-    if measured < floor:
-        failures.append("rps_ratio")
-    if current["wall_ratio"] > WALL_RATIO_CEILING:
-        print(
-            f"  wall_ratio: {current['wall_ratio']:.2f} exceeds "
-            f"ceiling {WALL_RATIO_CEILING:.2f} REGRESSION"
-        )
-        failures.append("wall_ratio")
-    if not current["identical_histories"]:
-        failures.append("identical_histories")
-    if failures:
-        print(f"regression gate FAILED: {', '.join(failures)}")
-        return 1
-    print("regression gate passed")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced configuration + regression gate against BENCH_sessions.json",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measured results into BENCH_sessions.json",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-    if not result["identical_histories"]:
-        print("FAILED: streamed histories diverge from one-shot jobs")
-        return 1
-
-    recorded = _load_recorded()
-    if args.update or not args.smoke or mode not in recorded:
-        recorded[mode] = result
-        with open(RESULT_PATH, "w") as handle:
-            json.dump(recorded, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded -> {RESULT_PATH}")
-        return 0
-    return _check_regression(recorded[mode], result)
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

@@ -13,43 +13,31 @@ Two sections:
   (registry + engine collectors + tracer + an export at the end),
   min-of-``repeats`` timings; gate: ``overhead_ratio <= 1.05``.  The
   plain and instrumented runs alternate (ABBA order), so drift in a
-  shared host's load hits both sides alike, and a full-run sweep lasts
-  about a second, long enough that scheduler noise stays a small share
-  of it.
+  shared host's load hits both sides alike, and each timed region
+  lasts about a second (one full sweep, or 20 smoke sweeps), long
+  enough that scheduler noise stays a small share of it.
 * **determinism** — two identical seeded service runs under a step
   clock must export byte-identical Prometheus text, merged Chrome
   trace and JSONL event log; gate: all three identical.
 
-Results persist to ``BENCH_telemetry.json`` at the repo root.
-``--smoke`` runs a reduced configuration and fails on a gate
-violation (the gates are absolute, so smoke needs no recorded
-baseline).
-
 Usage::
 
-    python benchmarks/bench_telemetry.py            # full run, update JSON
+    python benchmarks/bench_telemetry.py            # full run, writes BENCH_telemetry.json
     python benchmarks/bench_telemetry.py --smoke    # quick CI gate
 """
 
 from __future__ import annotations
 
-import argparse
-import gc
-import json
-import os
-import sys
-import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-)
+import harness
+from harness import Gate
 
-from repro import EvaluationEngine, HybridRunner, QtenonSystem  # noqa: E402
-from repro.service.api import ServiceAPI  # noqa: E402
-from repro.service.jobs import JobSpec  # noqa: E402
-from repro.service.service import JobService, ServiceConfig  # noqa: E402
-from repro.telemetry import (  # noqa: E402
+from repro import EvaluationEngine, HybridRunner, QtenonSystem
+from repro.service.api import ServiceAPI
+from repro.service.jobs import JobSpec
+from repro.service.service import JobService, ServiceConfig
+from repro.telemetry import (
     EventLog,
     MetricsRegistry,
     StepClock,
@@ -58,20 +46,17 @@ from repro.telemetry import (  # noqa: E402
     parse_prometheus_text,
     to_prometheus_text,
 )
-from repro.vqa import make_optimizer  # noqa: E402
-from repro.vqa.ansatz import hardware_efficient_ansatz  # noqa: E402
-from repro.vqa.hamiltonians import molecular_hamiltonian  # noqa: E402
-
-RESULT_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "BENCH_telemetry.json",
-)
+from repro.vqa import make_optimizer
+from repro.vqa.ansatz import hardware_efficient_ansatz
+from repro.vqa.hamiltonians import molecular_hamiltonian
 
 #: Telemetry may cost at most 5% wall-clock on the runtime workload.
 MAX_OVERHEAD_RATIO = 1.05
 
-FULL = dict(qubits=8, shots=20_000, iterations=6, repeats=7, service_jobs=4)
-SMOKE = dict(qubits=8, shots=4_000, iterations=1, repeats=3, service_jobs=4)
+#: ``inner`` sweeps per timed run: a smoke sweep lasts ~0.05 s, so 20
+#: of them make a region of about a second, as one full sweep is.
+FULL = dict(qubits=8, shots=20_000, iterations=6, repeats=7, inner=1, service_jobs=4)
+SMOKE = dict(qubits=8, shots=4_000, iterations=1, repeats=5, inner=20, service_jobs=4)
 
 SEED = 7
 
@@ -82,8 +67,8 @@ def _workload():
     return ansatz, parameters, observable
 
 
-def _timed_sweep(config: Dict[str, int], telemetry: bool) -> Tuple[float, List[float]]:
-    """One seeded GD sweep; returns its wall-clock and cost history.
+def _sweep(clock, config: Dict[str, int], telemetry: bool) -> List[float]:
+    """One seeded GD sweep; returns its cost history.
 
     With ``telemetry`` on, the engine publishes into a registry
     (pull collectors), records evaluation spans into a tracer, and the
@@ -107,34 +92,12 @@ def _timed_sweep(config: Dict[str, int], telemetry: bool) -> Tuple[float, List[f
         shots=config["shots"],
         iterations=config["iterations"],
     )
-    start = time.perf_counter()
-    result = runner.run(seed=SEED)
-    if registry is not None:
-        parse_prometheus_text(to_prometheus_text(registry))
-    elapsed = time.perf_counter() - start
+    with clock:
+        result = runner.run(seed=SEED)
+        if registry is not None:
+            parse_prometheus_text(to_prometheus_text(registry))
     engine.close()
-    return elapsed, result.cost_history
-
-
-def _timed_sweeps(config: Dict[str, int]) -> Dict[str, float]:
-    """Best-of-``repeats`` wall-clock of the plain and the instrumented
-    sweep, run interleaved in ABBA order after one untimed warm-up."""
-    _timed_sweep(config, telemetry=False)  # warm-up: imports, program cache
-    best = {False: float("inf"), True: float("inf")}
-    histories = set()
-    for repeat in range(config["repeats"]):
-        order = (False, True) if repeat % 2 == 0 else (True, False)
-        for telemetry in order:
-            gc.collect()  # no sweep pays for its predecessor's garbage
-            elapsed, history = _timed_sweep(config, telemetry)
-            best[telemetry] = min(best[telemetry], elapsed)
-            histories.add(tuple(history))
-    if len(histories) != 1:
-        raise AssertionError(
-            "seeded sweeps diverged (telemetry changed the computation "
-            "or a repeat was not reproducible)"
-        )
-    return {"plain_s": best[False], "telemetry_s": best[True]}
+    return result.cost_history
 
 
 def _service_exports(config: Dict[str, int]) -> Dict[str, str]:
@@ -172,12 +135,21 @@ def _service_exports(config: Dict[str, int]) -> Dict[str, str]:
 
 
 def run_bench(config: Dict[str, int]) -> Dict[str, object]:
-    timings = _timed_sweeps(config)
-    overhead = (
-        timings["telemetry_s"] / timings["plain_s"]
-        if timings["plain_s"]
-        else float("inf")
+    timed = harness.best_of(
+        {
+            "plain": lambda clock: _sweep(clock, config, telemetry=False),
+            "telemetry": lambda clock: _sweep(clock, config, telemetry=True),
+        },
+        config["repeats"],
+        config["inner"],
     )
+    histories = {tuple(h) for run in timed.values() for h in run.outputs}
+    if len(histories) != 1:
+        raise AssertionError(
+            "seeded sweeps diverged (telemetry changed the computation "
+            "or a repeat was not reproducible)"
+        )
+    plain_s, telemetry_s = timed["plain"].seconds, timed["telemetry"].seconds
 
     first = _service_exports(config)
     second = _service_exports(config)
@@ -187,18 +159,21 @@ def run_bench(config: Dict[str, int]) -> Dict[str, object]:
         "events_identical": first["events"] == second["events"],
     }
     return {
-        "config": {
-            **config,
-            "usable_cpus": len(os.sched_getaffinity(0)),
-            "seed": SEED,
-        },
+        "config": {**config, "seed": SEED},
         "overhead": {
-            **timings,
-            "overhead_ratio": overhead,
-            "max_ratio": MAX_OVERHEAD_RATIO,
+            "plain_s": plain_s,
+            "telemetry_s": telemetry_s,
+            "overhead_ratio": telemetry_s / plain_s,
         },
         "determinism": determinism,
     }
+
+
+def gates(host, smoke: bool) -> List[Gate]:
+    return [Gate("overhead.overhead_ratio", "<=", MAX_OVERHEAD_RATIO)] + [
+        Gate(f"determinism.{name}", "==", True)
+        for name in ("prometheus_identical", "trace_identical", "events_identical")
+    ]
 
 
 def _print_report(mode: str, result: Dict[str, object]) -> None:
@@ -219,52 +194,5 @@ def _print_report(mode: str, result: Dict[str, object]) -> None:
     )
 
 
-def _check_gates(result: Dict[str, object]) -> int:
-    failures = []
-    if result["overhead"]["overhead_ratio"] > MAX_OVERHEAD_RATIO:
-        failures.append(
-            f"overhead_ratio {result['overhead']['overhead_ratio']:.3f} "
-            f"> {MAX_OVERHEAD_RATIO}"
-        )
-    for name, identical in result["determinism"].items():
-        if not identical:
-            failures.append(f"determinism.{name}")
-    if failures:
-        print(f"telemetry gate FAILED: {', '.join(failures)}")
-        return 1
-    print("telemetry gate passed")
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="reduced configuration (gates are absolute — no baseline needed)",
-    )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="write the measured results into BENCH_telemetry.json",
-    )
-    args = parser.parse_args(argv)
-
-    mode = "smoke" if args.smoke else "full"
-    result = run_bench(SMOKE if args.smoke else FULL)
-    _print_report(mode, result)
-
-    status = _check_gates(result)
-    if status == 0 and (args.update or not args.smoke):
-        recorded = {}
-        if os.path.exists(RESULT_PATH):
-            with open(RESULT_PATH) as handle:
-                recorded = json.load(handle)
-        recorded[mode] = result
-        with open(RESULT_PATH, "w") as handle:
-            json.dump(recorded, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"recorded -> {RESULT_PATH}")
-    return status
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(harness.main(__file__, run_bench, _print_report, gates, FULL, SMOKE))

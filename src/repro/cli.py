@@ -28,19 +28,12 @@ import json
 import sys
 from typing import List, Optional, Tuple
 
-from repro import (
-    DecoupledSystem,
-    EvalCache,
-    EvaluationEngine,
-    HybridRunner,
-    QtenonSystem,
-    __version__,
-)
+from repro import EvalCache, HybridRunner, __version__
 from repro.analysis import format_table
 from repro.core import QtenonConfig
-from repro.host import core_by_name
+from repro.quantum.noise import ReadoutNoise
 from repro.service import JobSpec, ServiceAPI, ServiceConfig
-from repro.service.platforms import WORKLOADS
+from repro.service.platforms import WORKLOADS, build_engine
 from repro.vqa import make_optimizer
 
 #: --backend choices; "auto" defers to the execution planner.
@@ -425,63 +418,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_platform(name: str, args) -> object:
+def _run_one(platform_name: str, workload, args):
+    """One ``repro run`` trajectory, always through the evaluation
+    engine: its content-derived sampler seeds make the answer the same
+    at any ``--workers`` and ``--cache-size``."""
     readout = None
     if args.readout_p01 > 0.0 or args.readout_p10 > 0.0:
-        from repro.quantum.noise import ReadoutNoise
-
         readout = ReadoutNoise(p01=args.readout_p01, p10=args.readout_p10)
-    backend = None if args.backend == "auto" else args.backend
-    if name == "qtenon":
-        platform = QtenonSystem(
-            args.qubits,
-            core=core_by_name(args.core),
-            seed=args.seed,
-            backend=backend,
-            timing_only=args.timing_only,
-            readout_noise=readout,
-            config=QtenonConfig(
-                n_qubits=args.qubits,
-                regfile_entries=max(1024, 8 * args.qubits),
-            ),
-        )
-    else:
-        platform = DecoupledSystem(
-            args.qubits,
-            seed=args.seed,
-            backend=backend,
-            timing_only=args.timing_only,
-            readout_noise=readout,
-        )
-    # Adjoint gradients live in the evaluation runtime, so requesting
-    # them implies the engine wrapper even at --workers 1.
-    needs_engine = getattr(args, "gradient", "shift") == "adjoint"
-    if args.workers > 1 or args.cache_size > 0 or needs_engine:
-        platform = EvaluationEngine(
-            platform,
-            max_workers=args.workers,
-            cache=EvalCache(args.cache_size) if args.cache_size > 0 else None,
-            seed=args.seed,
-        )
-    return platform
-
-
-def _run_one(platform_name: str, workload, args):
-    platform = _make_platform(platform_name, args)
+    spec = JobSpec(
+        workload=args.workload,
+        n_qubits=args.qubits,
+        optimizer=args.optimizer,
+        shots=args.shots,
+        iterations=args.iterations,
+        seed=args.seed,
+        platform=platform_name,
+        backend=args.backend,
+    )
+    engine = build_engine(
+        spec,
+        core=args.core,
+        timing_only=args.timing_only,
+        cache=EvalCache(args.cache_size) if args.cache_size > 0 else None,
+        engine_workers=args.workers,
+        readout_noise=readout,
+    )
     runner = HybridRunner(
-        platform,
+        engine,
         workload.ansatz,
         workload.parameters,
         workload.observable,
-        make_optimizer(
-            args.optimizer,
-            seed=args.seed,
-            gradient=getattr(args, "gradient", "shift"),
-        ),
+        make_optimizer(args.optimizer, seed=args.seed, gradient=args.gradient),
         shots=args.shots,
         iterations=args.iterations,
     )
-    return runner.run(seed=args.seed)
+    try:
+        return runner.run(seed=args.seed)
+    finally:
+        engine.close()
 
 
 def cmd_run(args) -> int:

@@ -33,8 +33,6 @@ Reliability model (see DESIGN.md for the full argument):
 
 from __future__ import annotations
 
-import hashlib
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -43,7 +41,7 @@ from repro.cluster import wire
 from repro.cluster.executor import result_fingerprint
 from repro.cluster.hashring import rank_nodes
 from repro.cluster.journal import JobJournal, JournalState, replay_journal
-from repro.runtime.breaker import CircuitBreaker
+from repro.runtime.breaker import CircuitBreaker, backoff_delay
 from repro.service.admission import (
     DEFAULT_MAX_OPEN_JOBS,
     DEFAULT_TENANT_QUOTA,
@@ -576,18 +574,12 @@ class ClusterMaster:
         self._parked.append(job)
 
     def _backoff_delay(self, job_id: str, attempt: int) -> float:
-        """Same capped full-jitter draw as the service: deterministic
-        per (job id, attempt) so campaigns replay exact delays."""
-        ceiling = min(
+        return backoff_delay(
+            job_id,
+            attempt,
+            self.config.redispatch_backoff_s,
             self.config.redispatch_backoff_max_s,
-            self.config.redispatch_backoff_s * (2.0 ** attempt),
         )
-        if ceiling <= 0:
-            return 0.0
-        seed = int.from_bytes(
-            hashlib.blake2b(job_id.encode(), digest_size=8).digest(), "little"
-        )
-        return random.Random(seed + attempt).uniform(0.0, ceiling)
 
     # ------------------------------------------------------------------
     # settlement

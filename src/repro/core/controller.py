@@ -18,7 +18,11 @@ from repro.core.barrier import MemoryBarrier
 from repro.core.config import QtenonConfig
 from repro.core.interfaces import BulkTransfer, QccInterface, RoccInterface
 from repro.core.pipeline import PipelineReport, PipelineWorkItem, PulsePipeline
-from repro.core.qcc import QuantumControllerCache
+from repro.core.qcc import (
+    PrivateSegmentError,
+    QccAddressError,
+    QuantumControllerCache,
+)
 from repro.core.scheduler import (
     RunTimeline,
     TransmissionBatch,
@@ -369,6 +373,16 @@ class QuantumController:
         n_bytes = instr.length * 4
         words = -(-n_bytes // 8)
         where = self.qcc.resolve(instr.quantum_addr)
+        if where.segment in self.qcc.PRIVATE_SEGMENTS:
+            raise PrivateSegmentError(
+                f"host read of private segment {where.segment} "
+                f"at {instr.quantum_addr:#x}"
+            )
+        if where.segment != ".measure":
+            raise QccAddressError(
+                f"q_acquire reads .measure, not {where.segment} "
+                f"at {instr.quantum_addr:#x}"
+            )
         for i in range(words):
             value = self.qcc.measure_read((where.index + i) % self.config.measure_entries)
             self.hierarchy.image.write_u64(instr.classical_addr + 8 * i, value)

@@ -7,7 +7,8 @@ QAddress of an already-generated pulse.  Per qubit it holds 2 ways x
 indexed by a 7-bit concatenation of the truncated type (3 bits) and a
 4-bit slice of the parameter "two digits before and after the decimal
 point" — in our binary fixed-point encoding, two bits either side of
-the binary point.
+the binary point.  The model keeps no ``valid`` bit: an invalid way is
+an empty (``None``) slot, and every :class:`SltEntry` is valid.
 
 Replacement is **Least Count (LC)**: invalid entries first, otherwise
 evict the minimum-count way; valid victims are written back to
@@ -56,7 +57,6 @@ def slt_index(gate_type: int, data: int) -> int:
 class SltEntry:
     tag: int
     qaddr: int
-    valid: bool = True
     count: int = 1
 
     def bump(self) -> None:
@@ -134,17 +134,17 @@ class SkipLookupTable:
 
         # ❶ compare tags
         for entry in ways:
-            if entry is not None and entry.valid and entry.tag == tag:
+            if entry is not None and entry.tag == tag:
                 entry.bump()
                 self._hits.increment()
                 return SltLookupResult(qaddr=entry.qaddr, hit=True)
 
         self._misses.increment()
 
-        # ❷ Least-Count replacement: invalid way first, else min count.
+        # ❷ Least-Count replacement: empty way first, else min count.
         victim_way = None
         for way, entry in enumerate(ways):
-            if entry is None or not entry.valid:
+            if entry is None:
                 victim_way = way
                 break
         evicted = False

@@ -21,10 +21,11 @@ worker slots).
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, InjectedWorkerCrash, InjectedWorkerHang
 from repro.quantum.noise import ReadoutNoise
 from repro.sim.stats import StatGroup
 
@@ -205,3 +206,20 @@ class FaultInjector:
             self.stats.counter("worker_slowdowns").increment()
             return WORKER_SLOW
         return None
+
+    def worker_fault(self, site: str, *content: object) -> None:
+        """Act out :meth:`worker_event` for one dispatch at ``site``.
+
+        A crash raises :class:`InjectedWorkerCrash` (the worker died
+        mid-batch); a hang blocks for ``hang_s`` before a watchdog reaps
+        it and raises :class:`InjectedWorkerHang`; a slowdown only
+        sleeps ``slowdown_s``.
+        """
+        event = self.worker_event(site, *content)
+        if event == WORKER_CRASH:
+            raise InjectedWorkerCrash(f"injected {site} worker crash")
+        if event == WORKER_HANG:
+            time.sleep(self.plan.worker.hang_s)
+            raise InjectedWorkerHang(f"injected {site} worker hang")
+        if event == WORKER_SLOW:
+            time.sleep(self.plan.worker.slowdown_s)

@@ -30,11 +30,32 @@ breaker per node from its socket reader threads.
 from __future__ import annotations
 
 import enum
+import hashlib
+import random
 import threading
 import time
 from typing import Callable, Optional
 
 from repro.sim.stats import StatGroup
+
+
+def backoff_delay(job_id: str, attempt: int, base_s: float, cap_s: float) -> float:
+    """Capped full-jitter retry backoff: uniform in [0, min(cap, base*2^n)].
+
+    Jitter decorrelates retries of jobs that failed together (a worker
+    crash takes a batch down at once); the cap bounds how long a flaky
+    job can stall.  The draw is seeded from the job id and attempt, so
+    campaigns replay the exact delays.  The job service's retries and
+    the cluster master's redispatches share it.
+    """
+    ceiling = min(cap_s, base_s * (2.0 ** attempt))
+    if ceiling <= 0:
+        return 0.0
+    seed = int.from_bytes(
+        hashlib.blake2b(job_id.encode(), digest_size=8).digest(), "little"
+    )
+    return random.Random(seed + attempt).uniform(0.0, ceiling)
+
 
 DEFAULT_FAILURE_THRESHOLD = 2
 DEFAULT_COOLDOWN_S = 30.0

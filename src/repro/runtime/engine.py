@@ -50,7 +50,6 @@ from __future__ import annotations
 import hashlib
 import pickle
 import struct
-import time
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -931,28 +930,11 @@ class EvaluationEngine:
         self, tasks: List[Tuple[np.ndarray, int, int]], attempt: int
     ) -> None:
         """Chaos hook: decide this dispatch's fate before it reaches
-        the pool.
-
-        A crash models the pool dying mid-batch (raises, caught like a
-        ``BrokenProcessPool``); a hang blocks for ``hang_s`` before a
-        watchdog reaps it (also a failure); a slowdown just delays.
-        Decisions are keyed on the batch's first sampler seed + attempt,
-        so they replay identically regardless of thread interleaving.
-        """
-        if self.fault_injector is None:
-            return
-        from repro.faults.injector import WORKER_CRASH, WORKER_HANG, WORKER_SLOW
-
-        event = self.fault_injector.worker_event(
-            "pool", tasks[0][2], len(tasks), attempt
-        )
-        if event == WORKER_CRASH:
-            raise InjectedWorkerCrash("injected pool worker crash")
-        if event == WORKER_HANG:
-            time.sleep(self.fault_injector.plan.worker.hang_s)
-            raise InjectedWorkerHang("injected pool worker hang")
-        if event == WORKER_SLOW:
-            time.sleep(self.fault_injector.plan.worker.slowdown_s)
+        the pool (see :meth:`FaultInjector.worker_fault`).  Decisions
+        are keyed on the batch's first sampler seed + attempt, so they
+        replay identically regardless of thread interleaving."""
+        if self.fault_injector is not None:
+            self.fault_injector.worker_fault("pool", tasks[0][2], len(tasks), attempt)
 
     def _charge_timing(
         self, values: Dict[Parameter, float], shots: int,

@@ -18,6 +18,7 @@ from repro.baseline.system import DecoupledSystem
 from repro.core.config import QtenonConfig
 from repro.core.system import QtenonSystem
 from repro.host import core_by_name
+from repro.quantum.noise import ReadoutNoise
 from repro.runtime.cache import EvalCache
 from repro.runtime.engine import EvaluationEngine
 from repro.service.jobs import JobSpec
@@ -45,6 +46,7 @@ def build_platform(
     core: str = "boom-large",
     timing_only: bool = False,
     trace_events: bool = False,
+    readout_noise: Optional[ReadoutNoise] = None,
 ):
     """The bare platform a spec describes (no engine wrapper).
 
@@ -61,6 +63,7 @@ def build_platform(
             backend=backend,
             timing_only=timing_only,
             trace_events=trace_events,
+            readout_noise=readout_noise,
             config=QtenonConfig(
                 n_qubits=spec.n_qubits,
                 regfile_entries=max(1024, 8 * spec.n_qubits),
@@ -71,6 +74,7 @@ def build_platform(
         seed=spec.seed,
         backend=backend,
         timing_only=timing_only,
+        readout_noise=readout_noise,
     )
 
 
@@ -82,6 +86,7 @@ def build_engine(
     trace_events: bool = False,
     cache: Optional[EvalCache] = None,
     engine_workers: int = 1,
+    readout_noise: Optional[ReadoutNoise] = None,
 ) -> EvaluationEngine:
     """Platform + engine for one job.
 
@@ -92,7 +97,11 @@ def build_engine(
     cache.  Content-derived sampler seeds make both paths bit-identical.
     """
     platform = build_platform(
-        spec, core=core, timing_only=timing_only, trace_events=trace_events
+        spec,
+        core=core,
+        timing_only=timing_only,
+        trace_events=trace_events,
+        readout_noise=readout_noise,
     )
     return EvaluationEngine(
         platform, max_workers=engine_workers, cache=cache, seed=spec.seed

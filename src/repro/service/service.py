@@ -42,8 +42,6 @@ Failure semantics:
 from __future__ import annotations
 
 import asyncio
-import hashlib
-import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.analysis.breakdown import CATEGORIES
-from repro.faults.plan import InjectedWorkerCrash, InjectedWorkerHang
+from repro.runtime.breaker import backoff_delay
 from repro.runtime.cache import EvalCache
 from repro.runtime.engine import EvaluationEngine
 from repro.service.health import HealthRegistry
@@ -686,29 +684,18 @@ class JobService:
         self._finish(record, JobState.FAILED, error=error)
 
     def _backoff_delay(self, job_id: str, attempt: int) -> float:
-        """Capped full-jitter backoff: uniform in [0, min(cap, base*2^n)].
-
-        Jitter decorrelates retries of jobs that failed together (a
-        worker crash takes a batch down at once); the cap bounds how
-        long a flaky job can stall its slot.  The draw is seeded from
-        the job id so campaigns replay the exact delays.
-        """
-        ceiling = min(
-            self.config.retry_backoff_max_s,
-            self.config.retry_backoff_s * (2.0 ** attempt),
+        return backoff_delay(
+            job_id, attempt, self.config.retry_backoff_s, self.config.retry_backoff_max_s
         )
-        if ceiling <= 0:
-            return 0.0
-        seed = int.from_bytes(
-            hashlib.blake2b(job_id.encode(), digest_size=8).digest(), "little"
-        )
-        return random.Random(seed + attempt).uniform(0.0, ceiling)
 
     def _execute(self, record: JobRecord) -> HybridResult:
         """Worker-thread body: build the platform, run the hybrid loop."""
         if record.cancel_event.is_set():
             raise JobCancelled()
-        self._maybe_inject_worker_fault(record)
+        if self.fault_injector is not None:
+            # Keyed on (job id, attempt): a retry draws a fresh fate and
+            # the campaign replays however the event loop interleaves.
+            self.fault_injector.worker_fault("service", record.job_id, record.attempts)
         spec = record.spec
         inner = self._platform_factory(spec)
         tracer: Optional[Tracer] = None
@@ -731,28 +718,6 @@ class JobService:
                 ]
                 tracer.adopt(timeline, parents=evaluation_spans)
         return result
-
-    def _maybe_inject_worker_fault(self, record: JobRecord) -> None:
-        """Chaos hook: decide this worker slot's fate before it runs.
-
-        Keyed on (job id, attempt) so a retry of the same job draws a
-        fresh fate and the campaign replays identically no matter how
-        the event loop interleaves slots.
-        """
-        if self.fault_injector is None:
-            return
-        from repro.faults.injector import WORKER_CRASH, WORKER_HANG, WORKER_SLOW
-
-        event = self.fault_injector.worker_event(
-            "service", record.job_id, record.attempts
-        )
-        if event == WORKER_CRASH:
-            raise InjectedWorkerCrash("injected service worker crash")
-        if event == WORKER_HANG:
-            time.sleep(self.fault_injector.plan.worker.hang_s)
-            raise InjectedWorkerHang("injected service worker hang")
-        if event == WORKER_SLOW:
-            time.sleep(self.fault_injector.plan.worker.slowdown_s)
 
     def _default_platform(self, spec: JobSpec) -> EvaluationEngine:
         # One in-process engine per job; parallelism lives in the

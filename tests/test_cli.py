@@ -313,3 +313,15 @@ class TestChaosCommand:
         assert main(base + ["--readout-p01", "0.2", "--readout-p10", "0.3"]) == 0
         noisy = capsys.readouterr().out
         assert clean != noisy
+
+    def test_run_answer_independent_of_workers_and_cache(self, capsys):
+        base = [
+            "run", "vqe", "--qubits", "4", "--iterations", "3",
+            "--shots", "200",
+        ]
+        best = []
+        for extra in (["--workers", "1"], ["--workers", "2"], ["--cache-size", "16"]):
+            assert main(base + extra) == 0
+            out = capsys.readouterr().out
+            best.append([line for line in out.splitlines() if "best cost" in line])
+        assert best[0] == best[1] == best[2] == ["  best cost: -2.6877"]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.compiler import lower, transpile
 from repro.core import QtenonConfig, QuantumController, HOST_RESULT_BASE
+from repro.core.qcc import PrivateSegmentError, QccAddressError
 from repro.isa import ProgramEntry, QAcquire, QSet, QUpdate, encode_angle
 from repro.memory import MemoryHierarchy
 from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
@@ -203,6 +204,36 @@ class TestQAcquire:
         assert hierarchy.image.read_u64(0x3000) == 0xABCD
         assert hierarchy.image.read_u64(0x3008) == 0x1234
         assert transfer.end_ps > 0
+
+    def _acquire_from(self, setup, quantum_addr, error, match):
+        config, hierarchy, controller, _, _ = setup
+        controller.qcc.measure_write(0, 0xFACE)
+        hierarchy.image.write_u64(0x3000, 0x5A5A)
+        with pytest.raises(error, match=match):
+            controller.execute_q_acquire(
+                QAcquire(classical_addr=0x3000, quantum_addr=quantum_addr, length=2),
+                now_ps=0,
+            )
+        # nothing was copied out of .measure
+        assert hierarchy.image.read_u64(0x3000) == 0x5A5A
+
+    def test_pulse_segment_is_private(self, setup):
+        config = setup[0]
+        self._acquire_from(
+            setup, config.pulse_chunk(0)[0], PrivateSegmentError, "private segment .pulse"
+        )
+
+    def test_regfile_is_not_acquirable(self, setup):
+        config = setup[0]
+        self._acquire_from(
+            setup, config.regfile_qaddr(0), QccAddressError, "q_acquire reads .measure"
+        )
+
+    def test_program_is_not_acquirable(self, setup):
+        config = setup[0]
+        self._acquire_from(
+            setup, config.program_qaddr(0, 0), QccAddressError, "q_acquire reads .measure"
+        )
 
     def test_no_program_attached_raises(self):
         config = QtenonConfig(n_qubits=2)

@@ -843,6 +843,17 @@ class TestServiceResilience:
             a = [service._backoff_delay("job-000001-deadbeef", n) for n in range(4)]
             b = [service._backoff_delay("job-000002-cafebabe", n) for n in range(4)]
             assert a != b
+            # The cluster master's redispatch backoff is the same draw.
+            from repro.cluster import ClusterConfig, ClusterMaster
+
+            master = ClusterMaster(
+                ClusterConfig(redispatch_backoff_s=0.05, redispatch_backoff_max_s=0.2)
+            )
+            for job_id in ("job-000001-deadbeef", "job-000002-cafebabe"):
+                for attempt in range(6):
+                    assert master._backoff_delay(job_id, attempt) == (
+                        service._backoff_delay(job_id, attempt)
+                    )
         finally:
             service.close()
 
