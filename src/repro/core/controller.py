@@ -272,6 +272,11 @@ class QuantumController:
                 self.fault_injector.measurement_put(run_index, i)
                 for i in range(len(batches))
             ]
+            # Counted here, not at delivery: a timing-only run makes
+            # (and pays for) the same decisions without moving bytes.
+            retransmits = sum(d.attempts - 1 for d in decisions)
+            if retransmits:
+                self.stats.counter("put_retransmits").increment(retransmits)
             # A failed attempt costs detection (watchdog / checksum
             # NACK) plus the re-send occupying the output port.
             relative = self._relative_timeline(
@@ -349,8 +354,6 @@ class QuantumController:
         if not self.put_verifier.deliver(frame):
             raise RuntimeError("retransmitted PUT frame rejected")
         self.hierarchy.image.write_bytes(host_addr, payload)
-        retransmits = decision.dropped_attempts + decision.corrupted_attempts
-        self.stats.counter("put_retransmits").increment(retransmits)
 
     def _put_response_latency(self, host_addr: int, n_bytes: int, now_ps: int) -> int:
         l2 = self.hierarchy.l2_access_latency(host_addr, max(n_bytes, 8), True, now_ps)

@@ -12,6 +12,14 @@ peer, so it raises :class:`StreamError` and the connection is dropped.
 Each wire owns its kind table and bodies and passes its own payload
 bound (default: the session tier's :data:`MAX_PAYLOAD_BYTES`).
 
+:class:`FrameServer` is the one TCP listener both socket tiers serve
+from (:class:`repro.service.sessions.SessionServer`,
+:class:`repro.cluster.server.MasterServer`): a blocking accept thread,
+one reader thread per :class:`Connection`, a registry of live
+connections, and a ``stop`` that wakes and joins all of them.  A tier
+supplies only what a frame means (:meth:`FrameServer.on_frame`) and
+what a lost connection means (:meth:`FrameServer.on_disconnect`).
+
 :class:`PutFramer` / :class:`PutVerifier` model the measurement-PUT
 path instead (§6.3): the controller streams batches to host memory and,
 under injected faults, a batch can vanish or arrive corrupted, so each
@@ -25,7 +33,9 @@ addresses, and a retransmission's cost is charged in sim time by
 from __future__ import annotations
 
 import json
+import socket
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -183,6 +193,123 @@ def recv_frames(
     if not data:
         return None
     return decoder.feed(data)
+
+
+# -- the one TCP front door ---------------------------------------------
+class Connection:
+    """One accepted socket with its own codec pair.
+
+    ``state`` belongs to the tier serving the connection (the session
+    it opened, the node that said hello); the server never reads it.
+    """
+
+    def __init__(self, sock: socket.socket, max_payload_bytes: int) -> None:
+        self.sock = sock
+        self.writer = StreamWriter(max_payload_bytes)
+        self.decoder = StreamDecoder(max_payload_bytes)
+        self.state: object = None
+
+    def send(self, kind: int, body: bytes) -> None:
+        self.sock.sendall(self.writer.encode(kind, body))
+
+    def hang_up(self) -> None:
+        """Wake this connection's reader (blocked in ``recv(2)``, which
+        ``close()`` would not wake) with a clean EOF."""
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+
+
+class FrameServer:
+    """Thread-per-connection TCP server over the stream frame codec.
+
+    Binds at construction, so ``address`` holds the ephemeral port
+    before :meth:`start`.  A reader exits on EOF, a socket error or a
+    :class:`StreamError` (a broken peer), calls :meth:`on_disconnect`
+    and removes itself from the registry.
+    """
+
+    def __init__(
+        self, host: str, port: int, name: str, max_payload_bytes: int = MAX_PAYLOAD_BYTES
+    ) -> None:
+        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        self._listener.bind((host, port))
+        self._listener.listen(32)
+        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+        self._name = name
+        self._max_payload_bytes = max_payload_bytes
+        self._accept_thread: Optional[threading.Thread] = None
+        #: live connection -> the thread serving it (the thread removes
+        #: its own entry on exit)
+        self._conns: Dict[Connection, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
+
+    def on_frame(self, conn: Connection, kind: int, body: bytes) -> bool:
+        """Handle one inbound frame; return True to end the connection."""
+        raise NotImplementedError
+
+    def on_disconnect(self, conn: Connection) -> None:
+        """The connection's reader is exiting (any cause)."""
+
+    def start(self) -> "FrameServer":
+        self._accept_thread = threading.Thread(
+            target=self._accept_loop, name=f"{self._name}-accept", daemon=True
+        )
+        self._accept_thread.start()
+        return self
+
+    def stop(self) -> None:
+        """Wake the blocked ``accept(2)`` and every blocked ``recv(2)``
+        with ``shutdown(2)`` and join them: prompt even with idle peers."""
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
+        # The accept thread is gone, so the registry can only shrink.
+        with self._conns_lock:
+            live = list(self._conns.items())
+        for conn, _thread in live:
+            conn.hang_up()
+        for _conn, thread in live:
+            thread.join(timeout=5.0)
+
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _addr = self._listener.accept()
+            except OSError:
+                return  # listener shut down
+            conn = Connection(sock, self._max_payload_bytes)
+            thread = threading.Thread(
+                target=self._serve, args=(conn,),
+                name=f"{self._name}-conn", daemon=True,
+            )
+            with self._conns_lock:
+                self._conns[conn] = thread
+            thread.start()
+
+    def _serve(self, conn: Connection) -> None:
+        try:
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while True:
+                frames = recv_frames(conn.sock, conn.decoder)
+                if frames is None:
+                    return
+                for _seq, kind, body in frames:
+                    if self.on_frame(conn, kind, body):
+                        return
+        except (OSError, StreamError):
+            pass  # broken or desynchronised peer: drop the connection
+        finally:
+            self.on_disconnect(conn)
+            with self._conns_lock:
+                self._conns.pop(conn, None)
+            conn.sock.close()
 
 
 # -- modelled measurement-PUT framing -----------------------------------

@@ -39,7 +39,6 @@ job's energy history bit for bit.
 
 from __future__ import annotations
 
-import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -47,6 +46,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.faults.protocol import Connection, FrameServer
 from repro.quantum.kernels import PROGRAM_CACHE
 from repro.quantum.parameters import Parameter
 from repro.runtime.engine import EvaluationEngine
@@ -503,10 +503,10 @@ def drive_session(
     return params, history
 
 
-class SessionServer:
+class SessionServer(FrameServer):
     """TCP front door for streamed sessions (one session per socket).
 
-    A thin thread-per-connection server over
+    The shared :class:`repro.faults.protocol.FrameServer` over
     :mod:`repro.service.stream`'s framing: OPEN → OPENED (or ERROR),
     then EVAL → VALUE / ERROR until CLOSE → CLOSED.  A connection that
     drops without CLOSE has its session closed server-side, releasing
@@ -519,51 +519,11 @@ class SessionServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port, "repro-session")
         self.manager = manager if manager is not None else SessionManager()
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self._listener.bind((host, port))
-        self._listener.listen(32)
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
-        self._accept_thread: Optional[threading.Thread] = None
-        #: live connection -> the thread serving it (the thread
-        #: removes its own entry on exit)
-        self._conns: Dict[socket.socket, threading.Thread] = {}
-        self._conns_lock = threading.Lock()
-        self._stop = threading.Event()
-
-    def start(self) -> "SessionServer":
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-session-accept", daemon=True
-        )
-        self._accept_thread.start()
-        return self
 
     def stop(self) -> None:
-        self._stop.set()
-        try:
-            # close() alone does not wake the thread blocked in
-            # accept(2); shutdown(2) does, so the join below is prompt.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        # Each connection thread is blocked in recv(2); shutdown(2)
-        # wakes it with a clean EOF so it closes its session and exits.
-        with self._conns_lock:
-            live = list(self._conns.items())
-        for conn, _thread in live:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for _conn, thread in live:
-            thread.join(timeout=5.0)
+        super().stop()
         self.manager.close_all()
 
     def __enter__(self) -> "SessionServer":
@@ -572,102 +532,61 @@ class SessionServer:
     def __exit__(self, *_exc) -> None:
         self.stop()
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            thread = threading.Thread(
-                target=self._serve, args=(conn,),
-                name="repro-session-conn", daemon=True,
-            )
-            with self._conns_lock:
-                self._conns[conn] = thread
-            thread.start()
-
-    def _serve(self, conn: socket.socket) -> None:
-        decoder = wire.StreamDecoder()
-        writer = wire.StreamWriter()
-        session_id: Optional[str] = None
+    def on_frame(self, conn: Connection, kind: int, body: bytes) -> bool:
+        """One request frame → one reply frame; True once CLOSED."""
         try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while not self._stop.is_set():
-                frames = wire.recv_frames(conn, decoder)
-                if frames is None:
-                    return
-                for _seq, kind, body in frames:
-                    reply, session_id, closing = self._handle(kind, body, session_id)
-                    conn.sendall(writer.encode(*reply))
-                    if closing:
-                        return
-        except (OSError, wire.StreamError):
-            pass  # broken or desynchronised peer: drop the connection
-        finally:
-            if session_id is not None:
-                try:
-                    self.manager.close(session_id)
-                except SessionError:
-                    pass
-            with self._conns_lock:
-                self._conns.pop(conn, None)
+            reply = self._reply(conn, kind, body)
+        except SessionError as exc:
+            self.manager.stats.counter("protocol_errors").increment()
+            reply = (wire.KIND_ERROR, wire.pack_error(exc.code, exc.message))
+        conn.send(*reply)
+        return reply[0] == wire.KIND_CLOSED
+
+    def on_disconnect(self, conn: Connection) -> None:
+        if conn.state is not None:
             try:
-                conn.close()
-            except OSError:
+                self.manager.close(conn.state)
+            except SessionError:
                 pass
 
-    def _handle(
-        self, kind: int, body: bytes, session_id: Optional[str]
-    ) -> Tuple[Tuple[int, bytes], Optional[str], bool]:
-        """One request frame → (reply, session id, close-connection?)."""
-        try:
-            if kind == wire.KIND_OPEN:
-                payload = wire.unpack_json(body)
-                try:
-                    spec = JobSpec.from_dict(payload.get("spec"))
-                except ValueError as exc:
-                    raise SessionError(ERR_MALFORMED, str(exc)) from None
-                session = self.manager.open(
-                    spec, tenant=str(payload.get("tenant", "default"))
+    def _reply(self, conn: Connection, kind: int, body: bytes) -> Tuple[int, bytes]:
+        session_id = conn.state
+        if kind == wire.KIND_OPEN:
+            if session_id is not None:
+                # One session per stream: a second OPEN must not orphan
+                # the first (its admission charge and pinned programs
+                # would outlive the connection).
+                raise SessionError(
+                    ERR_MALFORMED, f"OPEN on a stream that holds session {session_id}"
                 )
-                reply = wire.pack_json(
-                    session.handle_dict(self.manager.lease_timeout_s)
-                )
-                return (wire.KIND_OPENED, reply), session.session_id, False
-            if kind == wire.KIND_EVAL:
-                if session_id is None:
-                    raise SessionError(
-                        ERR_UNKNOWN_SESSION, "EVAL before OPEN on this stream"
-                    )
-                vectors, shots = wire.unpack_eval(body)
-                values = self.manager.evaluate(session_id, list(vectors), shots)
-                return (wire.KIND_VALUE, wire.pack_values(values)), session_id, False
-            if kind == wire.KIND_GRAD:
-                if session_id is None:
-                    raise SessionError(
-                        ERR_UNKNOWN_SESSION, "GRAD before OPEN on this stream"
-                    )
-                vectors, shots = wire.unpack_eval(body)
-                energies, grads = self.manager.gradients(
-                    session_id, list(vectors), shots
-                )
-                return (
-                    (wire.KIND_GRADS, wire.pack_grads(energies, grads)),
-                    session_id,
-                    False,
-                )
-            if kind == wire.KIND_CLOSE:
-                stats: Dict[str, object] = {}
-                if session_id is not None:
-                    stats = self.manager.close(session_id)
-                return (wire.KIND_CLOSED, wire.pack_json(stats)), None, True
+            payload = wire.unpack_json(body)
+            try:
+                spec = JobSpec.from_dict(payload.get("spec"))
+            except ValueError as exc:
+                raise SessionError(ERR_MALFORMED, str(exc)) from None
+            session = self.manager.open(
+                spec, tenant=str(payload.get("tenant", "default"))
+            )
+            conn.state = session.session_id
+            return wire.KIND_OPENED, wire.pack_json(
+                session.handle_dict(self.manager.lease_timeout_s)
+            )
+        if kind == wire.KIND_CLOSE:
+            stats: Dict[str, object] = {}
+            if session_id is not None:
+                stats = self.manager.close(session_id)
+                conn.state = None
+            return wire.KIND_CLOSED, wire.pack_json(stats)
+        if kind not in (wire.KIND_EVAL, wire.KIND_GRAD):
             raise SessionError(
                 ERR_MALFORMED, f"unexpected frame kind {kind} from a client"
             )
-        except SessionError as exc:
-            self.manager.stats.counter("protocol_errors").increment()
-            return (
-                (wire.KIND_ERROR, wire.pack_error(exc.code, exc.message)),
-                session_id,
-                False,
-            )
+        if session_id is None:
+            name = "EVAL" if kind == wire.KIND_EVAL else "GRAD"
+            raise SessionError(ERR_UNKNOWN_SESSION, f"{name} before OPEN on this stream")
+        vectors, shots = wire.unpack_eval(body)
+        if kind == wire.KIND_EVAL:
+            values = self.manager.evaluate(session_id, list(vectors), shots)
+            return wire.KIND_VALUE, wire.pack_values(values)
+        energies, grads = self.manager.gradients(session_id, list(vectors), shots)
+        return wire.KIND_GRADS, wire.pack_grads(energies, grads)

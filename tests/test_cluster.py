@@ -701,6 +701,41 @@ class TestSocketCluster:
                     sock.close()
             server.shutdown()
 
+    def test_shutdown_with_idle_peers_is_prompt_and_loses_no_node(self):
+        # Peers that never close their sockets: readers blocked in
+        # recv(2) must be woken by shutdown(), and a clean shutdown
+        # must not report the drained nodes as lost.
+        master = ClusterMaster(
+            ClusterConfig(lease_timeout_s=10.0, dispatch_timeout_s=60.0)
+        )
+        before = set(threading.enumerate())
+        server = MasterServer(master, tick_interval_s=0.02).start()
+        peers = []
+        try:
+            for index in range(2):
+                peer = socket.create_connection(("127.0.0.1", server.port))
+                peer.sendall(frame(StreamWriter(), wire.hello(f"node-{index}", 1)))
+                peers.append(peer)
+            peers.append(socket.create_connection(("127.0.0.1", server.port)))
+            assert server.wait_for_nodes(2, timeout_s=10.0)
+            # acceptor + ticker + one reader per peer
+            deadline = time.monotonic() + 5.0
+            while time.monotonic() < deadline:
+                server_threads = set(threading.enumerate()) - before
+                if len(server_threads) >= 5:
+                    break
+                time.sleep(0.02)
+            assert len(server_threads) == 5
+            lost_before = master.stats.as_dict().get("cluster.nodes_lost", 0)
+            started = time.perf_counter()
+            server.shutdown()
+            assert time.perf_counter() - started < 1.0
+            assert not any(thread.is_alive() for thread in server_threads)
+            assert master.stats.as_dict().get("cluster.nodes_lost", 0) == lost_before
+        finally:
+            for peer in peers:
+                peer.close()
+
     def test_socket_results_match_local_harness(self):
         # Same specs through the socket transport and the in-process
         # harness must fingerprint identically: the transport carries

@@ -31,6 +31,7 @@ from repro.faults import (
     loss_sweep_plans,
 )
 from repro.quantum.noise import ReadoutNoise
+from repro.runtime.engine import EvaluationEngine
 from repro.vqa import make_optimizer, qaoa_workload
 
 QUBITS = 4
@@ -361,6 +362,24 @@ class TestSystemsUnderFaults:
         verifier = faulty_system.controller.put_verifier
         assert verifier.checksum_nacks > 0
         assert verifier.accepted > 0
+
+    def test_engine_wrapped_platform_counts_put_retransmits(self):
+        # The engine replays the timeline without moving measurement
+        # bytes; the retransmissions it pays for must still be counted.
+        plan = FaultPlan(
+            seed=SEED,
+            measurement=MeasurementFaults(drop_p=0.2, corrupt_p=0.1),
+        )
+        injector = FaultInjector(plan)
+        engine = EvaluationEngine(
+            QtenonSystem(QUBITS, seed=SEED, fault_injector=injector),
+            seed=SEED,
+        )
+        report = run_vqa(engine, iterations=3).report
+        faults = injector.stats.as_dict()
+        injected = faults["faults.put_drops"] + faults["faults.put_corruptions"]
+        assert injected > 0
+        assert report.extra["put_retransmits"] == injected
 
     def test_stuck_acquire_recovered_by_watchdog(self):
         # q_acquire is the FENCE path: only without fine-grained sync.

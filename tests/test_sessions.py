@@ -501,6 +501,25 @@ class TestSessionServerProtocol:
                 assert client.open(spec_for().as_dict())  # same connection
         assert manager.stats.as_dict()["sessions.protocol_errors"] == 1
 
+    def test_second_open_answers_error_and_keeps_the_session(self):
+        manager = fake_manager()
+        with SessionServer(manager) as server:
+            client = wire.SessionClient(*server.address)
+            first = client.open(spec_for().as_dict())
+            with pytest.raises(wire.StreamRemoteError) as err:
+                client.open(spec_for(seed=1).as_dict())
+            assert err.value.code == "malformed_open"
+            assert manager.open_sessions == 1
+            # The stream still drives the first session ...
+            assert len(client.evaluate([np.zeros(first["n_params"])])) == 1
+            assert manager.get(first["session_id"]).batches == 1
+            # ... and dropping it releases that one session.
+            client._sock.close()
+            deadline = time.monotonic() + 5.0
+            while manager.open_sessions and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert manager.open_sessions == 0
+
     def test_stop_on_idle_server_is_prompt(self):
         manager = fake_manager()
         server = SessionServer(manager).start()
