@@ -54,9 +54,12 @@ from repro.vqa.hamiltonians import molecular_hamiltonian
 MAX_OVERHEAD_RATIO = 1.05
 
 #: ``inner`` sweeps per timed run: a smoke sweep lasts ~0.05 s, so 20
-#: of them make a region of about a second, as one full sweep is.
+#: of them make a region of about a second, as one full sweep is.  The
+#: smoke run takes 15 ABBA rounds: a shared host's slow spells last
+#: several seconds, and with 5 rounds one side sometimes never saw a
+#: quiet one (readings from -19.5% to +7.3% with nothing changed).
 FULL = dict(qubits=8, shots=20_000, iterations=6, repeats=7, inner=1, service_jobs=4)
-SMOKE = dict(qubits=8, shots=4_000, iterations=1, repeats=5, inner=20, service_jobs=4)
+SMOKE = dict(qubits=8, shots=4_000, iterations=1, repeats=15, inner=20, service_jobs=4)
 
 SEED = 7
 

@@ -33,9 +33,7 @@ SHOTS = 32
 def main():
     config = QtenonConfig(n_qubits=4)
     hierarchy = MemoryHierarchy()
-    controller = QuantumController(
-        config, hierarchy, QuantumDevice(4), Sampler(seed=0)
-    )
+    controller = QuantumController(config, hierarchy, QuantumDevice(4))
 
     # ------------------------------------------------------------------
     # 1. write a 4-qubit GHZ-flavoured parameterised circuit and lower it
@@ -84,9 +82,10 @@ def main():
 
     # ------------------------------------------------------------------
     # 3. execute the stream instruction by instruction; q_run executes
-    #    the bound circuit of the measurement group
+    #    the bound circuit of the measurement group, whose shots the
+    #    executor's sampler draws in place of the device
     # ------------------------------------------------------------------
-    executor = StreamExecutor(controller, result_addr=0x2000_0000)
+    executor = StreamExecutor(controller, Sampler(seed=0), result_addr=0x2000_0000)
     executor.bind_circuit(program.bind_group(0, {theta: 0.785398}))
     log = executor.execute(triples)
     print("\nexecution log (ps):")

@@ -11,20 +11,17 @@ Table 1's 1–100 ms recompilation band for 64-qubit workloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from repro.compiler.qasm import emit_qasm, static_instruction_count
+from repro.compiler.qasm import static_instruction_count
 from repro.host.workloads import HostWorkloadModel
 from repro.quantum.circuit import QuantumCircuit
-from repro.quantum.parameters import Parameter
 
 
 @dataclass(frozen=True)
 class JitOutput:
     """One recompilation: the binary, its size and its cost."""
 
-    bound_circuit: QuantumCircuit
-    qasm: str
+    circuit: QuantumCircuit
     instruction_count: int
     binary_bytes: int
     compile_time_ps: int
@@ -41,35 +38,14 @@ class JitCompiler:
         self.compilations = 0
         self.total_instructions_emitted = 0
 
-    def compile(
-        self,
-        template: QuantumCircuit,
-        values: Dict[Parameter, float],
-    ) -> JitOutput:
-        """Bind + fully recompile ``template`` at ``values``."""
-        bound = template.bind(values)
-        qasm = emit_qasm(bound)
-        count = static_instruction_count(bound)
-        self.compilations += 1
-        self.total_instructions_emitted += count
-        return JitOutput(
-            bound_circuit=bound,
-            qasm=qasm,
-            instruction_count=count,
-            binary_bytes=count * self.BYTES_PER_INSTRUCTION,
-            compile_time_ps=self.workload.full_compile_ps(len(bound.operations)),
-        )
-
-    def compile_timing_only(self, template: QuantumCircuit) -> JitOutput:
-        """Cost/size of a recompilation without materialising the
-        binary — the timing-only fast path for large sweeps (the
-        modelled time is identical to :meth:`compile`'s)."""
+    def compile(self, template: QuantumCircuit) -> JitOutput:
+        """Cost and size of one full recompilation of ``template`` (they
+        do not depend on parameter values, so no binding is needed)."""
         count = static_instruction_count(template)
         self.compilations += 1
         self.total_instructions_emitted += count
         return JitOutput(
-            bound_circuit=template,
-            qasm="",
+            circuit=template,
             instruction_count=count,
             binary_bytes=count * self.BYTES_PER_INSTRUCTION,
             compile_time_ps=self.workload.full_compile_ps(len(template.operations)),

@@ -70,13 +70,9 @@ class DecoupledSystem(PlatformModel):
             raise ValueError(f"shots must be non-negative, got {shots}")
         if shots == 0:
             return self._evaluate_analytic(values)
-        self._begin_sampled(shots)
-
-        value = self._observable.constant
+        value, _ = self._begin_sampled(values, shots)
         for group, template in zip(self._groups, self._group_templates):
-            value += self._run_group(group, template, values, shots)
-        if self.timing_only:
-            value = self._surrogate_energy(values)
+            self._run_group(group, template, shots)
         self.report.energies.append(float(value))
         return float(value)
 
@@ -92,17 +88,11 @@ class DecoupledSystem(PlatformModel):
 
     # ------------------------------------------------------------------
     def _run_group(
-        self,
-        group: MeasurementGroup,
-        template: QuantumCircuit,
-        values: Dict[Parameter, float],
-        shots: int,
-    ) -> float:
+        self, group: MeasurementGroup, template: QuantumCircuit, shots: int
+    ) -> None:
+        """Charge one group's sequential round trip."""
         # 1. full JIT recompilation on the host.
-        if self.timing_only:
-            output = self.jit.compile_timing_only(template)
-        else:
-            output = self.jit.compile(template, values)
+        output = self.jit.compile(template)
         self._charge("host_compute", output.compile_time_ps)
         self._count_instr("static_quantum", output.instruction_count)
 
@@ -110,13 +100,13 @@ class DecoupledSystem(PlatformModel):
         self._charge("comm", self.link.send(output.binary_bytes), instr_kind="upload")
 
         # 3. FPGA regenerates every pulse (no reuse).
-        pulses = output.bound_circuit.gate_count(include_measure=False)
+        pulses = output.circuit.gate_count(include_measure=False)
         self._charge("pulse_gen", self.fpga.pulse_generation_ps(pulses))
         self.report.pulses_generated += pulses
         self.report.pulse_entries_processed += pulses
 
         # 4. quantum execution: shots x (circuit + ADI round trip).
-        shot_ps = self.device.shot_duration_ps(output.bound_circuit)
+        shot_ps = self.device.shot_duration_ps(output.circuit)
         shot_ps += self.fpga.adi_round_trip_ps()
         self._charge("quantum", shots * shot_ps)
 
@@ -128,8 +118,3 @@ class DecoupledSystem(PlatformModel):
         post = self.workload.post_process_ps(shots, self.n_qubits)
         post += self.workload.expectation_ps(len(group.members), shots)
         self._charge("host_compute", post)
-
-        if not group.members or self.timing_only:
-            return 0.0
-        counts = self.sampler.run(output.bound_circuit, shots).counts
-        return group.expectation_from_counts(counts)

@@ -4,13 +4,14 @@ Owns the QCC, the per-qubit SLTs + QSpace, the pulse pipeline, the
 RoCC/QCC interfaces and the memory barrier.  Each ``execute_*`` method
 performs the instruction *functionally* (moving real data between the
 host memory image and the QCC) and returns its *timing* so the system
-model can place it on the global timeline.
+model can place it on the global timeline.  ``q_run`` moves the
+measurement outcomes its caller passes; it does not produce them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 
 from repro.compiler.lowering import LoweredGate, QtenonProgram, WORDS_PER_ENTRY
@@ -36,7 +37,6 @@ from repro.isa.instructions import QAcquire, QSet, QUpdate
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.device import QuantumDevice
-from repro.quantum.sampler import Sampler
 from repro.sim.clock import HOST_CLOCK
 from repro.sim.stats import StatGroup
 
@@ -52,12 +52,9 @@ Plan = Tuple[List[TransmissionBatch], Tuple[Tuple[int, int], ...]]
 
 @dataclass(frozen=True)
 class RunResult:
-    """Outcome of one q_run: shot records + the overlap timeline."""
+    """Outcome of one q_run: the overlap timeline and its PUT batches."""
 
     timeline: RunTimeline
-    shot_words: Tuple[int, ...]  #: one packed record per shot
-    counts: Dict[int, int]
-    host_addr: int
     n_batches: int
     #: the key the run's start-0 timeline is kept under; runs with the
     #: same key have the same timeline up to a shift.  None when the
@@ -73,13 +70,11 @@ class QuantumController:
         config: QtenonConfig,
         hierarchy: MemoryHierarchy,
         device: QuantumDevice,
-        sampler: Sampler,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.config = config
         self.hierarchy = hierarchy
         self.device = device
-        self.sampler = sampler
         self.fault_injector = fault_injector
         self.clock = HOST_CLOCK
 
@@ -205,20 +200,20 @@ class QuantumController:
         now_ps: int,
         host_addr: int,
         batched: bool,
-        functional: bool = True,
         shot_ps: Optional[int] = None,
+        outcomes: Optional[Sequence[int]] = None,
     ) -> RunResult:
-        """Run ``shots`` shots of the bound ``circuit``.
+        """Run ``shots`` shots of ``circuit``.
 
-        Functionally samples through the quantum backend, packs shot
-        records into ``.measure``, and pushes them to ``host_addr`` via
-        TileLink PUTs according to the transmission policy, updating
-        the memory barrier per batch.
+        ``outcomes`` are the measurement words the device produced, one
+        per shot in record order.  They are packed into ``.measure``
+        and pushed to ``host_addr`` via TileLink PUTs according to the
+        transmission policy, updating the memory barrier per batch.
 
-        ``functional=False`` is the timing-only fast path used by the
-        large sweep benches: the full timeline (shots, batches, PUTs,
-        barrier updates) is computed, but no quantum state is sampled
-        and no measurement data moves.
+        Without ``outcomes`` the run is timing-only (the large sweep
+        benches and the engine's timing replay): the full timeline
+        (shots, batches, PUTs, barrier updates) is computed, but no
+        measurement data moves.
 
         ``shot_ps`` is the circuit's one-shot duration when the caller
         has it: gate durations do not depend on parameter values, so a
@@ -228,18 +223,15 @@ class QuantumController:
         and shifted to ``now_ps``; only the L2 access is per run.
         """
         record = shot_record_bytes(circuit.n_qubits)
-        if functional:
-            counts = self.sampler.run(circuit, shots).counts
-            shot_words = self._expand_counts(counts, shots, circuit.n_qubits)
+        if outcomes is not None:
+            if len(outcomes) != shots:
+                raise ValueError(f"got {len(outcomes)} outcomes for {shots} shots")
             # .measure segment fill (wrapping like the circular HW buffer).
             words_per_shot = max(1, -(-record // 8))
-            for shot, word in enumerate(shot_words):
+            for shot, word in enumerate(outcomes):
                 self.qcc.measure_write(
                     (shot * words_per_shot) % self.config.measure_entries, word
                 )
-        else:
-            counts = {}
-            shot_words = []
 
         if shot_ps is None:
             shot_ps = self.device.shot_duration_ps(circuit)
@@ -290,11 +282,11 @@ class QuantumController:
             )
         timeline = relative.shifted(now_ps)
 
-        if functional:
+        if outcomes is not None:
             for index, batch in enumerate(batches):
                 payload = bytearray()
                 for shot in range(batch.first_shot, batch.first_shot + batch.n_shots):
-                    payload += shot_words[shot].to_bytes(8, "little")[:record]
+                    payload += outcomes[shot].to_bytes(8, "little")[:record]
                 self._deliver_batch_payload(
                     batch.host_addr,
                     bytes(payload),
@@ -303,9 +295,6 @@ class QuantumController:
         self.barrier.mark_puts(ranges, timeline.put_issue_times)
         return RunResult(
             timeline=timeline,
-            shot_words=tuple(shot_words),
-            counts=counts,
-            host_addr=host_addr,
             n_batches=len(batches),
             timeline_key=timeline_key,
         )
@@ -358,16 +347,6 @@ class QuantumController:
     def _put_response_latency(self, host_addr: int, n_bytes: int, now_ps: int) -> int:
         l2 = self.hierarchy.l2_access_latency(host_addr, max(n_bytes, 8), True, now_ps)
         return self.clock.period_ps + l2  # one bus beat + L2 service
-
-    @staticmethod
-    def _expand_counts(counts: Dict[int, int], shots: int, n_qubits: int) -> List[int]:
-        """Deterministically expand a counts histogram to per-shot words."""
-        words: List[int] = []
-        for bitstring in sorted(counts):
-            words.extend([bitstring] * counts[bitstring])
-        if len(words) != shots:  # pragma: no cover - samplers are exact
-            raise RuntimeError(f"expanded {len(words)} shots, expected {shots}")
-        return words
 
     # ------------------------------------------------------------------
     # q_acquire: .measure -> host memory (pull path, data path ❷)

@@ -10,7 +10,8 @@ its assembled stream through it).
 ``q_run`` needs a circuit to execute; register them per run slot with
 :meth:`StreamExecutor.bind_circuit` (the hardware analogue: the
 ``.program`` segment already holds the program, and the executor binds
-the functional simulation side).
+the functional simulation side, whose shots its
+:class:`~repro.quantum.sampler.Sampler` draws in place of the device).
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from repro.isa.instructions import (
     decode_instruction,
 )
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.draw import shot_words
+from repro.quantum.sampler import Sampler
 
 
 @dataclass
@@ -56,10 +59,12 @@ class StreamExecutor:
     def __init__(
         self,
         controller: QuantumController,
+        sampler: Sampler,
         result_addr: int = 0x2000_0000,
         batched: bool = True,
     ) -> None:
         self.controller = controller
+        self.sampler = sampler
         self.result_addr = result_addr
         self.batched = batched
         self._run_circuits: List[QuantumCircuit] = []
@@ -108,12 +113,14 @@ class StreamExecutor:
                 )
             circuit = self._run_circuits[self._next_run]
             self._next_run += 1
+            counts = self.sampler.run(circuit, instruction.shots).counts
             result = self.controller.execute_q_run(
                 circuit,
                 instruction.shots,
                 now,
                 self.result_addr,
                 batched=self.batched,
+                outcomes=shot_words(counts),
             )
             log.runs.append(result)
             return result.timeline.last_put_response_ps

@@ -9,22 +9,31 @@ same calibration drift and the same timing-only surrogate objective.
 :class:`PlatformModel` holds that common part once, plus the
 sequential-phase accounting both use.  Subclasses supply ``_extras()``
 (their own report counters).
+Functional energies and shot outcomes come from the spec path under
+content-derived seeds, so a bare platform and an
+:class:`~repro.runtime.engine.EvaluationEngine` agree bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.analysis.breakdown import ExecutionReport
 from repro.compiler.transpile import transpile
 from repro.host.cores import CoreModel
 from repro.host.workloads import HostWorkloadModel, WorkloadCosts
+from repro.planner import derive_backend_id
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.device import QuantumDevice
 from repro.quantum.parameters import Parameter
 from repro.quantum.pauli import MeasurementGroup, PauliSum, measurement_circuits
 from repro.quantum.sampler import Sampler
+from repro.runtime import engine as runtime_engine
+from repro.runtime.cache import evaluation_keys
 from repro.telemetry.tracing import Tracer
 
 #: Chrome-trace track of each breakdown category.
@@ -62,7 +71,9 @@ class PlatformModel:
         #: surrogate so parameter trajectories stay realistic.
         self.timing_only = timing_only
         self.fault_injector = fault_injector
+        self.seed = seed
         self.device = QuantumDevice(device_qubits, readout_noise=readout_noise)
+        #: routing settings the spec is built from (never drawn from)
         self.sampler = Sampler(
             seed=seed,
             exact_limit=exact_limit,
@@ -80,6 +91,7 @@ class PlatformModel:
         self._surrogate_scale = 1.0
         self._ansatz: Optional[QuantumCircuit] = None
         self._ansatz_gates = 0
+        self._spec: Optional["runtime_engine.EvaluationSpec"] = None
         self._prepared = False
 
     # ------------------------------------------------------------------
@@ -99,6 +111,7 @@ class PlatformModel:
         self._surrogate_scale = sum(abs(coeff) for coeff, _ in observable.terms) or 1.0
         self._ansatz = ansatz.copy()
         self._ansatz_gates = ansatz.gate_count(include_measure=False)
+        self._spec = None
         # An observable with only a constant still runs and measures.
         self._groups = observable.grouped_qubitwise() or [MeasurementGroup()]
         return [
@@ -106,16 +119,76 @@ class PlatformModel:
             for circuit in measurement_circuits(ansatz, self._groups)
         ]
 
-    def _begin_sampled(self, shots: int) -> None:
-        """Open one sampled evaluation: calibration drift, then counts."""
-        if self.fault_injector is not None and self._base_readout is not None:
+    @property
+    def spec(self) -> "runtime_engine.EvaluationSpec":
+        """The workload's functional-evaluation spec, built on first use
+        after each ``prepare`` from the sampler's routing settings (an
+        engine wrapping this platform adopts it)."""
+        if self._spec is None:
+            if not self._prepared:
+                raise RuntimeError("call prepare() before reading the spec")
+            # Called through the module, so a wrapper installed on
+            # repro.runtime.engine.build_spec (a profiler's) sees it.
+            self._spec = runtime_engine.build_spec(
+                self._ansatz,
+                self._observable,
+                exact_limit=self.sampler.exact_limit,
+                force_backend=self.sampler.force_backend,
+                readout_noise=self.sampler.readout_noise,
+            )
+        return self._spec
+
+    @property
+    def drifts_readout(self) -> bool:
+        """Whether sampled evaluations see calibration drift."""
+        return (
+            self.fault_injector is not None
+            and self._base_readout is not None
+            and self.fault_injector.plan.readout.rate_per_evaluation != 0.0
+        )
+
+    def _begin_sampled(
+        self, values: Dict[Parameter, float], shots: int
+    ) -> Tuple[float, list]:
+        """Open one sampled evaluation: its energy and group draws (the
+        surrogate and no draws in timing-only mode)."""
+        readout = self._base_readout
+        if self.fault_injector is not None and readout is not None:
             # Calibration drift: assignment errors grow with the
             # evaluation index until the next (modelled) recalibration.
-            self.sampler.readout_noise = self.fault_injector.drifted_readout(
-                self._base_readout, self.report.evaluations
+            readout = self.fault_injector.drifted_readout(
+                readout, self.report.evaluations
             )
         self.report.evaluations += 1
         self.report.total_shots += shots * len(self._groups)
+        if self.timing_only:
+            return self._surrogate_energy(values), [None] * len(self._groups)
+        return self._spec_energy(values, shots, readout)
+
+    def _spec_energy(
+        self, values: Dict[Parameter, float], shots: int, readout
+    ) -> Tuple[float, list]:
+        """One evaluation on the spec path, seeded and summed as an
+        engine does: its energy and its group draws.  A drifted
+        ``readout`` channel runs on a spec copy carrying it."""
+        spec = self.spec
+        if readout != spec.readout_noise:
+            spec = dataclasses.replace(
+                spec,
+                readout_noise=readout,
+                backend_id=derive_backend_id(spec.force_backend, readout),
+            )
+        vector = np.array([values[p] for p in spec.parameters], dtype=np.float64)
+        seed = evaluation_keys(
+            spec.structure_hash, [vector], shots, self.seed, spec.backend_id
+        )[0].sampler_seed
+        energy = float(spec.constant)
+        draws = []
+        for _, value, draw in runtime_engine._group_draws(spec, [vector], shots, [seed]):
+            if value is not None:
+                energy += value
+            draws.append(draw)
+        return energy, draws
 
     def _evaluate_analytic(self, values: Dict[Parameter, float]) -> float:
         """``shots=0``: exact ⟨observable⟩ as a host-side simulation.
@@ -124,13 +197,11 @@ class PlatformModel:
         stream, batch or post-process — and charges the statevector
         pass as host compute instead.
         """
-        self.report.evaluations += 1
         if self.timing_only:
             value = self._surrogate_energy(values)
         else:
-            value, _ = self.sampler.expectation(
-                self._ansatz.bind(values), self._observable, 0
-            )
+            value, _ = self._spec_energy(values, 0, self._base_readout)
+        self.report.evaluations += 1
         self._charge(
             "host_compute",
             self.workload.analytic_expectation_ps(

@@ -44,6 +44,7 @@ from repro.host.workloads import WorkloadCosts, DEFAULT_COSTS
 from repro.isa.instructions import QAcquire
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.quantum.circuit import QuantumCircuit
+from repro.quantum.draw import shot_words
 from repro.quantum.pauli import MeasurementGroup, PauliSum
 from repro.quantum.parameters import Parameter
 from repro.sim.clock import HOST_CLOCK
@@ -118,11 +119,7 @@ class QtenonSystem(PlatformModel):
 
         self.hierarchy = MemoryHierarchy()
         self.controller = QuantumController(
-            self.config,
-            self.hierarchy,
-            self.device,
-            self.sampler,
-            fault_injector=fault_injector,
+            self.config, self.hierarchy, self.device, fault_injector=fault_injector
         )
         if trace_events:
             self.trace = Tracer(process_name=f"qtenon-{core.name}")
@@ -168,34 +165,25 @@ class QtenonSystem(PlatformModel):
             # Analytic path: no device run, no RNG consumption — the
             # exact expectation is pure host compute.
             return self._evaluate_analytic(values)
-        self._begin_sampled(shots)
+        value, draws = self._begin_sampled(values, shots)
 
         plan = self._compile_step(values)
         self._issue_updates(plan)
         self._run_pulse_generation()
 
-        value = self._observable.constant
-        for index, group in enumerate(self._groups):
-            if self.timing_only:
-                # Gate durations do not depend on parameter values, so
-                # the unbound group circuit carries the full timing.
-                circuit = self._program.group_circuits[index]
-            else:
-                circuit = self._program.bind_group(index, values)
+        for index, (group, draw) in enumerate(zip(self._groups, draws)):
+            # Gate durations do not depend on parameter values, so the
+            # unbound group circuit carries the full timing.
             run = self.controller.execute_q_run(
-                circuit,
+                self._program.group_circuits[index],
                 shots,
                 self.now,
                 HOST_RESULT_BASE,
                 batched=self.features.batched_transmission,
-                functional=not self.timing_only,
                 shot_ps=self._shot_ps[index],
+                outcomes=None if draw is None else shot_words(draw),
             )
-            if group.members and not self.timing_only:
-                value += group.expectation_from_counts(run.counts)
             self._account_run(run, shots, group)
-        if self.timing_only:
-            value = self._surrogate_energy(values)
         self.report.energies.append(float(value))
         return float(value)
 

@@ -15,7 +15,7 @@ array (see ``MeasurementGroup.expectation_from_keys``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
@@ -98,3 +98,11 @@ def counts_from_keys(keys: np.ndarray, width: int) -> Dict[int, int]:
     else:
         unique, multiplicity = np.unique(keys, return_counts=True)
     return dict(zip(unique.tolist(), multiplicity.tolist()))
+
+
+def shot_words(draw: Union[np.ndarray, Dict[int, int]]) -> List[int]:
+    """One measurement word per shot, ascending: the keys of a draw
+    sorted, or a counts dictionary expanded key by key."""
+    if isinstance(draw, dict):
+        return [key for key in sorted(draw) for _ in range(draw[key])]
+    return np.sort(draw).tolist()

@@ -1,23 +1,21 @@
-"""Shot sampling and expectation estimation.
+"""Shot sampling of bound circuits.
 
-The :class:`Sampler` is the functional interface every platform model
-(Qtenon and the decoupled baseline) uses to obtain measurement data:
-it picks a backend by circuit width (exact statevector when feasible,
-mean-field product state otherwise — see DESIGN.md substitutions),
-draws seeded shot counts, and estimates Pauli-sum expectations via the
-qubit-wise-commuting measurement groups.
+The :class:`Sampler` picks a backend for one bound circuit (exact
+statevector when feasible, mean-field product state otherwise — see
+DESIGN.md substitutions) and draws seeded shot counts.  The spec path
+uses one per row on specs without compiled programs, and the
+instruction-stream executor draws its q_run shots with one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.noise import ReadoutNoise
-from repro.quantum.pauli import PauliSum, measurement_circuits
 from repro.quantum.product_state import ProductStateBackend
 from repro.quantum.stabilizer import StabilizerBackend, is_clifford_circuit
 from repro.quantum.statevector import StatevectorBackend
@@ -66,8 +64,6 @@ class Sampler:
         self._product = ProductStateBackend()
         self._stabilizer = StabilizerBackend()
         self._stub = StubBackend()
-        self.executions = 0
-        self.total_shots = 0
 
     def backend_for(self, circuit: QuantumCircuit):
         """Pick the execution backend for one circuit.
@@ -103,45 +99,9 @@ class Sampler:
             counts = self.readout_noise.apply_to_counts(
                 counts, len(set(measured)), self.rng
             )
-        self.executions += 1
-        self.total_shots += shots
         return SampleResult(
             counts=counts,
             shots=shots,
             n_qubits=circuit.n_qubits,
             backend_name=backend.name,
         )
-
-    # ------------------------------------------------------------------
-    def expectation(
-        self,
-        circuit: QuantumCircuit,
-        observable: PauliSum,
-        shots: int,
-    ) -> Tuple[float, List[SampleResult]]:
-        """Estimate ⟨observable⟩ on the state prepared by ``circuit``.
-
-        One execution per qubit-wise-commuting measurement group; the
-        returned :class:`SampleResult` list lets the timing models
-        charge the right number of circuit runs.
-
-        ``shots=0`` selects the analytic path: the exact statevector
-        expectation of the bare bound circuit, no sampling, no RNG
-        consumption (the empty result list signals "no device runs" to
-        the timing models).
-        """
-        if not circuit.is_bound:
-            raise ValueError("bind the circuit before sampling")
-        if shots < 0:
-            raise ValueError(f"shots must be non-negative, got {shots}")
-        if shots == 0:
-            state = self._exact.run(circuit)
-            return float(observable.expectation_statevector(state)), []
-        groups = observable.grouped_qubitwise()
-        value = observable.constant
-        results: List[SampleResult] = []
-        for group, prepared in zip(groups, measurement_circuits(circuit, groups)):
-            result = self.run(prepared, shots)
-            results.append(result)
-            value += group.expectation_from_counts(result.counts)
-        return float(value), results

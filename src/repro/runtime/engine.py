@@ -52,7 +52,7 @@ import pickle
 import struct
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -219,11 +219,32 @@ def evaluate_spec_batch(
 ) -> List[float]:
     """Pure functional evaluation of ⟨observable⟩ at K slot vectors.
 
-    The one functional energy entry, shared verbatim by the serial path
-    and the pool workers, which is what makes the two bit-identical.
-    Row ``k`` draws only from its own ``default_rng(seeds[k])``, groups
-    in order, so every row equals its own K=1 call and results never
-    depend on the batch composition.  Three row kinds:
+    The one functional energy entry, shared verbatim by the serial path,
+    the pool workers and (through :func:`_group_draws`) bare platforms,
+    which is what makes them bit-identical.  Row ``k`` draws only from
+    its own ``default_rng(seeds[k])``, so every row equals its own K=1
+    call and results never depend on the batch composition.
+    """
+    totals = [float(spec.constant)] * len(vectors)
+    for k, value, _ in _group_draws(spec, vectors, shots, seeds):
+        if value is not None:
+            totals[k] += value
+    return [float(total) for total in totals]
+
+
+def _group_draws(
+    spec: EvaluationSpec,
+    vectors: Sequence[np.ndarray],
+    shots: int,
+    seeds: Sequence[int],
+) -> Iterator[Tuple[int, Optional[float], object]]:
+    """Every row's measurement groups, rows in order and groups in
+    order within a row: ``(row, value, draw)``.
+
+    ``value`` is the group's ⟨members⟩ (``None`` for a group without
+    members) and ``draw`` its shots: a key array, a counts dictionary,
+    or ``None`` at ``shots=0`` (see
+    :func:`~repro.quantum.draw.shot_words`).  Three row kinds:
 
     * sampled, with compiled programs (statevector routing): the rows
       are replayed through :func:`~repro.quantum.kernels.replay_groups`
@@ -255,13 +276,12 @@ def evaluate_spec_batch(
     if shots < 0:
         raise ValueError(f"shots must be non-negative, got {shots}")
     if not len(vectors):
-        return []
+        return
     if shots == 0 and not spec.backend_id.startswith("statevector"):
         raise ValueError(
             f"shots=0 needs the exact statevector backend, "
             f"job routed to {spec.backend_id!r}"
         )
-    totals = [float(spec.constant)] * len(vectors)
     if spec.programs is None:
         for k, (vector, seed) in enumerate(zip(vectors, seeds)):
             sampler = Sampler(
@@ -272,12 +292,12 @@ def evaluate_spec_batch(
             )
             values = {p: float(v) for p, v in zip(spec.parameters, vector)}
             for group, circuit in zip(spec.groups, spec.group_circuits):
-                result = sampler.run(circuit.bind(values), shots)
-                if group.members:
-                    totals[k] += group.expectation_from_counts(result.counts)
-        return [float(total) for total in totals]
+                draw = sampler.run(circuit.bind(values), shots).counts
+                value = group.expectation_from_counts(draw) if group.members else None
+                yield k, value, draw
+        return
     if shots == 0 and not any(group.members for group in spec.groups):
-        return [float(total) for total in totals]
+        return
     batch = np.asarray(
         [np.asarray(vector, dtype=np.float64) for vector in vectors],
         dtype=np.float64,
@@ -292,31 +312,30 @@ def evaluate_spec_batch(
     rngs = [np.random.default_rng(int(seed)) for seed in seeds] if shots else []
     for k, states in replay_groups(spec.programs, spec.trunk, batch):
         for group, qubits, state in zip(spec.groups, measured, states):
+            members = group.members
             if shots == 0:
-                if group.members:
-                    totals[k] += group.expectation_from_probabilities(
-                        state.probabilities()
-                    )
-                continue
-            if noise is not None:
+                draw = None
+                value = (
+                    group.expectation_from_probabilities(state.probabilities())
+                    if members else None
+                )
+            elif noise is not None:
                 # Shot draw first, readout corruption second (the order
                 # Sampler.run consumes a generator in); the corruption
                 # walks the counts dictionary shot by shot in key order.
                 counts = state.sample_counts(shots, rngs[k], qubits=qubits)
-                counts = noise.apply_to_counts(counts, len(qubits), rngs[k])
-                if group.members:
-                    totals[k] += group.expectation_from_counts(counts)
-                continue
-            keys = draw_keys(
-                probability_cdf(state.probabilities()),
-                shots,
-                rngs[k],
-                state.n_qubits,
-                qubits,
-            )
-            if group.members:
-                totals[k] += group.expectation_from_keys(keys, len(qubits))
-    return [float(total) for total in totals]
+                draw = noise.apply_to_counts(counts, len(qubits), rngs[k])
+                value = group.expectation_from_counts(draw) if members else None
+            else:
+                draw = draw_keys(
+                    probability_cdf(state.probabilities()),
+                    shots,
+                    rngs[k],
+                    state.n_qubits,
+                    qubits,
+                )
+                value = group.expectation_from_keys(draw, len(qubits)) if members else None
+            yield k, value, draw
 
 
 def evaluate_spec_gradients(
@@ -383,9 +402,6 @@ class EvaluationEngine:
         #: batch digest -> number of timing replays already charged by
         #: a failed attempt of that same batch (idempotent retry).
         self._replay_ledger: Dict[bytes, int] = {}
-        #: injectable = the platform exposes the ``timing_only`` switch
-        #: that lets the engine replay timing without re-simulating.
-        self._injectable = hasattr(platform, "timing_only")
 
     # ------------------------------------------------------------------
     # platform protocol
@@ -421,14 +437,8 @@ class EvaluationEngine:
             self._trace_span("prepare", start_ps)
             self._spec = None
             return
-        sampler = getattr(self.platform, "sampler", None)
-        self._spec = build_spec(
-            ansatz,
-            observable,
-            exact_limit=getattr(sampler, "exact_limit", DEFAULT_EXACT_LIMIT),
-            force_backend=getattr(sampler, "force_backend", None),
-            readout_noise=getattr(sampler, "readout_noise", None),
-        )
+        # The platform's own spec: one build per prepare serves both.
+        self._spec = self.platform.spec
         # The planner's routing decision rides on the prepare span (the
         # counter side lives in the process-wide PLANNER_STATS group).
         span_args = {"backend": self._spec.backend_id}
@@ -497,7 +507,7 @@ class EvaluationEngine:
         bit-identical to the dict path (same keys, same seeds).
         """
         start_ps = self._trace_start()
-        if self._spec is None or not self._functional_platform():
+        if self._delegates():
             values_list = [
                 {p: float(v) for p, v in zip(parameters, vector)}
                 for vector in vectors
@@ -621,8 +631,7 @@ class EvaluationEngine:
     def _evaluate_many(
         self, values_list: Sequence[Dict[Parameter, float]], shots: int
     ) -> List[float]:
-        if self._spec is None or not self._functional_platform():
-            # Timing-only sweeps and foreign platforms: plain delegation.
+        if self._delegates():
             self.stats.counter("delegated_evaluations").increment(len(values_list))
             return [self.platform.evaluate(values, shots) for values in values_list]
 
@@ -814,7 +823,19 @@ class EvaluationEngine:
     # batch mechanics
     # ------------------------------------------------------------------
     def _functional_platform(self) -> bool:
-        return self._injectable and not getattr(self.platform, "timing_only", True)
+        """A platform with the ``timing_only`` switch (which lets the
+        engine replay timing without re-simulating), switched off."""
+        return not getattr(self.platform, "timing_only", True)
+
+    def _delegates(self) -> bool:
+        """Whether evaluations go straight to the platform: timing-only
+        sweeps, foreign platforms, and drifting readout (a per-index
+        noise channel the shared spec and its cache keys cannot carry)."""
+        return (
+            self._spec is None
+            or not self._functional_platform()
+            or getattr(self.platform, "drifts_readout", False)
+        )
 
     def _vector(self, values: Dict[Parameter, float]) -> np.ndarray:
         try:

@@ -28,7 +28,6 @@ from repro.quantum import (
     PauliString,
     PauliSum,
     QuantumCircuit,
-    Sampler,
     StatevectorBackend,
     compile_circuit,
 )
@@ -40,6 +39,7 @@ from repro.quantum.adjoint import (
 )
 from repro.quantum.gates import GATE_LIBRARY, GateSpec, ONE_QUBIT_NS
 from repro.quantum.parameters import Parameter
+from repro.runtime.engine import build_spec, evaluate_spec_batch
 from repro.vqa.ansatz import hardware_efficient_ansatz
 from repro.vqa.hamiltonians import molecular_hamiltonian
 from repro.vqa.optimizers import GradientDescent, make_optimizer
@@ -402,19 +402,17 @@ class TestOptimizerPlumbing:
 # shots=0 exact expectation end to end
 # ----------------------------------------------------------------------
 class TestAnalyticExpectation:
-    def test_sampler_shots_zero_is_exact(self):
+    def test_spec_shots_zero_is_exact(self):
         ansatz, parameters, observable = _workload()
-        values = dict(zip(parameters, np.linspace(-1, 1, len(parameters))))
-        bound = ansatz.bind(values)
-        sampler = Sampler(seed=SEED)
-        value, pulses = sampler.expectation(bound, observable, 0)
-        state = StatevectorBackend().run(bound)
+        vector = np.linspace(-1, 1, len(parameters))
+        spec = build_spec(ansatz, observable, parameters=parameters)
+        value = evaluate_spec_batch(spec, [vector], 0, [SEED])[0]
+        state = StatevectorBackend().run(ansatz.bind(dict(zip(parameters, vector))))
         assert value == pytest.approx(
             observable.expectation_statevector(state), abs=1e-12
         )
-        assert pulses == []
         with pytest.raises(ValueError):
-            sampler.expectation(bound, observable, -1)
+            evaluate_spec_batch(spec, [vector], -1, [SEED])
 
     def test_platform_shots_zero_matches_statevector(self):
         ansatz, parameters, observable = _workload()

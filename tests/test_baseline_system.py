@@ -114,9 +114,15 @@ class TestFunctionalResults:
 
         assert value_b == pytest.approx(value_q, abs=0.15)
 
-    def test_timing_only_skips_sampling(self):
+    def test_timing_only_skips_sampling(self, monkeypatch):
+        from repro.runtime import engine
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a timing-only evaluation built a spec")
+
+        monkeypatch.setattr(engine, "build_spec", refuse)
         wl = qaoa_workload(6, n_layers=1)
         system = DecoupledSystem(6, timing_only=True)
         system.prepare(wl.ansatz, wl.observable)
         system.evaluate({p: 0.1 for p in wl.parameters}, 50)
-        assert system.sampler.executions == 0
+        assert system.report.evaluations == 1

@@ -20,6 +20,7 @@ from repro.core import (
 from repro.isa import QUpdate, encode_angle
 from repro.memory import MemoryHierarchy
 from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
+from repro.quantum.draw import shot_words
 from repro.sim.clock import ns
 
 
@@ -27,7 +28,7 @@ from repro.sim.clock import ns
 def rig():
     config = QtenonConfig(n_qubits=2)
     hierarchy = MemoryHierarchy()
-    controller = QuantumController(config, hierarchy, QuantumDevice(2), Sampler(seed=0))
+    controller = QuantumController(config, hierarchy, QuantumDevice(2))
     theta = Parameter("theta")
     circuit = QuantumCircuit(2).ry(theta, 0).ry(theta, 1).measure_all()
     program = lower([transpile(circuit)], config)
@@ -111,7 +112,8 @@ class TestRace2RunVsHostRead:
         config, hierarchy, controller, program, theta = rig
         bound = program.bind_group(0, {theta: 0.7})
         result = controller.execute_q_run(
-            bound, shots, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, shots, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            outcomes=shot_words(Sampler(seed=0).run(bound, shots).counts),
         )
         return controller, result
 
@@ -146,7 +148,8 @@ class TestRace2RunVsHostRead:
         config, hierarchy, controller, program, theta = rig
         bound = program.bind_group(0, {theta: 3.14159})  # all-ones shots
         result = controller.execute_q_run(
-            bound, 8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, 8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            outcomes=shot_words(Sampler(seed=0).run(bound, 8).counts),
         )
         controller.barrier.query(HOST_RESULT_BASE, result.timeline.quantum_end_ps)
         data = hierarchy.image.read_bytes(HOST_RESULT_BASE, 1)

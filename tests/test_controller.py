@@ -8,15 +8,19 @@ from repro.core.qcc import PrivateSegmentError, QccAddressError
 from repro.isa import ProgramEntry, QAcquire, QSet, QUpdate, encode_angle
 from repro.memory import MemoryHierarchy
 from repro.quantum import Parameter, QuantumCircuit, QuantumDevice, Sampler
+from repro.quantum.draw import shot_words
+
+
+def _outcomes(bound, shots):
+    """The shots the device would measure on ``bound``."""
+    return shot_words(Sampler(seed=0).run(bound, shots).counts)
 
 
 @pytest.fixture
 def setup():
     config = QtenonConfig(n_qubits=4)
     hierarchy = MemoryHierarchy()
-    controller = QuantumController(
-        config, hierarchy, QuantumDevice(4), Sampler(seed=0)
-    )
+    controller = QuantumController(config, hierarchy, QuantumDevice(4))
     theta = Parameter("theta")
     circuit = QuantumCircuit(4)
     for q in range(4):
@@ -115,17 +119,29 @@ class TestQRun:
     def test_functional_run_writes_measure_segment(self, setup):
         config, _, controller, program, theta = setup
         bound = program.bind_group(0, {theta: 0.4})
-        result = controller.execute_q_run(
-            bound, shots=20, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+        outcomes = _outcomes(bound, 20)
+        controller.execute_q_run(
+            bound, shots=20, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            outcomes=outcomes,
         )
-        assert sum(result.counts.values()) == 20
-        assert len(result.shot_words) == 20
+        # 4 qubits: one .measure word per shot
+        assert [controller.qcc.measure_read(i) for i in range(20)] == outcomes
+
+    def test_outcomes_must_cover_every_shot(self, setup):
+        config, _, controller, program, theta = setup
+        bound = program.bind_group(0, {theta: 0.4})
+        with pytest.raises(ValueError, match="outcomes"):
+            controller.execute_q_run(
+                bound, shots=20, now_ps=0, host_addr=HOST_RESULT_BASE,
+                batched=True, outcomes=_outcomes(bound, 19),
+            )
 
     def test_results_streamed_to_host_memory(self, setup):
         config, hierarchy, controller, program, theta = setup
         bound = program.bind_group(0, {theta: 3.14159})  # ry(pi): all ones
         controller.execute_q_run(
-            bound, shots=8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, shots=8, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            outcomes=_outcomes(bound, 8),
         )
         # every shot is 0b1111 on 4 qubits -> first byte 0x0F
         assert hierarchy.image.read_bytes(HOST_RESULT_BASE, 1) == b"\x0f"
@@ -134,7 +150,8 @@ class TestQRun:
         config, _, controller, program, theta = setup
         bound = program.bind_group(0, {theta: 0.4})
         result = controller.execute_q_run(
-            bound, shots=64, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True
+            bound, shots=64, now_ps=0, host_addr=HOST_RESULT_BASE, batched=True,
+            outcomes=_outcomes(bound, 64),
         )
         assert len(controller.barrier) == result.n_batches
         assert controller.barrier.fence(0) == max(result.timeline.put_issue_times)
@@ -174,21 +191,26 @@ class TestQRun:
     def test_timing_only_run_skips_function(self, setup):
         config, hierarchy, controller, program, theta = setup
         result = controller.execute_q_run(
-            program.group_circuits[0],  # unbound is fine in timing mode
+            program.group_circuits[0],  # no outcomes: timing only
             shots=16,
             now_ps=0,
             host_addr=HOST_RESULT_BASE,
             batched=True,
-            functional=False,
         )
-        assert result.counts == {}
+        assert controller.qcc.measure_read(0) == 0
+        assert hierarchy.image.read_u64(HOST_RESULT_BASE) == 0
         assert result.timeline.quantum_end_ps > 0
 
     def test_batched_fewer_puts_than_immediate(self, setup):
         config, _, controller, program, theta = setup
         bound = program.bind_group(0, {theta: 0.4})
-        batched = controller.execute_q_run(bound, 64, 0, HOST_RESULT_BASE, batched=True)
-        immediate = controller.execute_q_run(bound, 64, 0, HOST_RESULT_BASE, batched=False)
+        outcomes = _outcomes(bound, 64)
+        batched = controller.execute_q_run(
+            bound, 64, 0, HOST_RESULT_BASE, batched=True, outcomes=outcomes
+        )
+        immediate = controller.execute_q_run(
+            bound, 64, 0, HOST_RESULT_BASE, batched=False, outcomes=outcomes
+        )
         assert immediate.n_batches > batched.n_batches
 
 
@@ -237,8 +259,6 @@ class TestQAcquire:
 
     def test_no_program_attached_raises(self):
         config = QtenonConfig(n_qubits=2)
-        controller = QuantumController(
-            config, MemoryHierarchy(), QuantumDevice(2), Sampler(seed=0)
-        )
+        controller = QuantumController(config, MemoryHierarchy(), QuantumDevice(2))
         with pytest.raises(RuntimeError, match="no program"):
             _ = controller.program

@@ -35,9 +35,7 @@ from repro.vqa import h2_workload, transverse_field_ising
 @pytest.fixture
 def rig():
     config = QtenonConfig(n_qubits=2)
-    controller = QuantumController(
-        config, MemoryHierarchy(), QuantumDevice(2), Sampler(seed=0)
-    )
+    controller = QuantumController(config, MemoryHierarchy(), QuantumDevice(2))
     theta = Parameter("theta")
     circuit = QuantumCircuit(2).ry(theta, 0).cz(0, 1).measure_all()
     program = lower([transpile(circuit)], config)
@@ -52,7 +50,7 @@ def rig():
 class TestStreamExecutor:
     def test_full_stream_advances_time(self, rig):
         config, controller, program, theta = rig
-        executor = StreamExecutor(controller)
+        executor = StreamExecutor(controller, Sampler(seed=0))
         executor.bind_circuit(program.bind_group(0, {theta: math.pi}))
         slot = program.slots[0]
         stream = [
@@ -66,36 +64,38 @@ class TestStreamExecutor:
         assert log.duration_ps > 0
         assert len(log.entries) == 4
         assert len(log.runs) == 1
-        assert sum(log.runs[0].counts.values()) == 16
+        # ry(pi) on q0: every shot reads q0 = 1 into .measure
+        assert [controller.qcc.measure_read(i) for i in range(16)] == [0b01] * 16
 
     def test_machine_triples_accepted(self, rig):
         config, controller, program, theta = rig
-        executor = StreamExecutor(controller)
+        executor = StreamExecutor(controller, Sampler(seed=0))
         triples = assemble("q_update 0x70000, 0x1000\nq_gen")
         log = executor.execute(triples)
         assert [e.split()[0] for e in log.entries] == ["q_update", "q_gen"]
 
     def test_run_without_bound_circuit_raises(self, rig):
         _, controller, _, _ = rig
-        executor = StreamExecutor(controller)
+        executor = StreamExecutor(controller, Sampler(seed=0))
         with pytest.raises(RuntimeError, match="bind_circuit"):
             executor.execute([QRun(shots=4)])
 
     def test_unbound_circuit_rejected(self, rig):
         _, controller, program, _ = rig
-        executor = StreamExecutor(controller)
+        executor = StreamExecutor(controller, Sampler(seed=0))
         with pytest.raises(ValueError, match="bound"):
             executor.bind_circuit(program.group_circuits[0])
 
     def test_runs_consume_circuits_in_order(self, rig):
         config, controller, program, theta = rig
-        executor = StreamExecutor(controller)
+        executor = StreamExecutor(controller, Sampler(seed=0))
         executor.bind_circuit(program.bind_group(0, {theta: 0.0}))   # all |00>
         executor.bind_circuit(program.bind_group(0, {theta: math.pi}))  # q0 -> 1
-        log = executor.execute([QRun(shots=8), QRun(shots=8)])
-        first, second = log.runs
-        assert set(first.counts) == {0b00}
-        assert set(second.counts) == {0b01}
+        measured = []
+        for _ in range(2):
+            executor.execute([QRun(shots=8)])
+            measured.append({controller.qcc.measure_read(i) for i in range(8)})
+        assert measured == [{0b00}, {0b01}]
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,16 @@
 """Tests for Pauli strings, sums, grouping, and expectation estimation."""
 
 
+import numpy as np
 import pytest
 
 from repro.quantum import (
     PauliString,
     PauliSum,
     QuantumCircuit,
-    Sampler,
     StatevectorBackend,
 )
+from repro.runtime.engine import build_spec, evaluate_spec_batch
 
 
 class TestPauliString:
@@ -155,10 +156,10 @@ class TestSampledExpectation:
         ], constant=0.2)
         qc = QuantumCircuit(2).ry(0.9, 0).rx(0.4, 1).cz(0, 1)
         exact = ham.expectation_statevector(StatevectorBackend().run(qc))
-        sampler = Sampler(seed=11)
-        sampled, results = sampler.expectation(qc, ham, shots=40000)
+        spec = build_spec(qc, ham)
+        sampled = evaluate_spec_batch(spec, [np.zeros(0)], 40000, [11])[0]
         assert sampled == pytest.approx(exact, abs=0.03)
-        assert len(results) == len(ham.grouped_qubitwise())
+        assert len(spec.groups) == len(ham.grouped_qubitwise())
 
     def test_empty_counts_rejected(self):
         group = PauliSum([(1.0, PauliString({0: "Z"}))]).grouped_qubitwise()[0]

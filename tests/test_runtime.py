@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from repro import EvalCache, EvaluationEngine, HybridRunner, QtenonSystem
+from repro.baseline.system import DecoupledSystem
+from repro.faults import FaultInjector, FaultPlan, ReadoutDriftFaults
 from repro.runtime import (
     BreakerState,
     CircuitBreaker,
@@ -23,7 +25,8 @@ from repro.runtime import (
     evaluation_key,
 )
 from repro.quantum import Parameter, QuantumCircuit
-from repro.vqa import make_optimizer
+from repro.quantum.noise import ReadoutNoise
+from repro.vqa import make_optimizer, qaoa_workload
 from repro.vqa.ansatz import hardware_efficient_ansatz
 from repro.vqa.hamiltonians import molecular_hamiltonian
 from repro.vqa.optimizers import GradientDescent, Spsa, _evaluate_batch
@@ -232,6 +235,76 @@ class TestEngineParity:
         # An uncached run stays silent about the cache.
         plain = _run(_engine(max_workers=1), workload, "gd")
         assert "eval cache" not in plain.report.summary()
+
+
+class TestBarePlatformParity:
+    """A bare platform evaluates on the spec path under the seed an
+    engine derives, so wrapping it in ``EvaluationEngine(max_workers=1)``
+    changes nothing but wall-clock: histories, energies and the
+    modelled timeline agree bit for bit."""
+
+    @pytest.mark.parametrize("readout", [None, ReadoutNoise(0.02, 0.05)],
+                             ids=["ideal", "noisy"])
+    @pytest.mark.parametrize("shots", [SHOTS, 0], ids=["sampled", "exact"])
+    @pytest.mark.parametrize("platform_cls", [QtenonSystem, DecoupledSystem])
+    def test_bare_platform_matches_engine(self, workload, platform_cls, shots, readout):
+        def run(platform):
+            ansatz, parameters, observable = workload
+            return HybridRunner(
+                platform, ansatz, parameters, observable,
+                make_optimizer("spsa", seed=SEED), shots=shots, iterations=3,
+            ).run(seed=SEED)
+
+        bare = run(platform_cls(QUBITS, seed=SEED, readout_noise=readout))
+        wrapped = run(EvaluationEngine(
+            platform_cls(QUBITS, seed=SEED, readout_noise=readout),
+            max_workers=1, seed=SEED,
+        ))
+        assert bare.cost_history == wrapped.cost_history
+        assert bare.report.energies == wrapped.report.energies
+        assert bare.report.end_to_end_ps == wrapped.report.end_to_end_ps
+        assert bare.report.breakdown == wrapped.report.breakdown
+
+    def test_engine_prepare_builds_one_spec(self, workload, monkeypatch):
+        from repro.runtime import engine as engine_module
+
+        calls = []
+        original = engine_module.build_spec
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "build_spec", counting)
+        engine = _engine(workload, max_workers=1)
+        assert len(calls) == 1
+        assert engine._spec is engine.platform.spec
+        engine.evaluate({p: 0.1 for p in workload[1]}, SHOTS)
+        assert len(calls) == 1
+
+    def test_engine_applies_readout_drift(self):
+        """Calibration drift reaches an engine-wrapped platform's values:
+        the engine hands drifting evaluations to the platform."""
+        workload = qaoa_workload(4)
+
+        def history(rate, wrap):
+            injector = FaultInjector(
+                FaultPlan(seed=0, readout=ReadoutDriftFaults(rate_per_evaluation=rate))
+            )
+            platform = DecoupledSystem(
+                4, seed=0, readout_noise=ReadoutNoise(0.01, 0.03),
+                fault_injector=injector,
+            )
+            if wrap:
+                platform = EvaluationEngine(platform, max_workers=1, seed=0)
+            return HybridRunner(
+                platform, workload.ansatz, workload.parameters, workload.observable,
+                make_optimizer("spsa", seed=0), shots=128, iterations=3,
+            ).run(seed=0).cost_history
+
+        drifted = history(0.2, wrap=True)
+        assert drifted == history(0.2, wrap=False)
+        assert drifted != history(0.0, wrap=True)
 
 
 class TestEngineFallbacks:

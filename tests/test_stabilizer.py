@@ -288,4 +288,3 @@ class TestWidePath:
         qc = QuantumCircuit(40).h(0).measure_all()
         result = sampler.run(qc, 30)
         assert result.backend_name == "stabilizer"
-        assert sampler.executions == 1 and sampler.total_shots == 30

@@ -145,14 +145,20 @@ SCENARIOS = {
     ),
 }
 
-#: sha256 prefixes recorded from the per-entry, per-batch replay.
+#: sha256 prefixes recorded from the per-entry, per-batch replay.  The
+#: four scenarios with functional evaluations (alternating-modes,
+#: hardware-only, measurement-faults, measurement-faults-fence) hash
+#: sampled energies and the delivered shot records too; they were
+#: re-recorded when bare platforms began drawing shots on the spec path
+#: with content-derived seeds, after checking that their states without
+#: ``report.energies`` and ``host_memory`` hash as before.
 GOLDEN = {
-    "alternating-modes": "b96a32f90d5c63ff",
+    "alternating-modes": "ae9ee41cb72911f1",
     "full-compile": "7e19e90f22355335",
-    "hardware-only": "1cd97ecd32d03a73",
+    "hardware-only": "27b0a4fa64e8d366",
     "hardware-only-timing": "23b8e7a87903995e",
-    "measurement-faults": "a17822ace7754d08",
-    "measurement-faults-fence": "f020fb2244089356",
+    "measurement-faults": "18740e57bdc33d74",
+    "measurement-faults-fence": "1b62dfb32e23dc1a",
     "shift-12q": "3e29c48e9985d6cf",
     "slow-host": "b6c209618c572dbb",
     "slt-disabled": "30e1d3af00f77732",
