@@ -1,19 +1,14 @@
-"""Report serialisation: JSON and CSV export.
+"""Report flattening: an :class:`ExecutionReport` as plain data.
 
-Downstream users want to plot the reproduction's numbers with their
-own tooling; these helpers flatten :class:`ExecutionReport` objects to
-plain data, write JSON/CSV, and load JSON back for comparison
-pipelines (round-trip covered by the tests).
+The cluster executor ships a job's report to the master as the
+JSON-ready dictionary :func:`report_to_dict` builds.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
-from typing import Dict, Sequence
+from typing import Dict
 
-from repro.analysis.breakdown import CATEGORIES, ExecutionReport, TimeBreakdown
+from repro.analysis.breakdown import ExecutionReport, TimeBreakdown
 
 
 def breakdown_to_dict(breakdown: TimeBreakdown) -> Dict[str, int]:
@@ -38,68 +33,3 @@ def report_to_dict(report: ExecutionReport) -> Dict[str, object]:
         "energies": list(report.energies),
         "extra": dict(report.extra),
     }
-
-
-def report_from_dict(data: Dict[str, object]) -> ExecutionReport:
-    """Inverse of :func:`report_to_dict`."""
-    report = ExecutionReport(platform=str(data["platform"]))
-    report.end_to_end_ps = int(data["end_to_end_ps"])
-    for category, value in dict(data["breakdown_ps"]).items():
-        report.breakdown.add(category, int(value))
-    for category, value in dict(data["busy_ps"]).items():
-        report.busy.add(category, int(value))
-    report.iterations = int(data["iterations"])
-    report.evaluations = int(data["evaluations"])
-    report.total_shots = int(data["total_shots"])
-    report.comm_by_instruction = {
-        k: int(v) for k, v in dict(data["comm_by_instruction_ps"]).items()
-    }
-    report.instruction_counts = {
-        k: int(v) for k, v in dict(data["instruction_counts"]).items()
-    }
-    report.pulses_generated = int(data["pulses_generated"])
-    report.pulse_entries_processed = int(data["pulse_entries_processed"])
-    report.slt_hits = int(data["slt_hits"])
-    report.energies = [float(e) for e in data["energies"]]
-    report.extra = {k: float(v) for k, v in dict(data["extra"]).items()}
-    return report
-
-
-def to_json(report: ExecutionReport, indent: int = 2) -> str:
-    return json.dumps(report_to_dict(report), indent=indent, sort_keys=True)
-
-
-def from_json(text: str) -> ExecutionReport:
-    return report_from_dict(json.loads(text))
-
-
-def reports_to_csv(reports: Sequence[ExecutionReport]) -> str:
-    """One row per report: identity, end-to-end, both breakdowns and
-    headline derived metrics — ready for a spreadsheet."""
-    if not reports:
-        raise ValueError("no reports to export")
-    fieldnames = (
-        ["platform", "end_to_end_ps", "iterations", "evaluations", "total_shots"]
-        + [f"exposed_{c}_ps" for c in CATEGORIES]
-        + [f"busy_{c}_ps" for c in CATEGORIES]
-        + ["quantum_fraction", "pulses_generated", "compute_reduction"]
-    )
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
-    writer.writeheader()
-    for report in reports:
-        row: Dict[str, object] = {
-            "platform": report.platform,
-            "end_to_end_ps": report.end_to_end_ps,
-            "iterations": report.iterations,
-            "evaluations": report.evaluations,
-            "total_shots": report.total_shots,
-            "quantum_fraction": f"{report.quantum_fraction:.6f}",
-            "pulses_generated": report.pulses_generated,
-            "compute_reduction": f"{report.compute_reduction:.6f}",
-        }
-        for category in CATEGORIES:
-            row[f"exposed_{category}_ps"] = report.breakdown.get(category)
-            row[f"busy_{category}_ps"] = report.busy.get(category)
-        writer.writerow(row)
-    return buffer.getvalue()

@@ -7,7 +7,7 @@ helpers here are deliberately plain-text (no plotting dependencies).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 
 def format_table(
@@ -49,10 +49,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def format_speedup(value: float) -> str:
-    return f"{value:.1f}x"
-
-
 def format_time_ps(ps: int) -> str:
     """Human scale: picks ns/us/ms/s like the paper's figures."""
     if ps < 0:
@@ -64,10 +60,6 @@ def format_time_ps(ps: int) -> str:
     if ps < 1_000_000_000_000:
         return f"{ps / 1_000_000_000:.2f}ms"
     return f"{ps / 1_000_000_000_000:.3f}s"
-
-
-def format_percentage_breakdown(percentages: Dict[str, float]) -> str:
-    return ", ".join(f"{name} {pct:.1f}%" for name, pct in percentages.items())
 
 
 def geometric_mean(values: Sequence[float]) -> float:

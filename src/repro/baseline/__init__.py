@@ -16,8 +16,6 @@ from repro.baseline.variants import (
     EQASM,
     HISEPQ,
     PAPER_BASELINE,
-    VARIANTS,
-    variant_by_name,
 )
 
 __all__ = [
@@ -36,6 +34,4 @@ __all__ = [
     "EQASM",
     "HISEPQ",
     "PAPER_BASELINE",
-    "VARIANTS",
-    "variant_by_name",
 ]

@@ -3,16 +3,17 @@
 Decoupled ISAs encode qubit indices statically, so any parameter
 change forces the host to rebuild and recompile the entire program
 (paper §2.3/§6.1).  :class:`JitCompiler` models that: every
-evaluation re-binds the circuit, re-emits the flat QASM-style binary
-and charges the host the full per-gate compile cost — landing in
-Table 1's 1–100 ms recompilation band for 64-qubit workloads.
+evaluation rebuilds the whole static binary (one instruction per gate
+and per measurement; timing/wait instructions excluded, as in Table
+1's note) and charges the host the full per-gate compile cost —
+landing in Table 1's 1–100 ms recompilation band for 64-qubit
+workloads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.compiler.qasm import static_instruction_count
 from repro.host.workloads import HostWorkloadModel
 from repro.quantum.circuit import QuantumCircuit
 
@@ -41,12 +42,12 @@ class JitCompiler:
     def compile(self, template: QuantumCircuit) -> JitOutput:
         """Cost and size of one full recompilation of ``template`` (they
         do not depend on parameter values, so no binding is needed)."""
-        count = static_instruction_count(template)
+        count = len(template.operations)
         self.compilations += 1
         self.total_instructions_emitted += count
         return JitOutput(
             circuit=template,
             instruction_count=count,
             binary_bytes=count * self.BYTES_PER_INSTRUCTION,
-            compile_time_ps=self.workload.full_compile_ps(len(template.operations)),
+            compile_time_ps=self.workload.full_compile_ps(count),
         )

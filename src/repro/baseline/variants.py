@@ -89,13 +89,3 @@ PAPER_BASELINE = DecoupledVariant(
     instructions_per_operation=1.0,
     max_qubits=1024,
 )
-
-VARIANTS = {v.name: v for v in (EQASM, HISEPQ, PAPER_BASELINE)}
-
-
-def variant_by_name(name: str) -> DecoupledVariant:
-    try:
-        return VARIANTS[name]
-    except KeyError:
-        known = ", ".join(sorted(VARIANTS))
-        raise KeyError(f"unknown variant {name!r}; known variants: {known}") from None

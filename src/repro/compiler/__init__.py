@@ -1,4 +1,4 @@
-"""Compiler: transpilation, Qtenon lowering, incremental updates, QASM."""
+"""Compiler: transpilation, Qtenon lowering, incremental updates."""
 
 from repro.compiler.incremental import IncrementalCompiler, UpdatePlan
 from repro.compiler.lowering import (
@@ -8,12 +8,6 @@ from repro.compiler.lowering import (
     RegfileSlot,
     WORDS_PER_ENTRY,
     lower,
-)
-from repro.compiler.qasm import (
-    QasmError,
-    campaign_instruction_count,
-    emit_qasm,
-    static_instruction_count,
 )
 from repro.compiler.transpile import TranspileError, is_native, transpile
 
@@ -29,8 +23,4 @@ __all__ = [
     "WORDS_PER_ENTRY",
     "IncrementalCompiler",
     "UpdatePlan",
-    "emit_qasm",
-    "static_instruction_count",
-    "campaign_instruction_count",
-    "QasmError",
 ]

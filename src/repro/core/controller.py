@@ -226,12 +226,16 @@ class QuantumController:
         if outcomes is not None:
             if len(outcomes) != shots:
                 raise ValueError(f"got {len(outcomes)} outcomes for {shots} shots")
-            # .measure segment fill (wrapping like the circular HW buffer).
+            # .measure segment fill (wrapping like the circular HW buffer):
+            # each outcome as ``words_per_shot`` little-endian 64-bit words.
             words_per_shot = max(1, -(-record // 8))
-            for shot, word in enumerate(outcomes):
-                self.qcc.measure_write(
-                    (shot * words_per_shot) % self.config.measure_entries, word
-                )
+            for shot, outcome in enumerate(outcomes):
+                base = shot * words_per_shot
+                for word in range(words_per_shot):
+                    self.qcc.measure_write(
+                        (base + word) % self.config.measure_entries,
+                        outcome >> (64 * word),
+                    )
 
         if shot_ps is None:
             shot_ps = self.device.shot_duration_ps(circuit)
@@ -286,7 +290,7 @@ class QuantumController:
             for index, batch in enumerate(batches):
                 payload = bytearray()
                 for shot in range(batch.first_shot, batch.first_shot + batch.n_shots):
-                    payload += outcomes[shot].to_bytes(8, "little")[:record]
+                    payload += outcomes[shot].to_bytes(record, "little")
                 self._deliver_batch_payload(
                     batch.host_addr,
                     bytes(payload),

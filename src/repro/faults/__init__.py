@@ -31,7 +31,6 @@ from repro.faults.plan import (
     NodeFaults,
     ReadoutDriftFaults,
     WorkerFaults,
-    loss_sweep_plans,
 )
 from repro.faults.protocol import (
     Frame,
@@ -60,5 +59,4 @@ __all__ = [
     "WORKER_SLOW",
     "WorkerFaults",
     "checksum32",
-    "loss_sweep_plans",
 ]

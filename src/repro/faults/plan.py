@@ -256,13 +256,3 @@ class InjectedWorkerCrash(RuntimeError):
 
 class InjectedWorkerHang(RuntimeError):
     """A worker hang reaped by a watchdog (surfaces as a failure)."""
-
-
-def loss_sweep_plans(
-    seed: int, losses: Tuple[float, ...], **link_kwargs
-) -> Tuple[FaultPlan, ...]:
-    """One plan per loss point, sharing the seed (campaign sweeps)."""
-    return tuple(
-        FaultPlan(seed=seed, link=LinkFaults(loss_p=loss, **link_kwargs))
-        for loss in losses
-    )

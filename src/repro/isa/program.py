@@ -60,11 +60,6 @@ def decode_angle(data: int) -> float:
     return data / _ANGLE_SCALE
 
 
-def angle_resolution() -> float:
-    """Smallest representable angle step in radians."""
-    return 1.0 / _ANGLE_SCALE
-
-
 @dataclass(frozen=True)
 class ProgramEntry:
     """One gate slot in a qubit's ``.program`` chunk."""

@@ -52,7 +52,7 @@ import pickle
 import struct
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,6 +89,9 @@ from repro.runtime.cache import (
 )
 from repro.runtime.workers import PoolBroken, SharedMemoryPool
 from repro.sim.stats import StatGroup
+
+#: What :meth:`EvaluationEngine._pool_call` answers for a pool failure.
+_POOL_FAILED = object()
 
 
 @dataclass
@@ -615,16 +618,12 @@ class EvaluationEngine:
         if self.max_workers > 1 and self.breaker.allow():
             pool = self._ensure_pool()
             if pool is not None:
-                try:
-                    energies, grads = pool.run_gradients(vectors)
-                    self.breaker.record_success()
-                    self.stats.counter("parallel_gradients").increment(
-                        len(vectors)
-                    )
-                    self._worker_stat_snapshot = pool.worker_stats()
-                    return energies, grads
-                except (PoolBroken, BrokenProcessPool):
-                    self._record_pool_failure(0)
+                result = self._pool_call(
+                    pool, lambda: pool.run_gradients(vectors), 0,
+                    "parallel_gradients", len(vectors),
+                )
+                if result is not _POOL_FAILED:
+                    return result
         self.stats.counter("serial_gradients").increment(len(vectors))
         return evaluate_spec_gradients(self._spec, vectors)
 
@@ -740,7 +739,7 @@ class EvaluationEngine:
                 # Drain the in-flight batch so the pool stays usable
                 # and the already-charged surrogate energies still get
                 # their real values (mirroring the eager-patch path).
-                values = self._abandon_inflight(inflight)
+                values = self._abandon_inflight(inflight, len(tasks))
                 if values is not None:
                     self._settle(pending, keys, results, values)
                     self._patch_energies(deferred, results)
@@ -783,15 +782,14 @@ class EvaluationEngine:
         deferred.clear()
 
     def _abandon_inflight(
-        self, pool: SharedMemoryPool
+        self, pool: SharedMemoryPool, count: int
     ) -> Optional[List[float]]:
-        """Collect a batch whose charging loop failed; never raises."""
+        """Collect a batch of ``count`` tasks whose charging loop
+        failed; never raises."""
         try:
-            values = pool.collect_batch()
-            self.breaker.record_success()
-            self.stats.counter("parallel_evaluations").increment(len(values))
-            self._worker_stat_snapshot = pool.worker_stats()
-            return values
+            return self._pool_call(
+                pool, pool.collect_batch, None, "parallel_evaluations", count
+            )
         except BaseException:
             self._shutdown_pool()
             return None
@@ -864,23 +862,18 @@ class EvaluationEngine:
         pool = self._ensure_pool()
         if pool is None:
             return None, 0
-        try:
+
+        def dispatch() -> None:
             self._maybe_inject_worker_fault(tasks, 0)
             pool.dispatch_batch(
                 [task[0] for task in tasks],
                 tasks[0][1],
                 [task[2] for task in tasks],
             )
-            return pool, 0
-        except (PoolBroken, BrokenProcessPool):
-            self._record_pool_failure(0)
-        except InjectedWorkerCrash:
-            self.stats.counter("injected_pool_crashes").increment()
-            self._record_pool_failure(0)
-        except InjectedWorkerHang:
-            self.stats.counter("injected_pool_hangs").increment()
-            self._record_pool_failure(0)
-        return None, 1
+
+        if self._pool_call(pool, dispatch, 0) is _POOL_FAILED:
+            return None, 1
+        return pool, 0
 
     def _run_tasks(
         self,
@@ -917,27 +910,55 @@ class EvaluationEngine:
                 pool = self._ensure_pool()
                 if pool is None:
                     break
-                try:
-                    if pool is inflight:
-                        inflight = None
-                        values = pool.collect_batch()
-                    else:
+                if pool is inflight:
+                    inflight = None
+                    call = pool.collect_batch
+                else:
+                    def call():
                         self._maybe_inject_worker_fault(tasks, attempt)
-                        values = pool.run_batch(vectors, shots, seeds)
-                    self.breaker.record_success()
-                    self.stats.counter("parallel_evaluations").increment(len(tasks))
-                    self._worker_stat_snapshot = pool.worker_stats()
+                        return pool.run_batch(vectors, shots, seeds)
+                values = self._pool_call(
+                    pool, call, attempt, "parallel_evaluations", len(tasks)
+                )
+                if values is not _POOL_FAILED:
                     return values
-                except (PoolBroken, BrokenProcessPool):
-                    self._record_pool_failure(attempt)
-                except InjectedWorkerCrash:
-                    self.stats.counter("injected_pool_crashes").increment()
-                    self._record_pool_failure(attempt)
-                except InjectedWorkerHang:
-                    self.stats.counter("injected_pool_hangs").increment()
-                    self._record_pool_failure(attempt)
         self.stats.counter("serial_evaluations").increment(len(tasks))
         return evaluate_spec_batch(self._spec, vectors, shots, seeds)
+
+    def _pool_call(
+        self,
+        pool: SharedMemoryPool,
+        call: Callable[[], object],
+        attempt: Optional[int],
+        counter: Optional[str] = None,
+        count: int = 0,
+    ) -> object:
+        """Run one pool operation and account for its outcome.
+
+        A call that returns is a breaker success that adds ``count`` to
+        ``counter`` (a dispatch names no counter: it has no result
+        yet).  A dead pool or an injected crash or hang is recorded as
+        a failure at ``attempt`` and answered with :data:`_POOL_FAILED`,
+        or re-raised when ``attempt`` is ``None``.
+        """
+        try:
+            result = call()
+            if counter is not None:
+                self.breaker.record_success()
+                self.stats.counter(counter).increment(count)
+                self._worker_stat_snapshot = pool.worker_stats()
+            return result
+        except (
+            PoolBroken, BrokenProcessPool, InjectedWorkerCrash, InjectedWorkerHang
+        ) as error:
+            if attempt is None:
+                raise
+            if isinstance(error, InjectedWorkerCrash):
+                self.stats.counter("injected_pool_crashes").increment()
+            elif isinstance(error, InjectedWorkerHang):
+                self.stats.counter("injected_pool_hangs").increment()
+            self._record_pool_failure(attempt)
+            return _POOL_FAILED
 
     def _record_pool_failure(self, attempt: int) -> None:
         self._shutdown_pool()

@@ -27,7 +27,6 @@ from repro.telemetry.bridge import (
     metric_key,
     register_engine,
     register_eval_cache,
-    register_fault_injector,
     register_health,
     register_planner,
     register_service,
@@ -48,9 +47,7 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
     StepClock,
-    get_registry,
     nearest_rank_quantile,
-    set_registry,
 )
 from repro.telemetry.tracing import (
     TraceGroup,
@@ -73,7 +70,6 @@ __all__ = [
     "TraceGroup",
     "TraceSpan",
     "Tracer",
-    "get_registry",
     "make_trace_id",
     "merged_chrome_trace",
     "metric_key",
@@ -82,11 +78,9 @@ __all__ = [
     "prometheus_name",
     "register_engine",
     "register_eval_cache",
-    "register_fault_injector",
     "register_health",
     "register_planner",
     "register_service",
     "register_stat_group",
-    "set_registry",
     "to_prometheus_text",
 ]

@@ -205,11 +205,3 @@ def register_service(
         }
 
     registry.register_collector(collect_sessions)
-
-
-def register_fault_injector(
-    registry: MetricsRegistry, injector, prefix: str = "faults"
-) -> None:
-    """Publish a :class:`~repro.faults.injector.FaultInjector`'s
-    decision counters."""
-    register_stat_group(registry, injector.stats, prefix)

@@ -32,7 +32,7 @@ import numbers
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 #: Stable dotted metric names: lowercase segments of [a-z0-9_].
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
@@ -313,28 +313,6 @@ class MetricsRegistry:
                 )
             out[name] = {"type": "gauge", "value": value}
         return out
-
-
-# ----------------------------------------------------------------------
-#: The process-wide default registry components fall back to.
-_DEFAULT: Optional[MetricsRegistry] = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def get_registry() -> MetricsRegistry:
-    """The lazily created process-wide registry."""
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        if _DEFAULT is None:
-            _DEFAULT = MetricsRegistry()
-        return _DEFAULT
-
-
-def set_registry(registry: Optional[MetricsRegistry]) -> None:
-    """Swap (or with ``None`` reset) the process-wide registry — tests."""
-    global _DEFAULT
-    with _DEFAULT_LOCK:
-        _DEFAULT = registry
 
 
 class StepClock:

@@ -13,7 +13,6 @@ from repro.vqa.hamiltonians import (
     molecular_hamiltonian,
     qnn_readout_observable,
     random_regular_graph,
-    transverse_field_ising,
 )
 from repro.vqa.optimizers import (
     GradientDescent,
@@ -23,7 +22,7 @@ from repro.vqa.optimizers import (
     make_optimizer,
 )
 from repro.vqa.ghz import ghz_circuit, ghz_observable, ghz_workload
-from repro.vqa.qaoa import VqaWorkload, best_sampled_cut, maxcut_value, qaoa_workload
+from repro.vqa.qaoa import VqaWorkload, qaoa_workload
 from repro.vqa.qnn import qnn_workload
 from repro.vqa.runner import HybridResult, HybridRunner, Platform
 from repro.vqa.vqe import h2_workload, vqe_workload
@@ -36,7 +35,6 @@ __all__ = [
     "maxcut_hamiltonian",
     "molecular_hamiltonian",
     "h2_minimal_hamiltonian",
-    "transverse_field_ising",
     "qnn_readout_observable",
     "random_regular_graph",
     "GradientDescent",
@@ -52,8 +50,6 @@ __all__ = [
     "ghz_workload",
     "ghz_circuit",
     "ghz_observable",
-    "maxcut_value",
-    "best_sampled_cut",
     "HybridRunner",
     "HybridResult",
     "Platform",

@@ -104,20 +104,6 @@ def h2_minimal_hamiltonian() -> PauliSum:
     )
 
 
-def transverse_field_ising(
-    n_qubits: int, j_coupling: float = 1.0, h_field: float = 1.0
-) -> PauliSum:
-    """1D TFIM chain: ``-J sum Z_i Z_{i+1} - h sum X_i`` (open chain)."""
-    if n_qubits < 2:
-        raise ValueError(f"need at least 2 qubits, got {n_qubits}")
-    terms: List[Tuple[float, PauliString]] = []
-    for i in range(n_qubits - 1):
-        terms.append((-j_coupling, PauliString({i: "Z", i + 1: "Z"})))
-    for i in range(n_qubits):
-        terms.append((-h_field, PauliString({i: "X"})))
-    return PauliSum(terms)
-
-
 def qnn_readout_observable(n_qubits: int, n_readout: Optional[int] = None) -> PauliSum:
     """QNN cost observable: mean ⟨Z⟩ over a readout-qubit subset."""
     n_readout = n_readout or max(1, n_qubits // 4)

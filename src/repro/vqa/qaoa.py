@@ -58,19 +58,3 @@ def qaoa_workload(
         parameters=parameters,
         observable=maxcut_hamiltonian(graph),
     )
-
-
-def maxcut_value(graph: nx.Graph, bitstring: int) -> int:
-    """Cut size of an assignment (bit i = partition of node i)."""
-    cut = 0
-    for u, v in graph.edges():
-        if ((bitstring >> int(u)) & 1) != ((bitstring >> int(v)) & 1):
-            cut += 1
-    return cut
-
-
-def best_sampled_cut(graph: nx.Graph, counts: dict) -> int:
-    """Best cut among sampled bitstrings (the QAOA success metric)."""
-    if not counts:
-        raise ValueError("empty counts")
-    return max(maxcut_value(graph, bits) for bits in counts)

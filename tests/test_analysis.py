@@ -6,8 +6,6 @@ from repro.analysis import (
     CATEGORIES,
     ExecutionReport,
     TimeBreakdown,
-    format_percentage_breakdown,
-    format_speedup,
     format_table,
     format_time_ps,
     geometric_mean,
@@ -128,13 +126,6 @@ class TestFormatting:
     def test_format_time_negative_rejected(self):
         with pytest.raises(ValueError):
             format_time_ps(-1)
-
-    def test_format_speedup(self):
-        assert format_speedup(12.34) == "12.3x"
-
-    def test_percentage_breakdown(self):
-        text = format_percentage_breakdown({"quantum": 90.0, "comm": 10.0})
-        assert "quantum 90.0%" in text
 
     def test_geometric_mean(self):
         assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)

@@ -7,7 +7,6 @@ from repro.baseline import (
     EQASM,
     HISEPQ,
     PAPER_BASELINE,
-    variant_by_name,
 )
 from repro.quantum import QuantumCircuit
 from repro.sim.clock import ms
@@ -15,12 +14,6 @@ from repro.vqa import qaoa_workload
 
 
 class TestVariantCatalogue:
-    def test_lookup(self):
-        assert variant_by_name("eqasm") is EQASM
-        assert variant_by_name("hisep-q") is HISEPQ
-        with pytest.raises(KeyError, match="known variants"):
-            variant_by_name("openpulse")
-
     def test_link_latency_bands_match_table1(self):
         assert EQASM.link.per_message_latency_ps == ms(1)      # ~1 ms USB
         assert HISEPQ.link.per_message_latency_ps == ms(10)    # ~10 ms Ethernet

@@ -1,4 +1,4 @@
-"""Tests for the compiler: transpile, lowering, incremental, QASM."""
+"""Tests for the compiler: transpile, lowering, incremental."""
 
 import math
 
@@ -7,15 +7,13 @@ import pytest
 from repro.compiler import (
     IncrementalCompiler,
     LoweringError,
-    QasmError,
-    campaign_instruction_count,
-    emit_qasm,
     is_native,
     lower,
-    static_instruction_count,
     transpile,
 )
+from repro.baseline import JitCompiler
 from repro.core import QtenonConfig
+from repro.host import INTEL_I9, HostWorkloadModel
 from repro.isa import QSet, QUpdate, decode_angle
 from repro.quantum import Parameter, QuantumCircuit, StatevectorBackend
 
@@ -195,25 +193,10 @@ class TestIncrementalCompiler:
 
 
 class TestQasm:
-    def test_emission_round_trip_structure(self):
-        qc = QuantumCircuit(2).h(0).cx(0, 1).rz(0.5, 1).measure_all()
-        text = emit_qasm(qc)
-        assert "OPENQASM 2.0;" in text
-        assert "qreg q[2];" in text
-        assert "rz(0.5) q[1];" in text
-        assert "measure q[0] -> c[0];" in text
-
-    def test_unbound_circuit_rejected(self):
-        qc = QuantumCircuit(1).rx(Parameter("t"), 0)
-        with pytest.raises(QasmError):
-            emit_qasm(qc)
+    """The decoupled baseline's static binary: one instruction per gate
+    and per measurement, as in a QASM listing."""
 
     def test_static_count_is_per_operation(self):
         qc = QuantumCircuit(2).h(0).cx(0, 1).measure_all()
-        assert static_instruction_count(qc) == 4
-
-    def test_campaign_count_scales_with_evaluations(self):
-        qc = QuantumCircuit(2).h(0).measure_all()
-        assert campaign_instruction_count(qc, 10) == 30
-        with pytest.raises(ValueError):
-            campaign_instruction_count(qc, 0)
+        jit = JitCompiler(HostWorkloadModel(INTEL_I9))
+        assert jit.compile(qc).instruction_count == 4

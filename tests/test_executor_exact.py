@@ -24,7 +24,16 @@ from repro.quantum.exact import (
     pauli_sum_matrix,
 )
 from repro.quantum.pauli import PauliString, PauliSum
-from repro.vqa import h2_workload, transverse_field_ising
+from repro.vqa import h2_workload
+
+
+def transverse_field_ising(n_qubits):
+    """Open 1D TFIM chain at J = h = 1: ``-sum Z_i Z_{i+1} - sum X_i``."""
+    couplings = [
+        (-1.0, PauliString({i: "Z", i + 1: "Z"})) for i in range(n_qubits - 1)
+    ]
+    fields = [(-1.0, PauliString({i: "X"})) for i in range(n_qubits)]
+    return PauliSum(couplings + fields)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,9 @@
-"""Tests for report JSON/CSV export."""
+"""Tests for report flattening (the cluster's report payload)."""
 
-import pytest
+import json
 
-from repro.analysis import (
-    ExecutionReport,
-    TimeBreakdown,
-    from_json,
-    reports_to_csv,
-    to_json,
-)
+from repro.analysis import ExecutionReport, TimeBreakdown, report_to_dict
+from repro.faults.protocol import dumps_wire, loads_wire
 
 
 def make_report():
@@ -31,56 +26,20 @@ def make_report():
 
 class TestJsonRoundTrip:
     def test_round_trip_preserves_everything(self):
-        original = make_report()
-        restored = from_json(to_json(original))
-        assert restored.platform == original.platform
-        assert restored.end_to_end_ps == original.end_to_end_ps
-        assert restored.breakdown.as_dict() == original.breakdown.as_dict()
-        assert restored.busy.as_dict() == original.busy.as_dict()
-        assert restored.comm_by_instruction == original.comm_by_instruction
-        assert restored.instruction_counts == original.instruction_counts
-        assert restored.energies == original.energies
-        assert restored.extra == original.extra
-
-    def test_derived_metrics_survive(self):
-        restored = from_json(to_json(make_report()))
-        assert restored.quantum_fraction == pytest.approx(0.9)
-        assert restored.compute_reduction == pytest.approx(0.58)
+        report = make_report()
+        data = report_to_dict(report)
+        assert loads_wire(dumps_wire(data)) == data
+        assert data["platform"] == report.platform
+        assert data["end_to_end_ps"] == report.end_to_end_ps
+        assert data["breakdown_ps"] == report.breakdown.as_dict()
+        assert data["busy_ps"] == report.busy.as_dict()
+        assert data["comm_by_instruction_ps"] == report.comm_by_instruction
+        assert data["instruction_counts"] == report.instruction_counts
+        assert data["energies"] == report.energies
+        assert data["extra"] == report.extra
 
     def test_json_is_valid_and_sorted(self):
-        import json
-
-        data = json.loads(to_json(make_report()))
+        text = dumps_wire(report_to_dict(make_report()))
+        data = json.loads(text)
         assert data["platform"] == "qtenon-test"
-
-    def test_real_report_round_trips(self):
-        from repro import QtenonSystem
-        from repro.vqa import qaoa_workload
-
-        wl = qaoa_workload(5, n_layers=1)
-        system = QtenonSystem(5)
-        system.prepare(wl.ansatz, wl.observable)
-        system.evaluate({p: 0.2 for p in wl.parameters}, 50)
-        report = system.finish()
-        restored = from_json(to_json(report))
-        assert restored.end_to_end_ps == report.end_to_end_ps
-        assert restored.breakdown.as_dict() == report.breakdown.as_dict()
-
-
-class TestCsv:
-    def test_header_and_rows(self):
-        text = reports_to_csv([make_report(), make_report()])
-        lines = text.strip().splitlines()
-        assert len(lines) == 3
-        assert lines[0].startswith("platform,end_to_end_ps")
-        assert "qtenon-test" in lines[1]
-
-    def test_breakdown_columns_present(self):
-        text = reports_to_csv([make_report()])
-        header = text.splitlines()[0]
-        for column in ("exposed_quantum_ps", "busy_comm_ps", "quantum_fraction"):
-            assert column in header
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            reports_to_csv([])
+        assert list(data) == sorted(data)

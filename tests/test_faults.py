@@ -28,7 +28,6 @@ from repro.faults import (
     ReadoutDriftFaults,
     WorkerFaults,
     checksum32,
-    loss_sweep_plans,
 )
 from repro.quantum.noise import ReadoutNoise
 from repro.runtime.engine import EvaluationEngine
@@ -111,11 +110,6 @@ class TestFaultPlan:
     def test_invalid_plans_rejected(self, bad):
         with pytest.raises(ValueError):
             bad()
-
-    def test_loss_sweep_plans(self):
-        plans = loss_sweep_plans(7, (0.0, 0.05), jitter_ps=10)
-        assert [p.link.loss_p for p in plans] == [0.0, 0.05]
-        assert all(p.seed == 7 and p.link.jitter_ps == 10 for p in plans)
 
 
 # ----------------------------------------------------------------------

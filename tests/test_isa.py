@@ -15,7 +15,6 @@ from repro.isa import (
     QSet,
     QUpdate,
     RoccWord,
-    angle_resolution,
     decode_angle,
     decode_instruction,
     encode_angle,
@@ -158,7 +157,7 @@ class TestAngleEncoding:
     @pytest.mark.parametrize("theta", [0.0, 1.0, -1.0, math.pi, -math.pi, 2 * math.pi, 0.123456])
     def test_round_trip_within_resolution(self, theta):
         assert decode_angle(encode_angle(theta)) == pytest.approx(
-            theta, abs=angle_resolution()
+            theta, abs=decode_angle(1)
         )
 
     def test_out_of_range_rejected(self):
@@ -166,4 +165,4 @@ class TestAngleEncoding:
             encode_angle(100.0)
 
     def test_resolution_below_microradian(self):
-        assert angle_resolution() < 1e-6
+        assert decode_angle(1) < 1e-6  # one least-significant step

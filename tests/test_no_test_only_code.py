@@ -11,14 +11,17 @@ test that uses it as an oracle.
 The scan is by name, over the AST.  A reference is any identifier
 (``Name``, ``Attribute``, keyword argument, imported name or module
 path) or any string constant spelling a dotted identifier (``getattr``
-targets, ``__all__`` entries, patch tables).  Two definitions that
-share a name are reached together, and a package re-export counts as a
-use, so the scan finds candidates, not every case.
+targets, patch tables).  A package ``__init__.py``'s own ``import``
+statements and ``__all__`` assignment are not references: a re-export
+only passes a name on, so it counts once a program module imports it
+from the package.  Two definitions that share a name are reached
+together, so the scan finds candidates, not every case.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -54,6 +57,21 @@ ALLOWED: Dict[str, tuple] = {
         "tests/test_serdes.py::TestStreaming::test_back_to_back_stream_never_underruns",
         "drain timeline that checks the in-use is_rate_balanced sizing",
     ),
+    "repro.runtime.cache.evaluation_key": (
+        "tests/test_workers.py::TestScheduleParity"
+        "::test_evaluation_keys_match_scalar_helper",
+        "scalar form of the in-use evaluation_keys, compared digest for digest",
+    ),
+    "repro.quantum.exact.expectation": (
+        "tests/test_executor_exact.py::TestCrossValidation"
+        "::test_matrix_expectation_matches_pauli_algebra",
+        "sparse-matrix expectation that checks the in-use "
+        "PauliSum.expectation_statevector",
+    ),
+    "repro.compiler.transpile.is_native": (
+        "tests/test_properties_compiler.py::test_transpile_preserves_state_up_to_phase",
+        "checks that the in-use transpile emits only native gates",
+    ),
 }
 
 
@@ -65,10 +83,34 @@ def _python_files(directory: str) -> List[Path]:
     )
 
 
+def _is_reexport(node: ast.AST) -> bool:
+    """An ``import`` statement or the ``__all__`` assignment."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return True
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else []
+    )
+    return any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in targets
+    )
+
+
+def _walk(tree: ast.AST, skip_reexports: bool):
+    """``ast.walk``, pruning re-export statements when asked."""
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        if skip_reexports and _is_reexport(node):
+            continue
+        yield node
+        pending.extend(ast.iter_child_nodes(node))
+
+
 def _references(paths: List[Path]) -> Counter:
     counts: Counter = Counter()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in _walk(tree, skip_reexports=path.name == "__init__.py"):
             if isinstance(node, ast.Name):
                 counts[node.id] += 1
             elif isinstance(node, ast.Attribute):
@@ -166,3 +208,26 @@ def test_every_allowed_entry_names_its_oracle_test():
             if isinstance(node, (ast.Attribute, ast.Name))
         }
         assert attribute in used, f"{test_id} does not use {qualified}"
+
+
+def test_package_reexports_resolve_and_are_listed():
+    """The scan ignores re-exports, so check them here: every
+    ``__all__`` entry exists on the imported package, and every name a
+    package ``__init__`` imports from ``repro`` is in its ``__all__``."""
+    for path in _python_files("src"):
+        if path.name != "__init__.py":
+            continue
+        module = ".".join(path.parent.relative_to(ROOT / "src").parts)
+        package = importlib.import_module(module)
+        exported = getattr(package, "__all__", [])
+        unresolved = [name for name in exported if not hasattr(package, name)]
+        assert not unresolved, f"{module}.__all__ names missing objects: {unresolved}"
+        imported = {
+            alias.asname or alias.name
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "repro"
+            for alias in node.names
+        }
+        unlisted = sorted(imported - set(exported))
+        assert not unlisted, f"{module} imports but does not export: {unlisted}"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import EvalCache, EvaluationEngine, HybridRunner, QtenonSystem
+from repro.core import HOST_RESULT_BASE
 from repro.baseline.system import DecoupledSystem
 from repro.faults import FaultInjector, FaultPlan, ReadoutDriftFaults
 from repro.runtime import (
@@ -26,7 +27,7 @@ from repro.runtime import (
 )
 from repro.quantum import Parameter, QuantumCircuit
 from repro.quantum.noise import ReadoutNoise
-from repro.vqa import make_optimizer, qaoa_workload
+from repro.vqa import ghz_workload, make_optimizer, qaoa_workload
 from repro.vqa.ansatz import hardware_efficient_ansatz
 from repro.vqa.hamiltonians import molecular_hamiltonian
 from repro.vqa.optimizers import GradientDescent, Spsa, _evaluate_batch
@@ -264,6 +265,36 @@ class TestBarePlatformParity:
         assert bare.report.energies == wrapped.report.energies
         assert bare.report.end_to_end_ps == wrapped.report.end_to_end_ps
         assert bare.report.breakdown == wrapped.report.breakdown
+
+    def test_wide_bare_platform_moves_every_outcome_word(self):
+        """Past 64 qubits a shot no longer fits one word: a bare
+        72-qubit GHZ run streams 9-byte records to host memory and
+        fills two ``.measure`` words per shot, and its energy still
+        equals the engine-wrapped one."""
+        width, shots = 72, 100
+        workload = ghz_workload(width)
+
+        def evaluate(platform):
+            platform.prepare(workload.ansatz, workload.observable)
+            return platform.evaluate({}, shots)
+
+        bare = QtenonSystem(width, seed=SEED)
+        wrapped = EvaluationEngine(QtenonSystem(width, seed=SEED), max_workers=1, seed=SEED)
+        assert evaluate(bare) == evaluate(wrapped) == width - 1
+
+        # Shots stream in ascending outcome order: the GHZ draw puts
+        # all-zeros first and all-ones last.
+        record, last = 9, shots - 1
+        image = bare.hierarchy.image
+        assert image.read_bytes(HOST_RESULT_BASE, record) == bytes(record)
+        assert image.read_bytes(HOST_RESULT_BASE + last * record, record) == (
+            b"\xff" * record
+        )
+        qcc = bare.controller.qcc
+        assert [qcc.measure_read(i) for i in (0, 1)] == [0, 0]
+        assert [qcc.measure_read(2 * last + i) for i in (0, 1)] == [
+            (1 << 64) - 1, (1 << 8) - 1,
+        ]
 
     def test_engine_prepare_builds_one_spec(self, workload, monkeypatch):
         from repro.runtime import engine as engine_module

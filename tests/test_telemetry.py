@@ -18,7 +18,6 @@ from repro.telemetry import (
     TraceGroup,
     TraceSpan,
     Tracer,
-    get_registry,
     make_trace_id,
     merged_chrome_trace,
     metric_key,
@@ -26,7 +25,6 @@ from repro.telemetry import (
     parse_prometheus_text,
     prometheus_name,
     register_stat_group,
-    set_registry,
     to_prometheus_text,
 )
 from repro.telemetry.tracing import BUILTIN_TRACKS
@@ -163,15 +161,6 @@ class TestRegistry:
         registry.register_collector(lambda: {"a.b": 1.0})
         with pytest.raises(ValueError):
             registry.snapshot()
-
-    def test_default_registry_swap(self):
-        original = get_registry()
-        try:
-            mine = MetricsRegistry()
-            set_registry(mine)
-            assert get_registry() is mine
-        finally:
-            set_registry(original)
 
     def test_register_stat_group(self):
         registry = MetricsRegistry()
