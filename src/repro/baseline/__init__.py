@@ -4,7 +4,6 @@ from repro.baseline.fpga import FpgaConfig, FpgaController
 from repro.baseline.jit import JitCompiler, JitOutput
 from repro.baseline.network import (
     ETHERNET_1GBE,
-    LINKS,
     LinkModel,
     LinkTracker,
     UDP_100GBE,
@@ -15,7 +14,6 @@ from repro.baseline.variants import (
     DecoupledVariant,
     EQASM,
     HISEPQ,
-    PAPER_BASELINE,
 )
 
 __all__ = [
@@ -25,7 +23,6 @@ __all__ = [
     "UDP_100GBE",
     "USB",
     "ETHERNET_1GBE",
-    "LINKS",
     "FpgaController",
     "FpgaConfig",
     "JitCompiler",
@@ -33,5 +30,4 @@ __all__ = [
     "DecoupledVariant",
     "EQASM",
     "HISEPQ",
-    "PAPER_BASELINE",
 ]

@@ -53,8 +53,6 @@ USB = LinkModel("usb", per_message_latency_ps=ms(1), bandwidth_bytes_per_s=60e6)
 #: HiSEP-Q-style commodity Ethernet (Table 1: ~10 ms).
 ETHERNET_1GBE = LinkModel("ethernet-1gbe", per_message_latency_ps=ms(10), bandwidth_bytes_per_s=125e6)
 
-LINKS = {link.name: link for link in (UDP_100GBE, USB, ETHERNET_1GBE)}
-
 
 class LinkTracker:
     """Per-run accounting wrapper around a :class:`LinkModel`.

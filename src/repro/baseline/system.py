@@ -15,7 +15,7 @@ the :class:`~repro.vqa.runner.HybridRunner` drive both identically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.baseline.fpga import FpgaConfig, FpgaController
 from repro.baseline.jit import JitCompiler
@@ -53,14 +53,13 @@ class DecoupledSystem(PlatformModel):
         self.link = LinkTracker(link, fault_injector=fault_injector)
         self.fpga = FpgaController(fpga_config)
         self.jit = JitCompiler(self.workload)
-        self._group_templates: List[QuantumCircuit] = []
 
     # ------------------------------------------------------------------
     # platform protocol
     # ------------------------------------------------------------------
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None:
         """Store templates; decoupled stacks compile at evaluate time."""
-        self._group_templates = self._bind_workload(ansatz, observable)
+        self._bind_workload(ansatz, observable)
         self._prepared = True
 
     def evaluate(self, values: Dict[Parameter, float], shots: int) -> float:
@@ -71,7 +70,7 @@ class DecoupledSystem(PlatformModel):
         if shots == 0:
             return self._evaluate_analytic(values)
         value, _ = self._begin_sampled(values, shots)
-        for group, template in zip(self._groups, self._group_templates):
+        for group, template in zip(self._groups, self._group_circuits):
             self._run_group(group, template, shots)
         self.report.energies.append(float(value))
         return float(value)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.baseline.network import ETHERNET_1GBE, LinkModel, UDP_100GBE, USB
+from repro.baseline.network import ETHERNET_1GBE, LinkModel, USB
 from repro.baseline.system import DecoupledSystem
 from repro.host.cores import CoreModel, INTEL_I9
 from repro.quantum.circuit import QuantumCircuit
@@ -80,12 +80,4 @@ HISEPQ = DecoupledVariant(
     link=ETHERNET_1GBE,
     instructions_per_operation=1.0,
     max_qubits=128,
-)
-
-#: The paper's own baseline configuration (100 GbE UDP, Qiskit host).
-PAPER_BASELINE = DecoupledVariant(
-    name="paper-baseline",
-    link=UDP_100GBE,
-    instructions_per_operation=1.0,
-    max_qubits=1024,
 )

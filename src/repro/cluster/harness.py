@@ -127,9 +127,6 @@ class LocalCluster:
     def submit(self, spec: JobSpec, tenant: str = "default") -> SubmitOutcome:
         return self.master.submit(spec, tenant)
 
-    def submit_dict(self, payload, tenant: str = "default") -> SubmitOutcome:
-        return self.master.submit_dict(payload, tenant)
-
     # ------------------------------------------------------------------
     def _apply_fate(self, node: _LocalNode) -> None:
         if self.injector is None:

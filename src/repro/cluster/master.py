@@ -54,7 +54,6 @@ from repro.service.jobs import (
     JobState,
     SubmitOutcome,
     make_job_id,
-    malformed_rejection,
 )
 from repro.sim.stats import StatGroup
 
@@ -283,17 +282,6 @@ class ClusterMaster:
         self.scheduler.enqueue(tenant, job, spec.cost)
         self.stats.counter("accepted").increment()
         return SubmitOutcome(job_id=job.job_id)
-
-    def submit_dict(
-        self, payload: Dict[str, object], tenant: str = "default"
-    ) -> SubmitOutcome:
-        """Submit an untrusted payload (the wire / job-file shape)."""
-        try:
-            spec = JobSpec.from_dict(payload)
-        except ValueError as exc:
-            self.stats.counter("rejected_malformed").increment()
-            return SubmitOutcome(rejection=malformed_rejection(tenant, exc))
-        return self.submit(spec, tenant)
 
     def status(self, job_id: str) -> Optional[Dict[str, object]]:
         job = self.jobs.get(job_id)

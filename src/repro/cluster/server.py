@@ -138,10 +138,6 @@ class MasterServer(FrameServer):
             timeout_s,
         )
 
-    def submit_dict(self, payload, tenant: str = "default"):
-        with self._lock:
-            return self.master.submit_dict(payload, tenant)
-
     def submit(self, spec, tenant: str = "default"):
         with self._lock:
             return self.master.submit(spec, tenant)

@@ -1,7 +1,7 @@
 """Qtenon core: controller cache, SLT, pipeline, interfaces, system."""
 
 from repro.core.barrier import MemoryBarrier
-from repro.core.config import DEFAULT_CONFIG, QtenonConfig
+from repro.core.config import QtenonConfig
 from repro.core.controller import QuantumController, RunResult
 from repro.core.executor import ExecutionLog, StreamExecutor
 from repro.core.interfaces import (
@@ -45,7 +45,6 @@ from repro.core.system import (
 
 __all__ = [
     "QtenonConfig",
-    "DEFAULT_CONFIG",
     "QuantumControllerCache",
     "PulseRecord",
     "ResolvedAddress",

@@ -174,8 +174,3 @@ class QtenonConfig:
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.n_qubits:
             raise ValueError(f"qubit {qubit} out of range (0..{self.n_qubits - 1})")
-
-
-#: Table 4 host-side defaults live in :mod:`repro.host.cores`; this is
-#: the canonical 64-qubit controller configuration.
-DEFAULT_CONFIG = QtenonConfig()

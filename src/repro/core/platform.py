@@ -87,6 +87,8 @@ class PlatformModel:
         self.trace: Optional[Tracer] = None
         self.now: int = 0
         self._groups: List[MeasurementGroup] = []
+        #: one transpiled measurement circuit per group
+        self._group_circuits: List[QuantumCircuit] = []
         self._observable: Optional[PauliSum] = None
         self._surrogate_scale = 1.0
         self._ansatz: Optional[QuantumCircuit] = None
@@ -97,10 +99,15 @@ class PlatformModel:
     # ------------------------------------------------------------------
     # workload
     # ------------------------------------------------------------------
-    def _bind_workload(
-        self, ansatz: QuantumCircuit, observable: PauliSum
-    ) -> List[QuantumCircuit]:
-        """Record the workload; return its transpiled group circuits."""
+    def _bind_workload(self, ansatz: QuantumCircuit, observable: PauliSum) -> None:
+        """Record the workload and its transpiled group circuits.
+
+        The platform stays unprepared until the subclass's ``prepare``
+        finishes, so one that raises part-way leaves nothing of the
+        previous workload to evaluate.
+        """
+        self._prepared = False
+        self._spec = None
         if ansatz.n_qubits != self.n_qubits:
             raise ValueError(
                 f"ansatz has {ansatz.n_qubits} qubits, system built for {self.n_qubits}"
@@ -111,10 +118,9 @@ class PlatformModel:
         self._surrogate_scale = sum(abs(coeff) for coeff, _ in observable.terms) or 1.0
         self._ansatz = ansatz.copy()
         self._ansatz_gates = ansatz.gate_count(include_measure=False)
-        self._spec = None
         # An observable with only a constant still runs and measures.
         self._groups = observable.grouped_qubitwise() or [MeasurementGroup()]
-        return [
+        self._group_circuits = [
             transpile(circuit)
             for circuit in measurement_circuits(ansatz, self._groups)
         ]
@@ -135,6 +141,8 @@ class PlatformModel:
                 exact_limit=self.sampler.exact_limit,
                 force_backend=self.sampler.force_backend,
                 readout_noise=self.sampler.readout_noise,
+                groups=self._groups,
+                group_circuits=self._group_circuits,
             )
         return self._spec
 

@@ -34,7 +34,6 @@ from repro.sim.stats import StatGroup
 
 TAG_BITS = 20
 COUNT_MAX = (1 << 5) - 1  # 5-bit saturating counter
-INDEX_BITS = 7  # 3-bit type ++ 4-bit data slice -> 128 sets
 
 
 def slt_tag(gate_type: int, data: int) -> int:

@@ -136,8 +136,8 @@ class QtenonSystem(PlatformModel):
     # ------------------------------------------------------------------
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None:
         """Transpile + lower the workload and upload it once."""
-        group_circuits = self._bind_workload(ansatz, observable)
-        self._program = lower(group_circuits, self.config)
+        self._bind_workload(ansatz, observable)
+        self._program = lower(self._group_circuits, self.config)
         self.controller.attach_program(self._program)
         # Gate durations do not depend on parameter values: one shot
         # duration per group serves every evaluation.

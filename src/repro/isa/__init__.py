@@ -31,7 +31,6 @@ from repro.isa.instructions import (
 from repro.isa.program import (
     ENTRY_BITS,
     STATUS_INVALID,
-    STATUS_PENDING,
     STATUS_VALID,
     ProgramEntry,
     decode_angle,
@@ -60,7 +59,6 @@ __all__ = [
     "ENTRY_BITS",
     "STATUS_INVALID",
     "STATUS_VALID",
-    "STATUS_PENDING",
     "assemble",
     "disassemble",
     "emit",

@@ -32,7 +32,6 @@ ENTRY_BITS = TYPE_BITS + REG_FLAG_BITS + DATA_BITS + STATUS_BITS + QADDR_BITS  #
 #: status field values
 STATUS_INVALID = 0      #: qaddr not yet assigned; pulse must be generated
 STATUS_VALID = 1        #: qaddr points at a generated pulse
-STATUS_PENDING = 2      #: pulse generation in flight
 
 #: Fixed-point angle encoding: signed Q5.21 (range ±16 rad covers ±4π
 #: with headroom; resolution ~4.8e-7 rad, far below pulse DAC precision).

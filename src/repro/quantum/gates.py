@@ -105,34 +105,33 @@ MEASUREMENT_NS = 600.0
 GATE_LIBRARY: Dict[str, GateSpec] = {}
 
 
-def _register(spec: GateSpec) -> GateSpec:
+def _register(spec: GateSpec) -> None:
     if spec.name in GATE_LIBRARY:
         raise ValueError(f"duplicate gate {spec.name}")
     codes = {g.type_code for g in GATE_LIBRARY.values()}
     if spec.type_code in codes:
         raise ValueError(f"duplicate type code {spec.type_code}")
     GATE_LIBRARY[spec.name] = spec
-    return spec
 
 
-RX = _register(GateSpec("rx", 1, 1, _rx, 0x0, ONE_QUBIT_NS))
-RY = _register(GateSpec("ry", 1, 1, _ry, 0x1, ONE_QUBIT_NS))
-RZ = _register(GateSpec("rz", 1, 1, _rz, 0x2, ONE_QUBIT_NS))
-X = _register(GateSpec("x", 1, 0, _fixed([[0, 1], [1, 0]]), 0x3, ONE_QUBIT_NS))
-Y = _register(GateSpec("y", 1, 0, _fixed([[0, -1j], [1j, 0]]), 0x4, ONE_QUBIT_NS))
-Z = _register(GateSpec("z", 1, 0, _fixed([[1, 0], [0, -1]]), 0x5, ONE_QUBIT_NS))
-H = _register(
+_register(GateSpec("rx", 1, 1, _rx, 0x0, ONE_QUBIT_NS))
+_register(GateSpec("ry", 1, 1, _ry, 0x1, ONE_QUBIT_NS))
+_register(GateSpec("rz", 1, 1, _rz, 0x2, ONE_QUBIT_NS))
+_register(GateSpec("x", 1, 0, _fixed([[0, 1], [1, 0]]), 0x3, ONE_QUBIT_NS))
+_register(GateSpec("y", 1, 0, _fixed([[0, -1j], [1j, 0]]), 0x4, ONE_QUBIT_NS))
+_register(GateSpec("z", 1, 0, _fixed([[1, 0], [0, -1]]), 0x5, ONE_QUBIT_NS))
+_register(
     GateSpec("h", 1, 0, _fixed([[SQRT2_INV, SQRT2_INV], [SQRT2_INV, -SQRT2_INV]]), 0x6, ONE_QUBIT_NS)
 )
-S = _register(GateSpec("s", 1, 0, _fixed([[1, 0], [0, 1j]]), 0x7, ONE_QUBIT_NS))
-T = _register(
+_register(GateSpec("s", 1, 0, _fixed([[1, 0], [0, 1j]]), 0x7, ONE_QUBIT_NS))
+_register(
     GateSpec("t", 1, 0, _fixed([[1, 0], [0, np.exp(1j * math.pi / 4)]]), 0x8, ONE_QUBIT_NS)
 )
-SDG = _register(GateSpec("sdg", 1, 0, _fixed([[1, 0], [0, -1j]]), 0x9, ONE_QUBIT_NS))
-TDG = _register(
+_register(GateSpec("sdg", 1, 0, _fixed([[1, 0], [0, -1j]]), 0x9, ONE_QUBIT_NS))
+_register(
     GateSpec("tdg", 1, 0, _fixed([[1, 0], [0, np.exp(-1j * math.pi / 4)]]), 0xD, ONE_QUBIT_NS)
 )
-CZ = _register(
+_register(
     GateSpec(
         "cz",
         2,
@@ -142,7 +141,7 @@ CZ = _register(
         TWO_QUBIT_NS,
     )
 )
-CX = _register(
+_register(
     GateSpec(
         "cx",
         2,
@@ -152,7 +151,7 @@ CX = _register(
         TWO_QUBIT_NS,
     )
 )
-RZZ = _register(
+_register(
     GateSpec(
         "rzz",
         2,
@@ -169,8 +168,8 @@ RZZ = _register(
         TWO_QUBIT_NS,
     )
 )
-#: Measurement pseudo-gate — no unitary; handled by backends/device.
-MEASURE = _register(
+# Measurement pseudo-gate — no unitary; handled by backends/device.
+_register(
     GateSpec("measure", 1, 0, _fixed([[1, 0], [0, 1]]), 0xF, MEASUREMENT_NS)
 )
 

@@ -140,20 +140,27 @@ def build_spec(
     exact_limit: int = DEFAULT_EXACT_LIMIT,
     force_backend: Optional[str] = None,
     readout_noise: Optional[ReadoutNoise] = None,
+    groups: Optional[List[MeasurementGroup]] = None,
+    group_circuits: Optional[List[QuantumCircuit]] = None,
 ) -> EvaluationSpec:
     """Build the picklable functional-evaluation spec for a workload.
 
     Mirrors the platforms' preparation: one transpiled
     ansatz + basis-change + measure-all circuit per qubit-wise-commuting
-    measurement group.  Statevector-routed specs also carry one compiled
-    replay program per group, the node prefix those programs share
-    (compared structurally), and the adjoint program when supported.
+    measurement group.  A caller that already grouped the observable
+    and transpiled those circuits (a platform's ``prepare``) passes
+    ``groups`` and ``group_circuits`` so they are not made twice.
+    Statevector-routed specs also carry one compiled replay program per
+    group, the node prefix those programs share (compared structurally),
+    and the adjoint program when supported.
     """
     order = list(parameters) if parameters is not None else ansatz.parameters
-    groups = observable.grouped_qubitwise() or [MeasurementGroup()]
-    group_circuits = [
-        transpile(circuit) for circuit in measurement_circuits(ansatz, groups)
-    ]
+    if groups is None:
+        groups = observable.grouped_qubitwise() or [MeasurementGroup()]
+    if group_circuits is None:
+        group_circuits = [
+            transpile(circuit) for circuit in measurement_circuits(ansatz, groups)
+        ]
 
     # The planner replaces the old bare width check: it classifies the
     # job from the group circuits' gate censuses (Clifford circuits of
@@ -435,10 +442,13 @@ class EvaluationEngine:
 
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None:
         start_ps = self._trace_start()
+        # Nothing of the previous workload survives a prepare that
+        # raises: the engine then delegates to the unprepared platform.
+        self._spec = None
+        self._pool_payload = None
         self.platform.prepare(ansatz, observable)
         if not self._functional_platform():
             self._trace_span("prepare", start_ps)
-            self._spec = None
             return
         # The platform's own spec: one build per prepare serves both.
         self._spec = self.platform.spec

@@ -1,4 +1,4 @@
-"""Public facade of the job service: submit / status / result / cancel.
+"""Public facade of the job service: submit / status / result / metrics.
 
 :class:`ServiceAPI` is the surface clients (CLI, benchmarks, tests)
 program against; it hides the :class:`~repro.service.service.JobService`
@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.service.jobs import JobSpec, SubmitOutcome, malformed_rejection
+from repro.service.jobs import JobSpec, SubmitOutcome
 from repro.service.service import JobService, ServiceConfig
 from repro.vqa.runner import HybridResult
 
@@ -59,31 +59,12 @@ class ServiceAPI:
     def submit(self, spec: JobSpec, tenant: str = "default") -> SubmitOutcome:
         return self.service.submit(spec, tenant)
 
-    def submit_dict(
-        self, payload: Dict[str, object], tenant: str = "default"
-    ) -> SubmitOutcome:
-        """Submit an untrusted payload dict (wire / job-file shape).
-
-        A malformed payload is answered with a structured
-        ``malformed_spec`` :class:`~repro.service.jobs.Rejection` —
-        exactly like over-quota traffic, bad input is an expected
-        signal on a network boundary, not an exception escape.
-        """
-        try:
-            spec = JobSpec.from_dict(payload)
-        except ValueError as exc:
-            return SubmitOutcome(rejection=malformed_rejection(tenant, exc))
-        return self.service.submit(spec, tenant)
-
     def status(self, job_id: str) -> Optional[Dict[str, object]]:
         record = self.service.status(job_id)
         return None if record is None else record.status_dict()
 
     def result(self, job_id: str) -> Optional[HybridResult]:
         return self.service.result(job_id)
-
-    def cancel(self, job_id: str) -> bool:
-        return self.service.cancel(job_id)
 
     def metrics(self) -> Dict[str, object]:
         return self.service.metrics_snapshot()

@@ -19,11 +19,9 @@ Deduplication happens at two levels:
   structure, parameter vector, shots, seed, backend)`` points reuse
   each other's circuit evaluations across tenants.
 
-Failure semantics: a primary that fails/cancels/times out settles its
+Failure semantics: a primary that fails or times out settles its
 followers with the same terminal state — coalescing must never turn
-one tenant's cancellation into another tenant's silent hang — except
-that a *cancelled follower* detaches individually without affecting
-the primary.
+one tenant's failure into another tenant's silent hang.
 """
 
 from __future__ import annotations
@@ -59,14 +57,6 @@ class RequestCoalescer:
         record.coalesced_with = primary.job_id
         self.stats.counter("coalesced_jobs").increment()
         return primary
-
-    def detach_follower(self, record: JobRecord) -> bool:
-        """Remove one follower (its individual cancellation)."""
-        followers = self._followers.get(record.spec.digest)
-        if followers and record in followers:
-            followers.remove(record)
-            return True
-        return False
 
     def settle(self, record: JobRecord) -> List[JobRecord]:
         """The primary reached a terminal state: close its flight.

@@ -75,9 +75,6 @@ class DeficitRoundRobin(Generic[T]):
         while self._ring:
             tenant = self._ring[0]
             queue = self._queues[tenant]
-            if not queue:  # drained by remove(); visit never happened
-                self._end_visit(tenant, drained=True)
-                continue
             if not self._visit_open:
                 self._deficits[tenant] += self.quantum
                 self._visit_open = True
@@ -93,21 +90,6 @@ class DeficitRoundRobin(Generic[T]):
             # the deficit carries over to this tenant's next turn.
             self._end_visit(tenant, drained=False)
         return None
-
-    def remove(self, tenant: str, predicate) -> int:
-        """Drop queued items matching ``predicate`` (cancellation)."""
-        queue = self._queues.get(tenant)
-        if not queue:
-            return 0
-        kept = deque(entry for entry in queue if not predicate(entry[0]))
-        removed = len(queue) - len(kept)
-        self._queues[tenant] = kept
-        if not kept and self._ring and self._ring[0] == tenant:
-            self._end_visit(tenant, drained=True)
-        elif not kept and tenant in self._ring:
-            self._ring.remove(tenant)
-            self._deficits[tenant] = 0.0
-        return removed
 
     # ------------------------------------------------------------------
     def _end_visit(self, tenant: str, drained: bool) -> None:

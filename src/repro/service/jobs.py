@@ -2,11 +2,10 @@
 
 A *job* is one hybrid-algorithm run request — the unit a tenant
 submits, the scheduler interleaves, and the platform pool executes.
-The lifecycle is linear with four terminal states::
+The lifecycle is linear with three terminal states::
 
     queued -> scheduled -> running -> done
                                    -> failed      (retries exhausted)
-                                   -> cancelled   (client request)
                                    -> timed_out   (deadline exceeded)
 
 Submissions that the admission controller refuses never become jobs at
@@ -48,17 +47,11 @@ class JobState(enum.Enum):
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
-    CANCELLED = "cancelled"
     TIMED_OUT = "timed_out"
 
     @property
     def terminal(self) -> bool:
-        return self in (
-            JobState.DONE,
-            JobState.FAILED,
-            JobState.CANCELLED,
-            JobState.TIMED_OUT,
-        )
+        return self in (JobState.DONE, JobState.FAILED, JobState.TIMED_OUT)
 
 
 @dataclass(frozen=True)
@@ -176,8 +169,8 @@ class JobSpec:
         uncoercible or out-of-range values — raises ``ValueError`` with
         a message naming the offending key, never a raw ``TypeError``/
         ``KeyError`` traceback.  Callers on untrusted paths (CLI job
-        files, the cluster wire protocol) catch it and answer with a
-        structured :class:`Rejection` (see :func:`malformed_rejection`).
+        files, session OPEN, the cluster journal and worker) catch it
+        and report the refusal in their own terms.
         """
         if not isinstance(data, dict):
             raise ValueError(
@@ -250,23 +243,18 @@ class JobRecord:
     result: Optional[HybridResult] = None
     #: job id of the in-flight primary this job coalesced onto.
     coalesced_with: Optional[str] = None
-    #: cooperative-cancellation token checked between evaluations.
+    #: cooperative-cancellation token checked between evaluations; the
+    #: service sets it when the job's deadline passes.
     cancel_event: threading.Event = field(default_factory=threading.Event)
-    #: True when the *client* requested the cancel — distinguishes a
-    #: client cancellation from the service's own deadline unwinding,
-    #: so a cancel that lands during the post-deadline drain still
-    #: reports ``cancelled`` rather than ``timed_out``.
-    client_cancelled: bool = False
     #: repro.telemetry.tracing.Tracer of the job's sim-trace (only set
     #: when the service runs with ``sim_trace=True``); typed loosely so
     #: the job model keeps no hard dependency on the telemetry layer.
     trace: Optional[object] = None
     #: completion callbacks, fired exactly once when the record reaches
     #: a terminal state — *after* the state is recorded, so a callback
-    #: observing ``record.state`` always sees the settled truth.  A job
-    #: whose ``cancel()`` returned True therefore never delivers a
-    #: ``done`` callback: settlement and delivery are one atomic step
-    #: on the event loop (see ``JobService._settle_one``).
+    #: observing ``record.state`` always sees the settled truth:
+    #: settlement and delivery are one step on the event loop (see
+    #: ``JobService._settle_one``).
     callbacks: List[Callable[["JobRecord"], None]] = field(default_factory=list)
     #: latch making delivery idempotent across settle paths.
     callbacks_delivered: bool = False
@@ -329,21 +317,10 @@ class SubmitOutcome:
 
 
 class JobCancelled(Exception):
-    """Raised inside a worker when its job's cancel token is set."""
+    """Raised inside a worker when its job's cancel token is set (its
+    deadline passed)."""
 
 
 def make_job_id(sequence: int, spec: JobSpec) -> str:
     """Durable job id: unique sequence + content-address prefix."""
     return f"job-{sequence:06d}-{spec.digest[:8]}"
-
-
-def malformed_rejection(tenant: str, error: Exception) -> Rejection:
-    """Structured refusal for a payload :meth:`JobSpec.from_dict`
-    rejected — the untrusted-input analogue of a quota rejection."""
-    return Rejection(
-        code="malformed_spec",
-        message=str(error),
-        tenant=tenant,
-        limit=0,
-        current=0,
-    )

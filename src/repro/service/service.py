@@ -25,18 +25,14 @@ Flow of one submission::
                                                ▼
                                     bounded retries with backoff
 
-Failure semantics:
+Failure semantics (a primary's terminal state, result and error are
+copied onto every coalesced follower — the computation is what
+succeeded, failed or proved too slow):
 
 * **timeout** — the job's cooperative cancel token is set, the worker
-  unwinds at its next evaluation, and the job (plus any coalesced
-  followers — the computation itself proved too slow) turns
-  ``timed_out``;
+  unwinds at its next evaluation, and the job turns ``timed_out``;
 * **worker failure** — up to ``max_attempts`` tries with exponential
-  backoff, then ``failed`` (followers inherit the failure);
-* **cancellation** — a queued or running job turns ``cancelled``
-  cooperatively; followers of a cancelled *primary* are requeued as a
-  fresh flight so one tenant's cancellation never silently kills
-  another tenant's work, while a cancelled *follower* just detaches.
+  backoff, then ``failed``.
 """
 
 from __future__ import annotations
@@ -92,9 +88,6 @@ from repro.telemetry.tracing import (
     merged_chrome_trace as render_merged_trace,
 )
 from repro.vqa.runner import HybridResult
-
-#: Terminal states a primary propagates to its coalesced followers.
-_PROPAGATED = (JobState.DONE, JobState.FAILED, JobState.TIMED_OUT)
 
 
 @dataclass
@@ -177,9 +170,10 @@ class _CancellablePlatform:
     """Platform wrapper that honours a job's cancel token.
 
     The check runs before every evaluation (single or batched), which
-    makes cancellation *cooperative* at evaluation granularity — a
-    worker never dies mid-evaluation, it unwinds at the next safe
-    point and the platform state is simply discarded with the job.
+    makes a deadline's cancellation *cooperative* at evaluation
+    granularity — a worker never dies mid-evaluation, it unwinds at the
+    next safe point and the platform state is simply discarded with the
+    job.
     """
 
     def __init__(self, platform, cancel_event: threading.Event) -> None:
@@ -328,8 +322,7 @@ class JobService:
         """Admit a job (or return a structured rejection) and queue it.
 
         ``on_done`` fires exactly once when the job settles, with the
-        terminal state already recorded — a callback never observes
-        ``done`` on a job whose ``cancel()`` succeeded.
+        terminal state already recorded.
         """
         self.stats.counter("submitted").increment()
         rejection = self.admission.try_admit(tenant)
@@ -373,28 +366,6 @@ class JobService:
     def result(self, job_id: str) -> Optional[HybridResult]:
         record = self.records.get(job_id)
         return None if record is None else record.result
-
-    def cancel(self, job_id: str) -> bool:
-        """Cooperatively cancel a queued or running job."""
-        record = self.records.get(job_id)
-        if record is None or record.state.terminal:
-            return False
-        if record.coalesced_with is not None:
-            # Follower: detach quietly, the primary keeps running.
-            self.coalescer.detach_follower(record)
-            self._settle_one(record, JobState.CANCELLED, error="cancelled by client")
-            return True
-        if record.state is JobState.QUEUED:
-            self.scheduler.remove(record.tenant, lambda item: item is record)
-            followers = self.coalescer.settle(record)
-            self._settle_one(record, JobState.CANCELLED, error="cancelled by client")
-            self._requeue(followers)
-            return True
-        # Running (or scheduled): flip the token; the worker unwinds at
-        # its next evaluation and the run task settles the record.
-        record.client_cancelled = True
-        record.cancel_event.set()
-        return True
 
     # ------------------------------------------------------------------
     # session tier (event-loop thread only)
@@ -531,8 +502,6 @@ class JobService:
                 self._active.add(task)
                 task.add_done_callback(self._task_done)
                 continue
-            if record.state is not JobState.QUEUED:
-                continue  # cancelled while queued; slot not consumed
             record.state = JobState.SCHEDULED
             self.stats.counter("dispatched").increment()
             if self.events is not None:
@@ -625,36 +594,18 @@ class JobService:
                     )
                 else:
                     result = await future
-                if record.client_cancelled:
-                    # The client's cancel() returned True while the
-                    # worker was finishing its last evaluation — the
-                    # computation completed, but the job was already
-                    # promised as cancelled.  Settling DONE here would
-                    # fire completion callbacks *after* a successful
-                    # cancel; the cancel wins, atomically with
-                    # settlement on this loop.
-                    self._finish(
-                        record, JobState.CANCELLED, error="cancelled by client"
-                    )
-                    return
                 backend.record_success()
                 self._finish(record, JobState.DONE, result=result)
                 return
             except asyncio.TimeoutError:
                 # The deadline covers all attempts of the job.  Ask the
-                # worker to unwind and wait for the slot to come back.
+                # worker to unwind (it raises JobCancelled at its next
+                # evaluation) and wait for the slot to come back.
                 record.cancel_event.set()
                 try:
                     await future
                 except Exception:
                     pass
-                if record.client_cancelled:
-                    # The client's cancel raced the deadline; their
-                    # intent wins — this job was cancelled, not slow.
-                    self._finish(
-                        record, JobState.CANCELLED, error="cancelled by client"
-                    )
-                    return
                 self.stats.counter("timeouts").increment()
                 self._finish(
                     record,
@@ -662,20 +613,9 @@ class JobService:
                     error=f"deadline of {self.config.job_timeout_s}s exceeded",
                 )
                 return
-            except JobCancelled:
-                self._finish(record, JobState.CANCELLED, error="cancelled by client")
-                return
             except Exception as exc:  # worker failure: retry with backoff
                 error = f"{type(exc).__name__}: {exc}"
                 backend.record_failure(error)
-                if record.client_cancelled:
-                    # A cancel raced the failure: honour the client's
-                    # intent instead of burning retries on a job nobody
-                    # is waiting for.
-                    self._finish(
-                        record, JobState.CANCELLED, error="cancelled by client"
-                    )
-                    return
                 if attempt + 1 < self.config.max_attempts:
                     self.stats.counter("retries").increment()
                     delay = self._backoff_delay(record.job_id, attempt)
@@ -757,12 +697,8 @@ class JobService:
             self._sim_e2e_hist.observe(float(report.end_to_end_ps))
             for category, counter in self._sim_counters.items():
                 counter.inc(int(report.breakdown.get(category)))
-        self._settle_one(record, state, result=result, error=error)
-        if state in _PROPAGATED:
-            for follower in followers:
-                self._settle_one(follower, state, result=result, error=error)
-        else:  # cancelled primary: surviving followers get a fresh flight
-            self._requeue(followers)
+        for settled in [record] + followers:
+            self._settle_one(settled, state, result=result, error=error)
 
     def _settle_one(
         self,
@@ -790,24 +726,8 @@ class JobService:
             )
         self.admission.release(record.tenant)
         # Callbacks fire only here — after the terminal state, result
-        # and release are all recorded — which is what makes
-        # cancel-vs-settle atomic from a callback's point of view.
+        # and release are all recorded.
         record.deliver_callbacks()
-
-    def _requeue(self, followers: List[JobRecord]) -> None:
-        """Re-flight followers orphaned by a cancelled primary."""
-        alive = [f for f in followers if not f.state.terminal]
-        if not alive:
-            return
-        primary, rest = alive[0], alive[1:]
-        primary.coalesced_with = None
-        readopted = self.coalescer.attach(primary)
-        assert readopted is None, "settled digest should start a fresh flight"
-        self.scheduler.enqueue(primary.tenant, primary, primary.spec.cost)
-        self.stats.counter("requeued").increment()
-        for follower in rest:
-            self.coalescer.attach(follower)
-        self._notify()
 
     # ------------------------------------------------------------------
     # observability

@@ -6,7 +6,7 @@ from repro.baseline import (
     DecoupledSystem,
     EQASM,
     HISEPQ,
-    PAPER_BASELINE,
+    UDP_100GBE,
 )
 from repro.quantum import QuantumCircuit
 from repro.sim.clock import ms
@@ -17,7 +17,7 @@ class TestVariantCatalogue:
     def test_link_latency_bands_match_table1(self):
         assert EQASM.link.per_message_latency_ps == ms(1)      # ~1 ms USB
         assert HISEPQ.link.per_message_latency_ps == ms(10)    # ~10 ms Ethernet
-        assert PAPER_BASELINE.link.per_message_latency_ps < ms(5)
+        assert UDP_100GBE.per_message_latency_ps < ms(5)        # paper baseline
 
     def test_qubit_capacity_limits(self):
         assert EQASM.max_qubits == 7
@@ -44,13 +44,13 @@ class TestBuild:
     def test_slower_link_slower_system(self):
         wl = qaoa_workload(6, n_layers=1)
 
-        def run(variant):
-            system = variant.build(6, timing_only=True)
+        def run(system):
             system.prepare(wl.ansatz, wl.observable)
             system.evaluate({p: 0.1 for p in wl.parameters}, 100)
             return system.finish().end_to_end_ps
 
-        assert run(HISEPQ) > run(PAPER_BASELINE)
+        paper_baseline = DecoupledSystem(6, link=UDP_100GBE, timing_only=True)
+        assert run(HISEPQ.build(6, timing_only=True)) > run(paper_baseline)
 
     def test_eqasm_runs_at_seven_qubits(self):
         wl = qaoa_workload(7, n_layers=1)

@@ -286,16 +286,6 @@ class TestMaster:
         assert master.all_settled
         assert master.open_jobs == 0
 
-    def test_submit_dict_malformed_rejected(self):
-        master = make_master()
-        outcome = master.submit_dict(
-            {"workload": "qaoa", "n_qubits": 4, "surprise": 1}, "alice"
-        )
-        assert not outcome.accepted
-        assert outcome.rejection.code == "malformed_spec"
-        assert "surprise" in outcome.rejection.message
-        assert master.stats.as_dict()["cluster.rejected_malformed"] == 1
-
     def test_admission_quota_refuses(self):
         master = make_master(max_open_jobs=2, tenant_quota=2)
         assert master.submit(make_spec(1), "a").accepted

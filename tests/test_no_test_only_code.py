@@ -1,21 +1,28 @@
 """Guard: no definition in ``src/`` that only the tests reach.
 
-Every function, method and class defined under ``src/`` must be
-referenced by the program itself: from elsewhere in ``src/``, or from
-``benchmarks/``, ``examples/`` or ``perfbench/``.  A definition whose
-only callers are tests is a second implementation nothing runs.  The
-one exception is an independent oracle: a definition a test uses to
-check code that is in use.  :data:`ALLOWED` lists those, each with the
-test that uses it as an oracle.
+Every function, method and class defined under ``src/``, and every
+module-level constant, must be referenced by the program itself: from
+elsewhere in ``src/``, or from ``benchmarks/``, ``examples/`` or
+``perfbench/``.  A definition whose only callers are tests is a second
+implementation nothing runs.  The one exception is an independent
+oracle: a definition a test uses to check code that is in use.
+:data:`ALLOWED` lists those, each with the test that uses it as an
+oracle.
 
-The scan is by name, over the AST.  A reference is any identifier
-(``Name``, ``Attribute``, keyword argument, imported name or module
-path) or any string constant spelling a dotted identifier (``getattr``
-targets, patch tables).  A package ``__init__.py``'s own ``import``
-statements and ``__all__`` assignment are not references: a re-export
-only passes a name on, so it counts once a program module imports it
-from the package.  Two definitions that share a name are reached
-together, so the scan finds candidates, not every case.
+The scan is by name, over the AST.  A definition is a module- or
+class-level ``def``/``class``, or a non-dunder name a module-level
+assignment binds (class attributes are out of scope).  A reference is
+any identifier read (a ``Name`` in load context, an ``Attribute``, a
+keyword argument, an imported name or module path) or any string
+constant spelling a dotted identifier (``getattr`` targets, patch
+tables).  Three things are not references: an assignment (a ``Name``
+stored to), a name used inside the body of a function or class of the
+same name (recursion, or a delegation such as
+``def cancel(self): return self.service.cancel()``), and a package
+``__init__.py``'s own ``import`` statements and ``__all__`` assignment:
+a re-export only passes a name on, so it counts once a program module
+imports it from the package.  Two definitions that share a name are
+reached together, so the scan finds candidates, not every case.
 """
 
 from __future__ import annotations
@@ -75,10 +82,10 @@ ALLOWED: Dict[str, tuple] = {
 }
 
 
-def _python_files(directory: str) -> List[Path]:
+def _python_files(root: Path, directory: str) -> List[Path]:
     return sorted(
         path
-        for path in (ROOT / directory).rglob("*.py")
+        for path in (root / directory).rglob("*.py")
         if "__pycache__" not in path.parts
     )
 
@@ -95,59 +102,95 @@ def _is_reexport(node: ast.AST) -> bool:
     )
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
 def _walk(tree: ast.AST, skip_reexports: bool):
-    """``ast.walk``, pruning re-export statements when asked."""
-    pending = [tree]
+    """``ast.walk`` yielding ``(node, names of the definitions whose
+    body encloses it)``, pruning re-export statements when asked."""
+    pending = [(tree, frozenset())]
     while pending:
-        node = pending.pop()
+        node, enclosing = pending.pop()
         if skip_reexports and _is_reexport(node):
             continue
-        yield node
-        pending.extend(ast.iter_child_nodes(node))
+        yield node, enclosing
+        body, inner = set(), enclosing
+        if isinstance(node, _SCOPES):
+            body, inner = {id(child) for child in node.body}, enclosing | {node.name}
+        for child in ast.iter_child_nodes(node):
+            pending.append((child, inner if id(child) in body else enclosing))
+
+
+def _names(node: ast.AST) -> List[str]:
+    """The identifiers one node reads."""
+    if isinstance(node, ast.Name):
+        return [node.id] if isinstance(node.ctx, ast.Load) else []
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.keyword):
+        return [node.arg] if node.arg else []
+    if isinstance(node, ast.alias):
+        return node.name.split(".") + ([node.asname] if node.asname else [])
+    if isinstance(node, ast.ImportFrom):
+        return node.module.split(".") if node.module else []
+    if (
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and _DOTTED.match(node.value)
+    ):
+        return node.value.split(".")
+    return []
 
 
 def _references(paths: List[Path]) -> Counter:
     counts: Counter = Counter()
     for path in paths:
         tree = ast.parse(path.read_text(), str(path))
-        for node in _walk(tree, skip_reexports=path.name == "__init__.py"):
-            if isinstance(node, ast.Name):
-                counts[node.id] += 1
-            elif isinstance(node, ast.Attribute):
-                counts[node.attr] += 1
-            elif isinstance(node, ast.keyword) and node.arg:
-                counts[node.arg] += 1
-            elif isinstance(node, ast.alias):
-                counts.update(node.name.split("."))
-                if node.asname:
-                    counts[node.asname] += 1
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                counts.update(node.module.split("."))
-            elif (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and _DOTTED.match(node.value)
-            ):
-                counts.update(node.value.split("."))
+        for node, enclosing in _walk(tree, skip_reexports=path.name == "__init__.py"):
+            counts.update(name for name in _names(node) if name not in enclosing)
     return counts
 
 
-def _definitions() -> Dict[str, str]:
-    """Module- and class-level definitions: qualified name -> site."""
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _constants(node: ast.stmt) -> List[str]:
+    """The non-dunder names a module-level assignment binds."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [
+        name.id
+        for target in targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+        and isinstance(name.ctx, ast.Store)
+        and not _is_dunder(name.id)
+    ]
+
+
+def _definitions(root: Path) -> Dict[str, str]:
+    """Module- and class-level definitions and module-level constants:
+    qualified name -> site."""
     found: Dict[str, str] = {}
-    for path in _python_files("src"):
-        relative = path.relative_to(ROOT / "src").with_suffix("")
+    for path in _python_files(root, "src"):
+        relative = path.relative_to(root / "src").with_suffix("")
         module = ".".join(part for part in relative.parts if part != "__init__")
 
         def visit(body, prefix: str) -> None:
             for node in body:
-                if not isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                ):
+                site = f"{path.relative_to(root)}:{node.lineno}"
+                if not prefix:
+                    for name in _constants(node):
+                        found[f"{module}.{name}"] = site
+                if not isinstance(node, _SCOPES):
                     continue
                 name = node.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    site = f"{path.relative_to(ROOT)}:{node.lineno}"
+                if not _is_dunder(name):
                     found[f"{module}.{prefix}{name}"] = site
                 if isinstance(node, ast.ClassDef):
                     visit(node.body, f"{prefix}{name}.")
@@ -156,15 +199,15 @@ def _definitions() -> Dict[str, str]:
     return found
 
 
-def find_unreached_definitions() -> Dict[str, str]:
-    """Definitions no program code names: qualified name -> their
-    ``path:line`` and whether the tests reach them."""
+def find_unreached_definitions(root: Path = ROOT) -> Dict[str, str]:
+    """Definitions no program code under ``root`` names: qualified name
+    -> their ``path:line`` and whether the tests reach them."""
     program = _references(
-        [path for directory in PROGRAM_DIRS for path in _python_files(directory)]
+        [path for directory in PROGRAM_DIRS for path in _python_files(root, directory)]
     )
-    tests = _references(_python_files("tests"))
+    tests = _references(_python_files(root, "tests"))
     unreached = {}
-    for qualified, site in _definitions().items():
+    for qualified, site in _definitions(root).items():
         name = qualified.rsplit(".", 1)[1]
         if program[name] == 0:
             reach = "tests only" if tests[name] else "nothing"
@@ -184,6 +227,48 @@ def test_no_definition_is_reached_only_by_tests():
     assert not stale, (
         f"ALLOWED entries that are no longer test-only definitions (drop them): {stale}"
     )
+
+
+def test_scan_ignores_same_name_uses_and_assignments(tmp_path):
+    """On a synthetic package: a delegation to a same-named method, a
+    recursion and a constant the program only assigns are reported; a
+    constant a function loads and a class the program names are not."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from pkg.core import LIMIT, Service\n__all__ = ['LIMIT', 'Service']\n"
+    )
+    (package / "core.py").write_text(
+        "LIMIT = 3\n"
+        "USED = 4\n"
+        "\n"
+        "\n"
+        "class Service:\n"
+        "    def run(self):\n"
+        "        global LIMIT\n"
+        "        LIMIT = USED\n"
+        "\n"
+        "    def cancel(self, job_id):\n"
+        "        return self.inner.cancel(job_id)\n"
+        "\n"
+        "    def walk(self, n):\n"
+        "        return self.walk(n - 1) if n else 0\n"
+    )
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from pkg.core import Service\nService().run()\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_pkg.py").write_text(
+        "from pkg import LIMIT, Service\nService().cancel(LIMIT)\n"
+    )
+    unreached = find_unreached_definitions(tmp_path)
+    assert sorted(unreached) == [
+        "pkg.core.LIMIT", "pkg.core.Service.cancel", "pkg.core.Service.walk",
+    ]
+    assert unreached["pkg.core.LIMIT"] == "src/pkg/core.py:1 (reached by tests only)"
+    assert unreached["pkg.core.Service.cancel"].endswith("(reached by tests only)")
+    assert unreached["pkg.core.Service.walk"].endswith("(reached by nothing)")
 
 
 def test_every_allowed_entry_names_its_oracle_test():
@@ -214,7 +299,7 @@ def test_package_reexports_resolve_and_are_listed():
     """The scan ignores re-exports, so check them here: every
     ``__all__`` entry exists on the imported package, and every name a
     package ``__init__`` imports from ``repro`` is in its ``__all__``."""
-    for path in _python_files("src"):
+    for path in _python_files(ROOT, "src"):
         if path.name != "__init__.py":
             continue
         module = ".".join(path.parent.relative_to(ROOT / "src").parts)

@@ -25,9 +25,10 @@ from repro.runtime import (
     evaluate_spec_batch,
     evaluation_key,
 )
-from repro.quantum import Parameter, QuantumCircuit
+from repro.compiler.lowering import LoweringError
+from repro.quantum import Parameter, PauliString, PauliSum, QuantumCircuit
 from repro.quantum.noise import ReadoutNoise
-from repro.vqa import ghz_workload, make_optimizer, qaoa_workload
+from repro.vqa import ghz_workload, make_optimizer, qaoa_workload, vqe_workload
 from repro.vqa.ansatz import hardware_efficient_ansatz
 from repro.vqa.hamiltonians import molecular_hamiltonian
 from repro.vqa.optimizers import GradientDescent, Spsa, _evaluate_batch
@@ -312,6 +313,48 @@ class TestBarePlatformParity:
         assert engine._spec is engine.platform.spec
         engine.evaluate({p: 0.1 for p in workload[1]}, SHOTS)
         assert len(calls) == 1
+
+    def test_engine_prepare_transpiles_each_group_once(self, workload, monkeypatch):
+        """The spec takes the platform's transpiled group circuits: a
+        prepare transpiles each measurement circuit once, plus the bare
+        ansatz the adjoint program replays."""
+        from repro.core import platform as platform_module
+        from repro.runtime import engine as engine_module
+
+        transpiled = []
+        for module in (platform_module, engine_module):
+            def counting(circuit, _original=module.transpile):
+                transpiled.append(circuit)
+                return _original(circuit)
+
+            monkeypatch.setattr(module, "transpile", counting)
+        engine = _engine(workload, max_workers=1)
+        spec = engine._spec
+        assert spec.adjoint_program is not None
+        assert len(transpiled) == len(spec.groups) + 1
+        assert spec.group_circuits == engine.platform._program.group_circuits
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["bare", "engine"])
+    def test_failed_reprepare_leaves_nothing_to_evaluate(self, wrap):
+        """A prepare that raises part-way (here a lowering chunk
+        overflow) must not leave the previous workload bound: the next
+        evaluation refuses instead of charging the new workload's
+        timeline to the old program."""
+        workload = vqe_workload(4)
+        values = {p: 0.1 for p in workload.parameters}
+        overflow = QuantumCircuit(4)
+        for _ in range(1100):
+            overflow.rx(0.3, 0)
+        platform = QtenonSystem(4, seed=0)
+        target = EvaluationEngine(platform) if wrap else platform
+        target.prepare(workload.ansatz, workload.observable)
+        target.evaluate(values, 100)
+        with pytest.raises(LoweringError, match="chunk overflow"):
+            target.prepare(overflow, PauliSum([(1.0, PauliString({0: "Z"}))]))
+        now = platform.now
+        with pytest.raises(RuntimeError, match="call prepare"):
+            target.evaluate(values, 100)
+        assert platform.now == now
 
     def test_engine_applies_readout_drift(self):
         """Calibration drift reaches an engine-wrapped platform's values:

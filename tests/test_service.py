@@ -131,14 +131,6 @@ class TestDeficitRoundRobin:
         drr.pop()
         assert drr._deficits["a"] < 10.0  # no 9-point hoard survived
 
-    def test_remove_cancels_queued_items(self):
-        drr = DeficitRoundRobin(quantum=1.0)
-        drr.enqueue("a", "keep", 1.0)
-        drr.enqueue("a", "drop", 1.0)
-        assert drr.remove("a", lambda item: item == "drop") == 1
-        assert drr.pop()[1] == "keep"
-        assert drr.pop() is None
-
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             DeficitRoundRobin(quantum=0)
@@ -386,106 +378,10 @@ class TestServiceLifecycle:
         # The service survives a timeout: the next job still runs.
         assert service.status(outcomes[1].job_id).state is JobState.DONE
 
-    def test_cancel_queued_job(self):
-        service = JobService(
-            ServiceConfig(workers=1, cache_entries=0),
-            platform_factory=fake_factory(),
-        )
-        keep = service.submit(spec_for(0), "a")
-        drop = service.submit(spec_for(1), "a")
-        assert service.cancel(drop.job_id) is True
-        assert service.status(drop.job_id).state is JobState.CANCELLED
-        asyncio.run(service.drain())
-        service.close()
-        assert service.status(keep.job_id).state is JobState.DONE
-        assert service.cancel(drop.job_id) is False  # already terminal
-
-    def test_cancel_running_job_cooperatively(self):
-        release = threading.Event()
-        started = threading.Event()
-
-        class BlockingPlatform(FakePlatform):
-            def evaluate(self, values, shots):
-                started.set()
-                release.wait(timeout=5.0)
-                return -1.0
-
-        service = JobService(
-            ServiceConfig(workers=1, max_attempts=1, cache_entries=0),
-            platform_factory=lambda spec: BlockingPlatform(),
-        )
-
-        async def scenario():
-            outcome = service.submit(spec_for(0), "a")
-            drain = asyncio.create_task(service.drain())
-            await asyncio.get_running_loop().run_in_executor(
-                None, started.wait, 5.0
-            )
-            assert service.cancel(outcome.job_id) is True
-            release.set()  # the blocked evaluation returns ...
-            await drain  # ... and the *next* evaluation unwinds
-            return outcome
-
-        outcome = asyncio.run(scenario())
-        service.close()
-        record = service.status(outcome.job_id)
-        assert record.state is JobState.CANCELLED
-
     def test_unknown_job_ids(self):
         service = JobService(ServiceConfig(), platform_factory=fake_factory())
         assert service.status("job-999999-deadbeef") is None
         assert service.result("job-999999-deadbeef") is None
-        assert service.cancel("job-999999-deadbeef") is False
-
-    def test_cancel_vs_settle_atomic_callback_never_sees_done(self):
-        """Regression: a cancel that lands while the worker is finishing
-        the job's *last* evaluation used to lose the race — the run task
-        settled DONE and fired the completion callback after ``cancel()``
-        had already returned True.  The cancel must win atomically with
-        settlement: the callback observes CANCELLED, never DONE."""
-        release = threading.Event()
-        last_eval = threading.Event()
-
-        class LastEvalBlocks(FakePlatform):
-            def __init__(self) -> None:
-                super().__init__()
-                self.calls = 0
-
-            def evaluate(self, values, shots):
-                self.calls += 1
-                if self.calls == 3:  # spsa x 1 iteration = 3 evaluations
-                    last_eval.set()
-                    release.wait(timeout=5.0)
-                return -1.0
-
-        service = JobService(
-            ServiceConfig(workers=1, max_attempts=1, cache_entries=0),
-            platform_factory=lambda spec: LastEvalBlocks(),
-        )
-        seen = []
-
-        async def scenario():
-            outcome = service.submit(
-                spec_for(0, iterations=1), "a",
-                on_done=lambda record: seen.append(record.state),
-            )
-            drain = asyncio.create_task(service.drain())
-            await asyncio.get_running_loop().run_in_executor(
-                None, last_eval.wait, 5.0
-            )
-            # The computation is inside its final evaluation: cancel
-            # succeeds, then the evaluation completes successfully.
-            assert service.cancel(outcome.job_id) is True
-            release.set()
-            await drain
-            return outcome
-
-        outcome = asyncio.run(scenario())
-        service.close()
-        record = service.status(outcome.job_id)
-        assert record.state is JobState.CANCELLED
-        assert record.result is None
-        assert seen == [JobState.CANCELLED]
 
 
 class TestCoalescingInService:
@@ -517,36 +413,6 @@ class TestCoalescingInService:
         assert snapshot["service"]["service.coalesced"] == 2
         assert snapshot["coalescer"]["coalescer.coalesced_jobs"] == 2
 
-    def test_cancelled_follower_leaves_primary_alone(self):
-        service = JobService(
-            ServiceConfig(workers=1, cache_entries=0),
-            platform_factory=fake_factory(),
-        )
-        same = spec_for(3)
-        primary = service.submit(same, "a")
-        follower = service.submit(same, "b")
-        assert service.cancel(follower.job_id) is True
-        asyncio.run(service.drain())
-        service.close()
-        assert service.status(primary.job_id).state is JobState.DONE
-        assert service.status(follower.job_id).state is JobState.CANCELLED
-
-    def test_cancelled_queued_primary_promotes_follower(self):
-        service = JobService(
-            ServiceConfig(workers=1, cache_entries=0),
-            platform_factory=fake_factory(),
-        )
-        same = spec_for(3)
-        primary = service.submit(same, "a")
-        follower = service.submit(same, "b")
-        assert service.cancel(primary.job_id) is True
-        asyncio.run(service.drain())
-        service.close()
-        # One tenant's cancellation never kills another tenant's job.
-        assert service.status(primary.job_id).state is JobState.CANCELLED
-        assert service.status(follower.job_id).state is JobState.DONE
-        assert service.metrics_snapshot()["service"]["service.requeued"] == 1
-
     def test_failure_propagates_to_followers(self):
         def broken_factory(spec):
             raise RuntimeError("boom")
@@ -563,6 +429,22 @@ class TestCoalescingInService:
             record = service.status(outcome.job_id)
             assert record.state is JobState.FAILED
             assert "boom" in record.error
+
+    def test_timeout_propagates_to_followers(self):
+        service = JobService(
+            ServiceConfig(
+                workers=1, job_timeout_s=0.05, max_attempts=1, cache_entries=0
+            ),
+            platform_factory=lambda spec: FakePlatform(delay_s=0.02),
+        )
+        same = spec_for(3, optimizer="gd", iterations=3)
+        outcomes = run_service(service, [("a", same), ("b", same)])
+        primary, follower = (service.status(o.job_id) for o in outcomes)
+        assert follower.coalesced_with == primary.job_id
+        for record in (primary, follower):
+            assert record.state is JobState.TIMED_OUT
+            assert "deadline" in record.error
+        assert service.metrics_snapshot()["service"]["service.timeouts"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -711,21 +593,6 @@ class TestJobSpecStrictParsing:
         assert spec.n_qubits == 4
         assert spec.shots == JobSpec().shots
 
-    def test_submit_dict_turns_parse_errors_into_rejections(self):
-        api = ServiceAPI(ServiceConfig(workers=1, cache_entries=0))
-        api.service._platform_factory = fake_factory()
-        try:
-            outcome = api.submit_dict(
-                {"workload": "qaoa", "qubits": 4, "surprise": 1}, "alice"
-            )
-            assert not outcome.accepted
-            assert outcome.rejection.code == "malformed_spec"
-            assert "surprise" in outcome.rejection.message
-            # A malformed payload must not consume admission capacity.
-            assert api.service.admission.open_jobs == 0
-        finally:
-            api.service.close()
-
 
 # ----------------------------------------------------------------------
 # backend health registry + breaker interplay
@@ -867,48 +734,7 @@ class TestServiceResilience:
         finally:
             service.close()
 
-    def test_client_cancel_during_post_deadline_drain_wins(self):
-        """A cancel that lands while the service is already unwinding a
-        deadline overrun reports ``cancelled``, not ``timed_out`` —
-        the client's intent decides the terminal state."""
-        release = threading.Event()
-        started = threading.Event()
-
-        class BlockingPlatform(FakePlatform):
-            def evaluate(self, values, shots):
-                started.set()
-                release.wait(timeout=5.0)
-                return -1.0
-
-        service = JobService(
-            ServiceConfig(
-                workers=1, job_timeout_s=0.05, max_attempts=1, cache_entries=0
-            ),
-            platform_factory=lambda spec: BlockingPlatform(),
-        )
-
-        async def scenario():
-            outcome = service.submit(spec_for(0), "a")
-            drain = asyncio.create_task(service.drain())
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, started.wait, 5.0)
-            # Let the deadline fire: the run task is now draining the
-            # still-blocked evaluation.
-            await asyncio.sleep(0.1)
-            assert service.cancel(outcome.job_id) is True
-            release.set()
-            await drain
-            return outcome
-
-        outcome = asyncio.run(scenario())
-        service.close()
-        record = service.status(outcome.job_id)
-        assert record.state is JobState.CANCELLED
-        assert "cancelled by client" in record.error
-        assert service.metrics_snapshot()["service"].get("service.timeouts", 0) == 0
-
     def test_deadline_without_cancel_still_times_out(self):
-        # The guard above must not swallow genuine timeouts.
         slow = spec_for(0, optimizer="gd", iterations=3)
         service = JobService(
             ServiceConfig(
