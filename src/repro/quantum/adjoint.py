@@ -7,16 +7,24 @@ every partial derivative from *three* state-sized sweeps instead:
 1. **forward** — replay the compiled program once, reusing the same
    in-place :func:`~repro.quantum.kernels.apply_1q` /
    :func:`~repro.quantum.kernels.apply_2q` kernels replay uses, to
-   obtain ``|psi> = U_N ... U_1 |0>``;
-2. **costate** — apply the observable term-by-term to build
-   ``|lambda> = (H - c)|psi>`` (flat-array Pauli applies; the identity
-   offset ``c`` is added to the energy directly).  The step energy
+   obtain ``|psi> = U_N ... U_1 |0>``, keeping every element's matrix;
+2. **costate** — build ``|lambda> = (H - c)|psi>`` from the
+   observable's compiled term plan
+   (:meth:`~repro.quantum.pauli.PauliSum.costate_terms`, built once
+   per process and width): per term one gather by its X/Y mask, ``1j``
+   when it has an odd number of Y, one multiply by its exact real
+   weight, then ``lambda += term`` in term order, through one reusable
+   buffer.  Only the weight multiply rounds, as ``coeff *`` did in a
+   per-factor apply, so the bits are the same.  The identity offset
+   ``c`` is added to the energy directly, and the step energy
    ``E = c + Re<psi|lambda>`` falls out for free;
 3. **reverse** — walk the node list backward.  At node ``k`` (with
    ``psi`` holding ``psi_k`` and ``lambda`` back-propagated to the same
    point) each parameterized rotation ``U = exp(-i theta G / 2)``
    contributes ``dE/dtheta = Im <lambda| G |psi>``; then *both* vectors
-   are pulled back through ``U_k^†`` and the sweep continues.
+   are pulled back through ``U_k^†`` (the forward pass's matrix,
+   conjugate-transposed) and the sweep continues.  psi and lambda share
+   one stacked array, so a shared matrix pulls both back in one apply.
 
 Chain rule: a compiled binding ``theta = coeff * vector[slot] + offset``
 contributes ``coeff *`` the gate partial to ``grad[slot]``; a slot
@@ -33,7 +41,7 @@ so the default parameter-shift path is left bit-identical to seed.
 Supported parameterized gates are the library's Pauli rotations
 (``rx``/``ry``/``rz``/``rzz``) — the whole native parameterized set.
 Generators are applied as index gymnastics (bit flips, ``+-i`` phases,
-parity signs), never as matrix products.
+parity signs) into one reusable buffer, never as matrix products.
 """
 
 from __future__ import annotations
@@ -48,9 +56,7 @@ from repro.quantum.kernels import (
     CompiledProgram,
     _FusedNode,
     _ParamNode,
-    apply_1q,
     apply_1q_batch,
-    apply_2q,
     apply_2q_batch,
     scratch_size,
 )
@@ -71,59 +77,51 @@ SHIFT_FALLBACKS = ADJOINT_STATS.counter("shift_fallbacks")
 
 
 # ----------------------------------------------------------------------
-# flat-array Pauli / generator applies
+# generator applies
 # ----------------------------------------------------------------------
-# Each helper treats ``arr`` as one or more contiguous little-endian
-# statevectors flattened together (a (2**n,) state or a (K, 2**n)
-# batch): because 2 * 2**qubit divides every row, the (-1, 2, 1<<q)
-# reshape never straddles a row boundary — the same trick the batch
-# kernels use for shared matrices.
+# Each helper writes ``G @ arr`` into ``out``, treating ``arr`` as one
+# or more contiguous little-endian statevectors flattened together (a
+# (K, 2**n) batch): because 2 * 2**qubit divides every row, the
+# (-1, 2, 1<<q) reshape never straddles a row boundary — the same trick
+# the batch kernels use for shared matrices.
 
 
-def _gen_x(arr: np.ndarray, qubits: Tuple[int, ...]) -> np.ndarray:
-    out = np.empty_like(arr)
+def _gen_x(arr: np.ndarray, qubits: Tuple[int, ...], out: np.ndarray) -> None:
     src = arr.reshape(-1, 2, 1 << qubits[0])
     dst = out.reshape(-1, 2, 1 << qubits[0])
     dst[:, 0, :] = src[:, 1, :]
     dst[:, 1, :] = src[:, 0, :]
-    return out
 
 
-def _gen_y(arr: np.ndarray, qubits: Tuple[int, ...]) -> np.ndarray:
+def _gen_y(arr: np.ndarray, qubits: Tuple[int, ...], out: np.ndarray) -> None:
     # Y = [[0, -i], [i, 0]]
-    out = np.empty_like(arr)
     src = arr.reshape(-1, 2, 1 << qubits[0])
     dst = out.reshape(-1, 2, 1 << qubits[0])
     np.multiply(src[:, 1, :], -1j, out=dst[:, 0, :])
     np.multiply(src[:, 0, :], 1j, out=dst[:, 1, :])
-    return out
 
 
-def _gen_z(arr: np.ndarray, qubits: Tuple[int, ...]) -> np.ndarray:
-    out = arr.copy()
+def _gen_z(arr: np.ndarray, qubits: Tuple[int, ...], out: np.ndarray) -> None:
+    np.copyto(out, arr)
     out.reshape(-1, 2, 1 << qubits[0])[:, 1, :] *= -1.0
-    return out
 
 
-def _gen_zz(arr: np.ndarray, qubits: Tuple[int, ...]) -> np.ndarray:
+def _gen_zz(arr: np.ndarray, qubits: Tuple[int, ...], out: np.ndarray) -> None:
     q0, q1 = qubits
     hi, lo = (q0, q1) if q0 > q1 else (q1, q0)
-    out = arr.copy()
+    np.copyto(out, arr)
     view = out.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     view[:, 0, :, 1, :] *= -1.0
     view[:, 1, :, 0, :] *= -1.0
-    return out
 
 
 #: Pauli generator G of each supported rotation exp(-i theta G / 2).
-_GENERATORS: Dict[str, Callable[[np.ndarray, Tuple[int, ...]], np.ndarray]] = {
+_GENERATORS: Dict[str, Callable[[np.ndarray, Tuple[int, ...], np.ndarray], None]] = {
     "rx": _gen_x,
     "ry": _gen_y,
     "rz": _gen_z,
     "rzz": _gen_zz,
 }
-
-_PAULI_APPLIES = {"X": _gen_x, "Y": _gen_y, "Z": _gen_z}
 
 
 def supports_program(program: CompiledProgram) -> bool:
@@ -137,59 +135,122 @@ def supports_program(program: CompiledProgram) -> bool:
     return True
 
 
-def _costate(amps: np.ndarray, observable: PauliSum) -> np.ndarray:
-    """``(H - constant) @ amps``, term by term, rows independent."""
-    lam = np.zeros_like(amps)
-    for coeff, string in observable.terms:
-        working = amps
-        for qubit, pauli in string.terms:
-            working = _PAULI_APPLIES[pauli](working, (qubit,))
-        lam += coeff * working
-    return lam
-
-
-def _undo_matrix(matrix: np.ndarray) -> np.ndarray:
-    return matrix.conj().T
-
-
-def _reverse_step(
-    psi: np.ndarray,
-    lam: np.ndarray,
-    node: object,
-    vector: Optional[np.ndarray],
-    grad: np.ndarray,
-    scratch: np.ndarray,
-) -> int:
-    """Emit node's partials (if any) and pull psi/lam back through it.
-
-    ``psi``/``lam`` must hold the *post-node* state and the costate
-    back-propagated to the same point.  Returns partials emitted.
-    """
-    qubits = node.qubits
-    emitted = 0
-    if isinstance(node, _ParamNode):
-        generator = _GENERATORS.get(node.spec.name)
-        if generator is None:
-            raise ValueError(
-                "adjoint differentiation does not support parameterized "
-                f"gate {node.spec.name!r}"
+def _costate(amps: np.ndarray, observable: PauliSum, lam: np.ndarray) -> None:
+    """Add ``(H - constant) @ amps`` into ``lam`` term by term from the
+    observable's compiled plan, through one reusable buffer; rows of a
+    ``(K, 2**n)`` batch are independent."""
+    buf = np.empty_like(amps)
+    width = amps.shape[-1].bit_length() - 1
+    for gather, odd_y, weight in observable.costate_terms(width):
+        if gather is None:
+            np.multiply(_periods(amps, weight), weight, out=_periods(buf, weight))
+        else:
+            np.take(
+                _periods(amps, gather), gather, axis=1, mode="clip",
+                out=_periods(buf, gather),
             )
-        applied = generator(psi, qubits)
-        partial = float(np.imag(np.vdot(lam, applied)))
-        for slot, coeff, _offset in node.bindings:
-            if slot is not None and coeff != 0.0:
-                grad[slot] += coeff * partial
-                emitted += 1
-    dag = _undo_matrix(node.matrix_for(vector))
-    # The dagger of a diagonal matrix is diagonal, so compile-time
-    # ``True`` survives; ``None`` keeps the apply-time probe.
+            if odd_y:
+                buf *= 1j
+            if isinstance(weight, float):
+                buf *= weight
+            else:
+                np.multiply(_periods(buf, weight), weight, out=_periods(buf, weight))
+        lam += buf
+
+
+def _periods(arr: np.ndarray, plan_array: np.ndarray) -> np.ndarray:
+    """``arr`` as rows of one plan array's period, a power of two that
+    divides ``2**n``, so no row straddles two states."""
+    return arr.reshape(-1, plan_array.size)
+
+
+def _apply(amps: np.ndarray, matrix: np.ndarray, node: object, scratch: np.ndarray) -> None:
+    qubits = node.qubits
     if len(qubits) == 1:
-        apply_1q(psi, dag, qubits[0], scratch, node.diagonal)
-        apply_1q(lam, dag, qubits[0], scratch, node.diagonal)
+        apply_1q_batch(amps, matrix, qubits[0], scratch, node.diagonal)
     else:
-        apply_2q(psi, dag, qubits[0], qubits[1], scratch, node.diagonal)
-        apply_2q(lam, dag, qubits[0], qubits[1], scratch, node.diagonal)
-    return emitted
+        apply_2q_batch(amps, matrix, qubits[0], qubits[1], scratch, node.diagonal)
+
+
+def _sweep(
+    program: CompiledProgram,
+    observable: PauliSum,
+    rows: int,
+    matrix_of: Callable[[object], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Forward, costate and reverse sweep over ``rows`` states.
+
+    ``matrix_of(element)`` is one matrix shared by every row or a
+    ``(rows, d, d)`` stack, as the batch kernels take them.  The
+    forward pass keeps every element's matrix for the reverse sweep.
+    psi and lambda share one ``(2, rows, 2**n)`` array, so a shared
+    matrix pulls both back through one flat apply (whose reshape never
+    straddles a row); a per-row stack takes one batch apply each.
+    """
+    n = program.n_qubits
+    state = np.zeros((2, rows, 1 << n), dtype=complex)
+    psi, lam = state
+    psi[:, 0] = 1.0
+    scratch = np.empty(2 * rows * scratch_size(n), dtype=complex)
+    steps = []
+    for node in program.ops:
+        if isinstance(node, _FusedNode):
+            matrices = [matrix_of(element) for element in node.elements]
+            steps.extend(zip(node.elements, matrices))
+            if all(m.ndim == 2 for m in matrices):
+                matrix = node.compose(matrices)
+            else:
+                # Row by row in the scalar order, as ``matrices_for``.
+                matrix = np.stack([
+                    node.compose([m if m.ndim == 2 else m[k] for m in matrices])
+                    for k in range(rows)
+                ])
+        else:
+            matrix = matrix_of(node)
+            steps.append((node, matrix))
+        _apply(psi, matrix, node, scratch)
+    _FORWARD_PASSES.increment(rows)
+
+    _costate(psi, observable, lam)
+    energies = np.array([
+        observable.constant + float(np.real(np.vdot(psi[k], lam[k])))
+        for k in range(rows)
+    ])
+
+    grads = np.zeros((rows, program.n_slots), dtype=np.float64)
+    applied = np.empty_like(psi)
+    partials = 0
+    for element, matrix in reversed(steps):
+        if isinstance(element, _ParamNode):
+            generator = _GENERATORS.get(element.spec.name)
+            if generator is None:
+                raise ValueError(
+                    "adjoint differentiation does not support parameterized "
+                    f"gate {element.spec.name!r}"
+                )
+            generator(psi, element.qubits, applied)
+            # One row-contiguous vdot per probe: the same single BLAS
+            # reduction whatever the batch around the row.
+            for row in range(rows):
+                partial = float(np.imag(np.vdot(lam[row], applied[row])))
+                for slot, coeff, _offset in element.bindings:
+                    if slot is not None and coeff != 0.0:
+                        grads[row, slot] += coeff * partial
+                        partials += 1
+        # The dagger of a diagonal matrix is diagonal, so compile-time
+        # ``True`` survives; ``None`` keeps the apply-time probe.  Below
+        # 3 qubits a row's innermost loop can be one element, which
+        # numpy multiplies in place on a scalar path that rounds apart
+        # from the vector loop a stacked apply would put it on.
+        dag = np.swapaxes(matrix.conj(), -1, -2)
+        if dag.ndim == 2 and n >= 3:
+            _apply(state, dag, element, scratch)
+        else:
+            _apply(psi, dag, element, scratch)
+            _apply(lam, dag, element, scratch)
+    _REVERSE_SWEEPS.increment(rows)
+    _PARTIALS.increment(partials)
+    return energies, grads
 
 
 def adjoint_gradient(
@@ -215,73 +276,10 @@ def adjoint_gradient(
                 f"parameter vector has {vector.size} value(s); "
                 f"program needs {program.n_slots}"
             )
-    n = program.n_qubits
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[0] = 1.0
-    scratch = np.empty(scratch_size(n), dtype=complex)
-    for node in program.ops:
-        matrix = node.matrix_for(vector)
-        qubits = node.qubits
-        if len(qubits) == 1:
-            apply_1q(amps, matrix, qubits[0], scratch, node.diagonal)
-        else:
-            apply_2q(amps, matrix, qubits[0], qubits[1], scratch, node.diagonal)
-    _FORWARD_PASSES.increment()
-
-    lam = _costate(amps, observable)
-    energy = observable.constant + float(np.real(np.vdot(amps, lam)))
-
-    grad = np.zeros(program.n_slots, dtype=np.float64)
-    partials = 0
-    for node in reversed(program.ops):
-        if isinstance(node, _FusedNode):
-            for element in reversed(node.elements):
-                partials += _reverse_step(
-                    amps, lam, element, vector, grad, scratch
-                )
-        else:
-            partials += _reverse_step(amps, lam, node, vector, grad, scratch)
-    _REVERSE_SWEEPS.increment()
-    _PARTIALS.increment(partials)
-    return energy, grad
-
-
-def _reverse_step_batch(
-    psi: np.ndarray,
-    lam: np.ndarray,
-    node: object,
-    batch: np.ndarray,
-    grads: np.ndarray,
-    scratch: np.ndarray,
-) -> None:
-    qubits = node.qubits
-    if isinstance(node, _ParamNode):
-        generator = _GENERATORS.get(node.spec.name)
-        if generator is None:
-            raise ValueError(
-                "adjoint differentiation does not support parameterized "
-                f"gate {node.spec.name!r}"
-            )
-        applied = generator(psi, qubits)
-        # Row-contiguous vdot per probe: the same single BLAS reduction
-        # the serial sweep runs on that row alone, so batch partials
-        # are bit-identical to serial ones.
-        for row in range(psi.shape[0]):
-            partial = float(np.imag(np.vdot(lam[row], applied[row])))
-            for slot, coeff, _offset in node.bindings:
-                if slot is not None and coeff != 0.0:
-                    grads[row, slot] += coeff * partial
-    matrices = node.matrices_for(batch)
-    if matrices.ndim == 2:
-        dag = matrices.conj().T
-    else:
-        dag = matrices.conj().transpose(0, 2, 1)
-    if len(qubits) == 1:
-        apply_1q_batch(psi, dag, qubits[0], scratch, node.diagonal)
-        apply_1q_batch(lam, dag, qubits[0], scratch, node.diagonal)
-    else:
-        apply_2q_batch(psi, dag, qubits[0], qubits[1], scratch, node.diagonal)
-        apply_2q_batch(lam, dag, qubits[0], qubits[1], scratch, node.diagonal)
+    energies, grads = _sweep(
+        program, observable, 1, lambda element: element.matrix_for(vector)
+    )
+    return float(energies[0]), grads[0]
 
 
 def adjoint_gradient_batch(
@@ -335,39 +333,9 @@ def adjoint_gradient_batch(
             np.concatenate([p[1] for p in pieces]),
         )
 
-    amps = np.zeros((rows, 1 << n), dtype=complex)
-    amps[:, 0] = 1.0
-    scratch = np.empty(rows * scratch_size(n), dtype=complex)
-    for node in program.ops:
-        matrices = node.matrices_for(batch)
-        qubits = node.qubits
-        if len(qubits) == 1:
-            apply_1q_batch(amps, matrices, qubits[0], scratch, node.diagonal)
-        else:
-            apply_2q_batch(amps, matrices, qubits[0], qubits[1], scratch, node.diagonal)
-    _FORWARD_PASSES.increment(rows)
-
-    lam = _costate(amps, observable)
-    energies = np.empty(rows)
-    for row in range(rows):
-        energies[row] = observable.constant + float(
-            np.real(np.vdot(amps[row], lam[row]))
-        )
-
-    grads = np.zeros((rows, n_slots), dtype=np.float64)
-    for node in reversed(program.ops):
-        if isinstance(node, _FusedNode):
-            for element in reversed(node.elements):
-                _reverse_step_batch(amps, lam, element, batch, grads, scratch)
-        else:
-            _reverse_step_batch(amps, lam, node, batch, grads, scratch)
-    _REVERSE_SWEEPS.increment(rows)
-    _PARTIALS.increment(rows * sum(
-        1
-        for node in program.ops
-        for element in (node.elements if isinstance(node, _FusedNode) else (node,))
-        if isinstance(element, _ParamNode)
-    ))
+    energies, grads = _sweep(
+        program, observable, rows, lambda element: element.matrices_for(batch)
+    )
     _BATCH_SWEEPS.increment()
     _BATCH_ROWS.increment(rows)
     return energies, grads

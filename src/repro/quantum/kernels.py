@@ -474,9 +474,14 @@ class _FusedNode:
         )
 
     def matrix_for(self, vector: Optional[np.ndarray]) -> np.ndarray:
-        combined = self.elements[0].matrix_for(vector)
-        for element in self.elements[1:]:
-            combined = element.matrix_for(vector) @ combined
+        return self.compose([element.matrix_for(vector) for element in self.elements])
+
+    @staticmethod
+    def compose(matrices: List[np.ndarray]) -> np.ndarray:
+        """The run's 2x2 matrix from its elements' (application order)."""
+        combined = matrices[0]
+        for matrix in matrices[1:]:
+            combined = matrix @ combined
         return combined
 
     def matrices_for(self, batch: np.ndarray) -> np.ndarray:

@@ -124,6 +124,60 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def __getstate__(self) -> Dict[str, object]:
+        state = self.__dict__.copy()
+        state.pop("_costate_plans", None)
+        return state
+
+    def costate_terms(self, width: int) -> Iterable[Tuple[Optional[np.ndarray], bool, object]]:
+        """Each term ``coeff * P`` as ``(gather, odd_y, weight)`` over a
+        ``width``-qubit state ``a``, in term order: with ``L`` the length
+        of the array in question and ``i % L`` standing for ``i``,
+        ``(coeff * P @ a)[i] == a[gather[i] + i - i % L] * (1j if odd_y
+        else 1) * weight[i]``.
+
+        ``gather`` is ``i ^ x_mask`` (None for diagonal terms, shared by
+        terms with one X/Y mask) and ``weight`` is ``coeff`` times the
+        exact real sign (a float when the term has no Z or Y); each
+        covers one period, the bits up to its mask's highest, so
+        ``a.reshape(-1, L)`` applies it row by row.  Every step is exact
+        but the one ``coeff`` multiply.  The plan is built on first use
+        per width and cached on the sum, out of pickles; one whose
+        arrays would pass :data:`PARITY_TABLE_MAX_ENTRIES` entries is
+        rebuilt term by term on each call instead.
+        """
+        plans = self.__dict__.setdefault("_costate_plans", {})
+        if width not in plans:
+            masks = [_x_z_ny(string) for _, string in self.terms]
+            entries = sum(1 << x.bit_length() for x in {x for x, _, _ in masks} - {0})
+            entries += sum(1 << z.bit_length() for _, z, _ in masks if z)
+            if entries > PARITY_TABLE_MAX_ENTRIES:
+                return self._plan_terms(width, masks, None)
+            plans[width] = list(self._plan_terms(width, masks, {}))
+        return plans[width]
+
+    def _plan_terms(
+        self,
+        width: int,
+        masks: List[Tuple[int, int, int]],
+        gathers: Optional[Dict[int, np.ndarray]],
+    ) -> Iterable[Tuple[Optional[np.ndarray], bool, object]]:
+        for (coeff, string), (x, z, ny) in zip(self.terms, masks):
+            if (x | z) >> width:
+                raise ValueError(f"{string} acts outside a {width}-qubit register")
+            # P a = (-i)**ny * (-1)**|i & z| * a[i ^ x], and
+            # (-i)**ny = 1j**(ny & 1) * (-1)**((ny + 1) // 2).
+            weight = -coeff if (ny + 1) // 2 & 1 else coeff
+            if z:
+                parity = np.bitwise_count(np.arange(1 << z.bit_length()) & z) & 1
+                weight = np.where(parity, -weight, weight)
+            gather = None if gathers is None else gathers.get(x)
+            if x and gather is None:
+                gather = np.arange(1 << x.bit_length()) ^ x
+                if gathers is not None:
+                    gathers[x] = gather
+            yield gather, bool(ny & 1), weight
+
     def __add__(self, other: "PauliSum") -> "PauliSum":
         return PauliSum(self.terms + other.terms, self.constant + other.constant)
 
@@ -342,6 +396,16 @@ def measurement_circuits(
         .measure_all()
         for group in groups
     ]
+
+
+def _x_z_ny(string: PauliString) -> Tuple[int, int, int]:
+    """``string``'s X/Y mask, Y/Z mask and Y count."""
+    x = z = ny = 0
+    for qubit, pauli in string.terms:
+        x |= (pauli != "Z") << qubit
+        z |= (pauli != "X") << qubit
+        ny += pauli == "Y"
+    return x, z, ny
 
 
 def _string_expectation(state: Statevector, string: PauliString) -> float:

@@ -70,7 +70,3 @@ class RequestCoalescer:
             return []
         del self._primaries[digest]
         return self._followers.pop(digest, [])
-
-    @property
-    def in_flight(self) -> int:
-        return len(self._primaries)

@@ -56,11 +56,6 @@ class DeficitRoundRobin(Generic[T]):
     def __len__(self) -> int:
         return sum(len(queue) for queue in self._queues.values())
 
-    def backlog(self, tenant: str) -> int:
-        """Queued jobs for one tenant."""
-        queue = self._queues.get(tenant)
-        return len(queue) if queue else 0
-
     def enqueue(self, tenant: str, item: T, cost: float) -> None:
         if cost <= 0:
             raise ValueError(f"job cost must be positive, got {cost}")

@@ -175,7 +175,11 @@ class SessionManager:
         self.events = events
         self.sessions: Dict[str, Session] = {}
         self._clock = clock if clock is not None else time.monotonic
-        self._engine_factory = engine_factory or self._default_engine
+        # A module function, not a bound method: storing one would make
+        # the manager a reference cycle, and a dropped manager's
+        # sessions (engines, compiled programs, observable plans) would
+        # wait for the cyclic garbage collector.
+        self._engine_factory = engine_factory or _default_engine
         self._sequence = 0
         self._lock = threading.RLock()
 
@@ -467,8 +471,9 @@ class SessionManager:
             "pinned_programs": PROGRAM_CACHE.pinned,
         }
 
-    def _default_engine(self, spec: JobSpec) -> EvaluationEngine:
-        return build_engine(spec, engine_workers=1)
+
+def _default_engine(spec: JobSpec) -> EvaluationEngine:
+    return build_engine(spec, engine_workers=1)
 
 
 def drive_session(

@@ -161,10 +161,12 @@ class TestDeficitRoundRobin:
         """
         drr = DeficitRoundRobin(quantum=quantum)
         total = {}
+        queued = {}  # each tenant's backlog, from our enqueues and pops
         max_cost = max(cost for _, cost in jobs)
         for tenant, cost in jobs:
             drr.enqueue(tenant, object(), cost)
             total[tenant] = total.get(tenant, 0.0) + cost
+            queued[tenant] = queued.get(tenant, 0) + 1
         bound = 2.0 * quantum + 3.0 * max_cost
         served = {tenant: 0.0 for tenant in total}
         while True:
@@ -173,7 +175,9 @@ class TestDeficitRoundRobin:
                 break
             tenant, _item, cost = popped
             served[tenant] += cost
-            backlogged = [t for t in total if drr.backlog(t) > 0]
+            queued[tenant] -= 1
+            assert queued[tenant] >= 0 and sum(queued.values()) == len(drr)
+            backlogged = [t for t in total if queued[t] > 0]
             for i, t1 in enumerate(backlogged):
                 for t2 in backlogged[i + 1:]:
                     assert abs(served[t1] - served[t2]) <= bound
@@ -244,9 +248,17 @@ class TestCoalescer:
 
     def test_different_digests_do_not_coalesce(self):
         coalescer = RequestCoalescer()
-        assert coalescer.attach(self._record(1, spec_for(0))) is None
-        assert coalescer.attach(self._record(2, spec_for(1))) is None
-        assert coalescer.in_flight == 2
+        first = self._record(1, spec_for(0))
+        second = self._record(2, spec_for(1))
+        assert coalescer.attach(first) is None
+        assert coalescer.attach(second) is None
+        # Two separate flights: a repeat of each joins its own primary.
+        repeat_first = self._record(3, spec_for(0))
+        repeat_second = self._record(4, spec_for(1))
+        assert coalescer.attach(repeat_first) is first
+        assert coalescer.attach(repeat_second) is second
+        assert coalescer.settle(first) == [repeat_first]
+        assert coalescer.settle(second) == [repeat_second]
 
 
 # ----------------------------------------------------------------------

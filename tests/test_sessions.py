@@ -9,11 +9,13 @@ optimisation reproduces the one-shot job's energy history bit for bit.
 """
 
 import concurrent.futures
+import gc
 import json
 import math
 import struct
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -229,6 +231,18 @@ class TestSessionManager:
         assert stats["state"] == "closed"
         assert stats["batches"] == 1
         assert session.engine.closed
+
+    def test_dropped_manager_is_freed_without_the_cycle_collector(self):
+        """A default manager holds no reference cycle, so it and the
+        sessions it holds go as soon as the last reference does."""
+        manager = SessionManager()
+        ref = weakref.ref(manager)
+        gc.disable()
+        try:
+            del manager
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_structured_error_codes(self):
         manager = fake_manager()
