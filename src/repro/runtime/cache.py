@@ -26,13 +26,16 @@ what makes reuse *exact* rather than statistical.  Anything outside the
 key (different shots, different seed, a mutated circuit) misses.
 
 Bounded LRU; hit/miss/eviction counters report through the standard
-:class:`repro.sim.stats.StatGroup` machinery.
+:class:`repro.sim.stats.StatGroup` machinery.  One cache may be shared
+by concurrent job threads (the service, a cluster worker node), so
+every read-modify-write of the LRU order holds the cache's own lock.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
@@ -161,6 +164,7 @@ class EvalCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self._entries: "OrderedDict[bytes, float]" = OrderedDict()
+        self._lock = threading.Lock()
         self.stats = stats or StatGroup("eval_cache")
         self._hits = self.stats.counter("hits")
         self._misses = self.stats.counter("misses")
@@ -175,25 +179,27 @@ class EvalCache:
 
     def get(self, key: EvalKey) -> Optional[float]:
         """Look up a result; counts a hit or a miss either way."""
-        try:
-            value = self._entries[key.digest]
-        except KeyError:
-            self._misses.increment()
-            return None
-        self._entries.move_to_end(key.digest)
-        self._hits.increment()
-        return value
+        with self._lock:
+            try:
+                value = self._entries[key.digest]
+            except KeyError:
+                self._misses.increment()
+                return None
+            self._entries.move_to_end(key.digest)
+            self._hits.increment()
+            return value
 
     def put(self, key: EvalKey, value: float) -> None:
         """Insert (or refresh) a result, evicting LRU entries to bound."""
-        if key.digest in self._entries:
-            self._entries.move_to_end(key.digest)
-        else:
-            self._insertions.increment()
-        self._entries[key.digest] = float(value)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self._evictions.increment()
+        with self._lock:
+            if key.digest in self._entries:
+                self._entries.move_to_end(key.digest)
+            else:
+                self._insertions.increment()
+            self._entries[key.digest] = float(value)
+            while len(self._entries) > self.max_entries:
+                self._entries.popitem(last=False)
+                self._evictions.increment()
 
     @property
     def hits(self) -> int:
@@ -209,4 +215,5 @@ class EvalCache:
         return self._hits.value / total if total else 0.0
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()

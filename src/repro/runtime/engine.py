@@ -26,8 +26,10 @@ The engine *is* a platform: it implements the same
 ``prepare / evaluate / charge_optimizer_step / finish`` protocol as
 :class:`repro.core.system.QtenonSystem` and
 :class:`repro.baseline.system.DecoupledSystem`, plus the batch entry
-point ``evaluate_many`` that the optimizers' batch path feeds.  Wrap
-either platform; no API breaks.
+point ``evaluate_vectors`` that every probe batch reaches as slot
+vectors (``evaluate_many`` is a dict-to-vector adapter over it) and
+the adjoint entry point ``evaluate_gradients``.  Wrap either platform;
+no API breaks.
 
 Determinism: every evaluation's sampler seed is derived from its
 content address (circuit structure, parameter vector, shots, base
@@ -36,13 +38,11 @@ cached schedules therefore return bit-identical values — the property
 the parity tests pin down.
 
 Failure handling: ``max_workers=1`` never spawns a pool; a worker
-crash (``PoolBroken``) rebuilds the pool and retries the batch
-once.  Repeated crashes open a :class:`~repro.runtime.breaker.CircuitBreaker`
-— evaluation falls back to in-process serial until the cooldown
-elapses, after which one batch probes the pool (half-open) and a
-success restores parallelism.  The old policy degraded *permanently*
-on the second crash, losing all parallelism for the rest of the run
-on a transient double-fault.
+crash (``PoolBroken``) rebuilds the pool and retries the batch once,
+for evaluation and gradient batches alike.  Repeated crashes open a
+:class:`~repro.runtime.breaker.CircuitBreaker` — evaluation falls
+back to in-process serial until the cooldown elapses, after which one
+batch probes the pool (half-open) and a success restores parallelism.
 """
 
 from __future__ import annotations
@@ -488,18 +488,17 @@ class EvaluationEngine:
     ) -> List[float]:
         """Evaluate a batch of parameter bindings, in order.
 
-        The returned list matches ``values_list`` element-wise; the
-        platform's timeline is charged in the same order, exactly as a
-        serial loop over ``evaluate`` would.
+        A dict adapter over :meth:`evaluate_vectors`: each binding
+        becomes a vector in the first binding's key order.
         """
-        start_ps = self._trace_start()
-        out = self._evaluate_many(values_list, shots)
-        self._trace_span(
-            self._next_eval_name(),
-            start_ps,
-            args={"batch": len(values_list), "shots": shots},
+        if not values_list:
+            return []
+        parameters = list(values_list[0])
+        return self.evaluate_vectors(
+            parameters,
+            [[values[p] for p in parameters] for values in values_list],
+            shots,
         )
-        return out
 
     def _next_eval_name(self) -> str:
         name = f"evaluate_many[{self._eval_index}]"
@@ -512,23 +511,26 @@ class EvaluationEngine:
         vectors: Sequence[np.ndarray],
         shots: int,
     ) -> List[float]:
-        """Batch evaluation straight from optimizer vectors.
+        """Evaluate a batch of parameter vectors, in order.
 
         ``vectors`` are ordered by ``parameters``; the engine permutes
-        them into the spec's slot order once per batch, skipping the
-        dict round-trip ``evaluate_many`` pays per probe.  Results are
-        bit-identical to the dict path (same keys, same seeds).
+        them into the spec's slot order once per batch.  The returned
+        list matches ``vectors`` element-wise; the platform's timeline
+        is charged in the same order, exactly as a serial loop over
+        ``evaluate`` would.
         """
         start_ps = self._trace_start()
         if self._delegates():
-            values_list = [
-                {p: float(v) for p, v in zip(parameters, vector)}
+            self.stats.counter("delegated_evaluations").increment(len(vectors))
+            out = [
+                self.platform.evaluate(
+                    {p: float(v) for p, v in zip(parameters, vector)}, shots
+                )
                 for vector in vectors
             ]
-            out = self._evaluate_many(values_list, shots)
         else:
             _, arranged = self._slot_order(parameters, vectors)
-            out = self._evaluate_vector_batch(arranged, shots, None)
+            out = self._evaluate_vector_batch(arranged, shots)
         self._trace_span(
             self._next_eval_name(),
             start_ps,
@@ -568,7 +570,16 @@ class EvaluationEngine:
             return None
         start_ps = self._trace_start()
         perm, arranged = self._slot_order(parameters, vectors)
-        energies, grad_slots = self._run_gradient_tasks(arranged)
+        # Gradient batches skip the EvalCache — a gradient row is P+1
+        # floats keyed by the same content address as its energy, and
+        # optimisers never revisit a vector within a run — but share the
+        # pool loop and its breaker with evaluation batches, so a crashed
+        # pool degrades both paths together.
+        energies, grad_slots = self._run_on_pool(
+            lambda pool: pool.run_gradients(arranged),
+            lambda: evaluate_spec_gradients(spec, arranged),
+            "gradients", arranged, 0,
+        )
         if perm is None:
             grads = grad_slots
         else:
@@ -614,44 +625,8 @@ class EvaluationEngine:
             arranged.append(array if perm is None else array[perm])
         return perm, arranged
 
-    def _run_gradient_tasks(
-        self, vectors: List[np.ndarray]
-    ) -> Tuple[List[float], List[np.ndarray]]:
-        """Pool-first adjoint batch with the usual serial fallback.
-
-        Gradient batches skip the EvalCache — a gradient row is P+1
-        floats keyed by the same content address as its energy, and
-        optimisers never revisit a vector within a run — but share the
-        breaker accounting with evaluation batches, so a crashed pool
-        degrades both paths together.
-        """
-        if self.max_workers > 1 and self.breaker.allow():
-            pool = self._ensure_pool()
-            if pool is not None:
-                result = self._pool_call(
-                    pool, lambda: pool.run_gradients(vectors), 0,
-                    "parallel_gradients", len(vectors),
-                )
-                if result is not _POOL_FAILED:
-                    return result
-        self.stats.counter("serial_gradients").increment(len(vectors))
-        return evaluate_spec_gradients(self._spec, vectors)
-
-    def _evaluate_many(
-        self, values_list: Sequence[Dict[Parameter, float]], shots: int
-    ) -> List[float]:
-        if self._delegates():
-            self.stats.counter("delegated_evaluations").increment(len(values_list))
-            return [self.platform.evaluate(values, shots) for values in values_list]
-
-        vectors = [self._vector(values) for values in values_list]
-        return self._evaluate_vector_batch(vectors, shots, values_list)
-
     def _evaluate_vector_batch(
-        self,
-        vectors: List[np.ndarray],
-        shots: int,
-        values_list: Optional[Sequence[Dict[Parameter, float]]],
+        self, vectors: List[np.ndarray], shots: int
     ) -> List[float]:
         keys = evaluation_keys(
             self._spec.structure_hash, vectors, shots, self.seed,
@@ -677,14 +652,12 @@ class EvaluationEngine:
                 # exactly what a serial loop over ``evaluate`` charges.
                 pending.setdefault(key.digest + index.to_bytes(4, "little"), []).append(index)
 
-        tasks: List[Tuple[np.ndarray, int, int]] = []
+        task_indices = [indices[0] for indices in pending.values()]
+        task_vectors = [vectors[i] for i in task_indices]
+        seeds = [keys[i].sampler_seed for i in task_indices]
         inflight: Optional[SharedMemoryPool] = None
         next_attempt = 0
         if pending:
-            task_indices = [indices[0] for indices in pending.values()]
-            tasks = [
-                (vectors[i], shots, keys[i].sampler_seed) for i in task_indices
-            ]
             # Latency hiding: ship the batch to the workers *before*
             # the serial timing replay below, so the platform-timeline
             # replay runs while the workers compute and the batch costs
@@ -692,11 +665,13 @@ class EvaluationEngine:
             # pool path is unavailable the values are computed here,
             # up front, so the replay can patch its surrogate energies
             # eagerly (which keeps partial-failure retries exact).
-            inflight, next_attempt = self._begin_tasks(tasks)
+            inflight, next_attempt = self._begin_tasks(task_vectors, shots, seeds)
             if inflight is None:
                 self._settle(
                     pending, keys, results,
-                    self._run_tasks(tasks, first_attempt=next_attempt),
+                    self._run_tasks(
+                        task_vectors, shots, seeds, first_attempt=next_attempt
+                    ),
                 )
 
         self.stats.counter("evaluations").increment(len(vectors))
@@ -726,18 +701,15 @@ class EvaluationEngine:
                     self.stats.counter("reused_evaluations").increment()
                 else:
                     if charged >= already_charged:
-                        # Timing replay needs a binding dict; the vector
-                        # entry point builds it only here, for the evals
-                        # that charge.
-                        if values_list is not None:
-                            values_dict = values_list[index]
-                        else:
-                            values_dict = {
+                        # Timing replay needs a binding dict; it is built
+                        # only here, for the evals that charge.
+                        slot = self._charge_timing(
+                            {
                                 p: float(v)
                                 for p, v in zip(self._spec.parameters, vector)
-                            }
-                        slot = self._charge_timing(
-                            values_dict, shots, results.get(index)
+                            },
+                            shots,
+                            results.get(index),
                         )
                         if slot is not None:
                             deferred.append((slot, index))
@@ -749,7 +721,7 @@ class EvaluationEngine:
                 # Drain the in-flight batch so the pool stays usable
                 # and the already-charged surrogate energies still get
                 # their real values (mirroring the eager-patch path).
-                values = self._abandon_inflight(inflight, len(tasks))
+                values = self._abandon_inflight(inflight, len(task_vectors))
                 if values is not None:
                     self._settle(pending, keys, results, values)
                     self._patch_energies(deferred, results)
@@ -757,7 +729,10 @@ class EvaluationEngine:
         if inflight is not None:
             self._settle(
                 pending, keys, results,
-                self._run_tasks(tasks, inflight=inflight, first_attempt=next_attempt),
+                self._run_tasks(
+                    task_vectors, shots, seeds,
+                    inflight=inflight, first_attempt=next_attempt,
+                ),
             )
         self._patch_energies(deferred, results)
         return [results[index] for index in range(len(vectors))]
@@ -845,18 +820,8 @@ class EvaluationEngine:
             or getattr(self.platform, "drifts_readout", False)
         )
 
-    def _vector(self, values: Dict[Parameter, float]) -> np.ndarray:
-        try:
-            return np.array(
-                [values[p] for p in self._spec.parameters], dtype=np.float64
-            )
-        except KeyError as missing:
-            raise KeyError(
-                f"no value bound for circuit parameter {missing.args[0]!r}"
-            ) from None
-
     def _begin_tasks(
-        self, tasks: List[Tuple[np.ndarray, int, int]]
+        self, vectors: List[np.ndarray], shots: int, seeds: List[int]
     ) -> Tuple[Optional[SharedMemoryPool], int]:
         """Dispatch a batch to the pool without waiting for results.
 
@@ -874,12 +839,8 @@ class EvaluationEngine:
             return None, 0
 
         def dispatch() -> None:
-            self._maybe_inject_worker_fault(tasks, 0)
-            pool.dispatch_batch(
-                [task[0] for task in tasks],
-                tasks[0][1],
-                [task[2] for task in tasks],
-            )
+            self._maybe_inject_worker_fault(vectors, shots, 0)
+            pool.dispatch_batch(vectors, shots, seeds)
 
         if self._pool_call(pool, dispatch, 0) is _POOL_FAILED:
             return None, 1
@@ -887,28 +848,48 @@ class EvaluationEngine:
 
     def _run_tasks(
         self,
-        tasks: List[Tuple[np.ndarray, int, int]],
+        vectors: List[np.ndarray],
+        shots: int,
+        seeds: List[int],
         inflight: Optional[SharedMemoryPool] = None,
         first_attempt: int = 0,
     ) -> List[float]:
-        """Evaluate tasks on the pool, retrying once past a dead pool.
+        """Evaluate a batch on the pool (see :meth:`_run_on_pool`).
+
+        Workers run :func:`evaluate_spec_batch` over contiguous slices,
+        and the serial fallback runs it over the whole batch —
+        bit-identical either way because every probe's sampler seed is
+        its content address, not a position in a shared stream.
+        """
+        return self._run_on_pool(
+            lambda pool: pool.run_batch(vectors, shots, seeds),
+            lambda: evaluate_spec_batch(self._spec, vectors, shots, seeds),
+            "evaluations", vectors, shots, inflight, first_attempt,
+        )
+
+    def _run_on_pool(
+        self,
+        operation: Callable[[SharedMemoryPool], object],
+        serial: Callable[[], object],
+        kind: str,
+        vectors: List[np.ndarray],
+        shots: int,
+        inflight: Optional[SharedMemoryPool] = None,
+        first_attempt: int = 0,
+    ) -> object:
+        """Run ``operation(pool)``, retrying once past a dead pool,
+        else ``serial()`` in-process.
 
         Every dispatch is gated by the circuit breaker: a crashed pool
         records a failure per attempt, so two consecutive crashes open
         the breaker and the batch (plus subsequent ones) runs serially
-        in-process until the cooldown elapses and a half-open probe
-        succeeds.  A batch already dispatched by :meth:`_begin_tasks`
-        arrives as ``inflight`` and is collected rather than re-sent;
-        if the collection fails the retry re-dispatches from scratch.
-        Both schedules are batched: workers run
-        :func:`evaluate_spec_batch` over contiguous slices, and the
-        serial fallback runs it over the whole batch — bit-identical
-        either way because every probe's sampler seed is its content
-        address, not a position in a shared stream.
+        until the cooldown elapses and a half-open probe succeeds.  A
+        batch already dispatched by :meth:`_begin_tasks` arrives as
+        ``inflight`` and is collected rather than re-sent; if the
+        collection fails the retry re-dispatches from scratch.  The
+        ``parallel_<kind>`` or ``serial_<kind>`` counter adds the
+        batch's rows.
         """
-        vectors = [task[0] for task in tasks]
-        shots = tasks[0][1]  # uniform within a batch by construction
-        seeds = [task[2] for task in tasks]
         if self.max_workers > 1:
             for attempt in range(first_attempt, 2):
                 # Collecting a batch _begin_tasks already dispatched is
@@ -925,15 +906,15 @@ class EvaluationEngine:
                     call = pool.collect_batch
                 else:
                     def call():
-                        self._maybe_inject_worker_fault(tasks, attempt)
-                        return pool.run_batch(vectors, shots, seeds)
-                values = self._pool_call(
-                    pool, call, attempt, "parallel_evaluations", len(tasks)
+                        self._maybe_inject_worker_fault(vectors, shots, attempt)
+                        return operation(pool)
+                result = self._pool_call(
+                    pool, call, attempt, f"parallel_{kind}", len(vectors)
                 )
-                if values is not _POOL_FAILED:
-                    return values
-        self.stats.counter("serial_evaluations").increment(len(tasks))
-        return evaluate_spec_batch(self._spec, vectors, shots, seeds)
+                if result is not _POOL_FAILED:
+                    return result
+        self.stats.counter(f"serial_{kind}").increment(len(vectors))
+        return serial()
 
     def _pool_call(
         self,
@@ -979,14 +960,21 @@ class EvaluationEngine:
             self.stats.counter("pool_failures").increment()
 
     def _maybe_inject_worker_fault(
-        self, tasks: List[Tuple[np.ndarray, int, int]], attempt: int
+        self, vectors: List[np.ndarray], shots: int, attempt: int
     ) -> None:
         """Chaos hook: decide this dispatch's fate before it reaches
         the pool (see :meth:`FaultInjector.worker_fault`).  Decisions
-        are keyed on the batch's first sampler seed + attempt, so they
-        replay identically regardless of thread interleaving."""
+        are keyed on the sampler seed of the batch's first row at
+        ``shots`` + attempt, so they replay identically regardless of
+        thread interleaving."""
         if self.fault_injector is not None:
-            self.fault_injector.worker_fault("pool", tasks[0][2], len(tasks), attempt)
+            key = evaluation_keys(
+                self._spec.structure_hash, vectors[:1], shots, self.seed,
+                self._spec.backend_id,
+            )[0]
+            self.fault_injector.worker_fault(
+                "pool", key.sampler_seed, len(vectors), attempt
+            )
 
     def _charge_timing(
         self, values: Dict[Parameter, float], shots: int,

@@ -18,13 +18,18 @@ Segment layout (parent-owned, workers attach read/write)::
     [ vectors: capacity x n_cols float64 ][ seeds: capacity uint64 ]
     [ results: capacity float64 ]
 
-A batch dispatch writes the probe vectors and their content-derived
-sampler seeds, sends each worker a ``(start, stop, shots)`` triple
-over its pipe, and reads the results back out of the segment; workers
-evaluate their slice with
-:func:`~repro.runtime.engine.evaluate_spec_batch`, so one worker
-amortises program traversal across its whole slice exactly like the
-serial path does.
+A batch dispatch writes the probe vectors (and, for an evaluation
+batch, their content-derived sampler seeds), sends each worker a
+``(kind, start, stop, shots)`` message over its pipe, and reads the
+results back out of the segment once every worker has answered
+``("done", start, stop, stats)``.  ``kind`` names the only thing that
+differs between the two batch kinds, the function a worker runs over
+its slice: ``"batch"`` runs
+:func:`~repro.runtime.engine.evaluate_spec_batch` into ``results``;
+``"grad"`` runs :func:`~repro.runtime.engine.evaluate_spec_gradients`,
+writing energies into ``results`` and each gradient over its own
+``vectors`` row.  One worker thus amortises program traversal across
+its whole slice exactly like the serial path does.
 
 Lifecycle guarantees:
 
@@ -309,7 +314,7 @@ class SharedMemoryPool:
     def dispatch_batch(
         self, vectors: Sequence[np.ndarray], shots: int, seeds: Sequence[int]
     ) -> None:
-        """Fan a batch out across the workers without waiting.
+        """Fan an evaluation batch out across the workers without waiting.
 
         Writes the float vectors and their seeds into the segment,
         sends each worker its contiguous slice, and returns while the
@@ -317,6 +322,19 @@ class SharedMemoryPool:
         platform timing replay) with theirs, then calls
         :meth:`collect_batch`.  Exactly one batch may be in flight.
         """
+        if len(seeds) != len(vectors):
+            raise ValueError(f"got {len(seeds)} seeds for {len(vectors)} vectors")
+        self._dispatch("batch", vectors, shots, seeds)
+
+    def _dispatch(
+        self,
+        kind: str,
+        vectors: Sequence[np.ndarray],
+        shots: int,
+        seeds: Sequence[int] = (),
+    ) -> None:
+        """Write a batch into the segment and send every worker its
+        ``(kind, start, stop, shots)`` slice."""
         if self.closed:
             raise PoolBroken("pool is closed")
         if self._inflight is not None:
@@ -324,8 +342,6 @@ class SharedMemoryPool:
                 "a batch is already in flight; collect_batch() it first"
             )
         rows = len(vectors)
-        if len(seeds) != rows:
-            raise ValueError(f"got {len(seeds)} seeds for {rows} vectors")
         if rows == 0:
             self._inflight = (0, [])
             return
@@ -334,12 +350,13 @@ class SharedMemoryPool:
         for index, vector in enumerate(vectors):
             array = np.asarray(vector, dtype=np.float64)
             views.vectors[index, : array.size] = array
-        views.seeds[:rows] = np.asarray(
-            [int(seed) for seed in seeds], dtype=np.uint64
-        )
+        if len(seeds):
+            views.seeds[:rows] = np.asarray(
+                [int(seed) for seed in seeds], dtype=np.uint64
+            )
         dispatched: List[int] = []
         for worker, (start, stop) in self._chunks(rows):
-            self._send(worker, ("batch", start, stop, shots))
+            self._send(worker, (kind, start, stop, shots))
             dispatched.append(worker)
         self._inflight = (rows, dispatched)
 
@@ -390,38 +407,12 @@ class SharedMemoryPool:
         forward-pass energy into ``results`` — floats in, floats out,
         same as an evaluation batch.
         """
-        if self.closed:
-            raise PoolBroken("pool is closed")
-        if self._inflight is not None:
-            raise RuntimeError(
-                "a batch is already in flight; collect_batch() it first"
-            )
-        rows = len(vectors)
-        if rows == 0:
-            return [], []
-        self._ensure_capacity(rows)
+        self._dispatch("grad", vectors, 0)
+        energies = self.collect_batch()
         views: _Views = self._state["views"]
-        for index, vector in enumerate(vectors):
-            array = np.asarray(vector, dtype=np.float64)
-            views.vectors[index, : array.size] = array
-        dispatched: List[int] = []
-        for worker, (start, stop) in self._chunks(rows):
-            self._send(worker, ("grad", start, stop))
-            dispatched.append(worker)
-        failure: Optional[Tuple[int, str]] = None
-        for worker in dispatched:
-            reply = self._recv(worker)
-            if reply[0] == "error":
-                failure = failure or (worker, reply[1])
-            else:
-                self._worker_stats[worker] = reply[3]
-        if failure is not None:
-            raise PoolBroken(f"worker {failure[0]} failed:\n{failure[1]}")
-        self.batches += 1
-        energies = [float(value) for value in views.results[:rows]]
         grads = [
             np.array(views.vectors[row, : self.n_slots], dtype=np.float64)
-            for row in range(rows)
+            for row in range(len(energies))
         ]
         return energies, grads
 
@@ -547,36 +538,28 @@ def _worker_main(conn, shm_name: str, capacity: int, n_cols: int) -> None:
                     capacity = message[2]
                     views = _Views(shm.buf, capacity, n_cols)
                     conn.send(("ok",))
-                elif kind == "batch":
-                    from repro.runtime.engine import evaluate_spec_batch
+                elif kind in ("batch", "grad"):
+                    # Looked up at call time: a tracer may have rebound
+                    # the engine's functions after this worker forked.
+                    from repro.runtime import engine
 
                     if spec is None:
-                        raise RuntimeError("batch before spec initialisation")
+                        raise RuntimeError(f"{kind} before spec initialisation")
                     start, stop, shots = message[1], message[2], message[3]
                     n_slots = len(spec.parameters)
                     vectors = [
                         np.array(views.vectors[row, :n_slots], dtype=np.float64)
                         for row in range(start, stop)
                     ]
-                    seeds = [int(seed) for seed in views.seeds[start:stop]]
-                    values = evaluate_spec_batch(spec, vectors, shots, seeds)
-                    views.results[start:stop] = values
-                    conn.send(("done", start, stop, _stats_snapshot()))
-                elif kind == "grad":
-                    from repro.runtime.engine import evaluate_spec_gradients
-
-                    if spec is None:
-                        raise RuntimeError("grad before spec initialisation")
-                    start, stop = message[1], message[2]
-                    n_slots = len(spec.parameters)
-                    vectors = [
-                        np.array(views.vectors[row, :n_slots], dtype=np.float64)
-                        for row in range(start, stop)
-                    ]
-                    energies, grads = evaluate_spec_gradients(spec, vectors)
-                    views.results[start:stop] = energies
-                    for offset, grad in enumerate(grads):
-                        views.vectors[start + offset, :n_slots] = grad
+                    if kind == "batch":
+                        seeds = [int(seed) for seed in views.seeds[start:stop]]
+                        views.results[start:stop] = engine.evaluate_spec_batch(
+                            spec, vectors, shots, seeds
+                        )
+                    else:
+                        energies, grads = engine.evaluate_spec_gradients(spec, vectors)
+                        views.results[start:stop] = energies
+                        views.vectors[start:stop, :n_slots] = grads
                     conn.send(("done", start, stop, _stats_snapshot()))
                 else:  # pragma: no cover - protocol is closed
                     raise RuntimeError(f"unknown message {kind!r}")

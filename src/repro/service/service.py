@@ -150,22 +150,6 @@ class ServiceConfig:
             )
 
 
-class _LockedEvalCache(EvalCache):
-    """EvalCache safe to share across the worker threads."""
-
-    def __init__(self, max_entries: int) -> None:
-        super().__init__(max_entries)
-        self._lock = threading.Lock()
-
-    def get(self, key):
-        with self._lock:
-            return super().get(key)
-
-    def put(self, key, value) -> None:
-        with self._lock:
-            super().put(key, value)
-
-
 class _CancellablePlatform:
     """Platform wrapper that honours a job's cancel token.
 
@@ -192,13 +176,16 @@ class _CancellablePlatform:
         self._check()
         return self._platform.evaluate(values, shots)
 
-    def evaluate_many(self, values_list, shots):
+    def evaluate_vectors(self, parameters, vectors, shots):
         self._check()
-        inner = getattr(self._platform, "evaluate_many", None)
+        inner = getattr(self._platform, "evaluate_vectors", None)
         if callable(inner):
-            return inner(values_list, shots)
+            return inner(parameters, vectors, shots)
         # Plain platforms get the serial path, one cancel check each.
-        return [self.evaluate(values, shots) for values in values_list]
+        return [
+            self.evaluate({p: float(v) for p, v in zip(parameters, vector)}, shots)
+            for vector in vectors
+        ]
 
     def charge_optimizer_step(self, n_params, method) -> None:
         self._platform.charge_optimizer_step(n_params, method)
@@ -251,7 +238,7 @@ class JobService:
             quantum=self.config.quantum
         )
         self.cache: Optional[EvalCache] = (
-            _LockedEvalCache(self.config.cache_entries)
+            EvalCache(self.config.cache_entries)
             if self.config.cache_entries > 0
             else None
         )

@@ -57,6 +57,7 @@ from repro.service.jobs import JobSpec
 from repro.service.platforms import WORKLOADS, build_engine
 from repro.sim.stats import StatGroup
 from repro.vqa import make_optimizer
+from repro.vqa.runner import optimize
 
 #: Default idle-lease length.  Long enough that a slow optimiser step
 #: between batches never loses the session; short enough that a client
@@ -326,22 +327,12 @@ class SessionManager:
         self, session: Session, vectors: List[np.ndarray], shots: int = 0
     ) -> List[float]:
         """The compute half of a streamed request (worker-thread safe)."""
-        backend = self.health.backend(session.spec.platform)
-        try:
-            values = session.evaluate_vectors(
+        values = self._run_on_backend(
+            session,
+            lambda: session.evaluate_vectors(
                 vectors, shots if shots > 0 else session.spec.shots
-            )
-        except Exception as exc:
-            backend.record_failure(f"{type(exc).__name__}: {exc}")
-            self.stats.counter("stream_errors").increment()
-            with self._lock:
-                if session.state == "open":
-                    session.state = "failed"
-                    self._release(session)
-            raise SessionError(
-                ERR_EVALUATION_FAILED, f"{type(exc).__name__}: {exc}"
-            ) from exc
-        backend.record_success()
+            ),
+        )
         session.batches += 1
         session.vectors_evaluated += len(vectors)
         self.stats.counter("stream_batches").increment()
@@ -364,9 +355,35 @@ class SessionManager:
         """
         session = self.checkout(session_id)
         batch = self.validate_batch(session, vectors)
+        result = self._run_on_backend(
+            session, lambda: session.evaluate_gradients(batch, shots)
+        )
+        if result is None:
+            # Not a backend fault: the workload simply has no adjoint
+            # path (sampled shots, non-statevector routing, unknown
+            # generator).  The session stays healthy and open.
+            raise SessionError(
+                ERR_ADJOINT_UNSUPPORTED,
+                f"session {session_id} cannot serve adjoint gradients "
+                f"(shots={shots}, backend={session.backend_id})",
+            )
+        session.batches += 1
+        session.vectors_evaluated += len(batch)
+        self.stats.counter("stream_gradient_batches").increment()
+        self.stats.counter("stream_gradient_vectors").increment(len(batch))
+        return result
+
+    def _run_on_backend(self, session: Session, call: Callable[[], object]):
+        """Run one batch of ``session`` and record it on its backend.
+
+        A result is a backend success, except ``None`` (the workload
+        has no adjoint path, which is no fault of the backend).  A
+        raised error is a backend failure: the session is failed and
+        released, and the caller gets ``evaluation_failed``.
+        """
         backend = self.health.backend(session.spec.platform)
         try:
-            result = session.evaluate_gradients(batch, shots)
+            result = call()
         except Exception as exc:
             backend.record_failure(f"{type(exc).__name__}: {exc}")
             self.stats.counter("stream_errors").increment()
@@ -377,20 +394,8 @@ class SessionManager:
             raise SessionError(
                 ERR_EVALUATION_FAILED, f"{type(exc).__name__}: {exc}"
             ) from exc
-        if result is None:
-            # Not a backend fault: the workload simply has no adjoint
-            # path (sampled shots, non-statevector routing, unknown
-            # generator).  The session stays healthy and open.
-            raise SessionError(
-                ERR_ADJOINT_UNSUPPORTED,
-                f"session {session_id} cannot serve adjoint gradients "
-                f"(shots={shots}, backend={session.backend_id})",
-            )
-        backend.record_success()
-        session.batches += 1
-        session.vectors_evaluated += len(batch)
-        self.stats.counter("stream_gradient_batches").increment()
-        self.stats.counter("stream_gradient_vectors").increment(len(batch))
+        if result is not None:
+            backend.record_success()
         return result
 
     def close(self, session_id: str) -> Dict[str, object]:
@@ -483,29 +488,21 @@ def drive_session(
 ) -> Tuple[np.ndarray, List[float]]:
     """Client-side hybrid loop over a streamed session.
 
-    Mirrors :meth:`repro.vqa.runner.HybridRunner.run` exactly — same
-    initial-parameter draw from ``default_rng(spec.seed)``, same
-    ``optimizer.reset()``, same batch order — so the energy history it
-    produces over a session is bit-identical to the one-shot job of the
-    same spec (the property ``benchmarks/bench_sessions.py`` gates on).
+    Runs :func:`repro.vqa.runner.optimize`, the loop
+    :meth:`repro.vqa.runner.HybridRunner.run` runs, with the spec's
+    optimizer and seed — so the energy history it produces over a
+    session is bit-identical to the one-shot job of the same spec (the
+    property ``benchmarks/bench_sessions.py`` gates on).
     Returns ``(final_params, cost_history)``.
     """
-    rng = np.random.default_rng(spec.seed)
-    params = rng.uniform(-0.5, 0.5, size=n_params)
-    optimizer = make_optimizer(spec.optimizer, seed=spec.seed)
-    optimizer.reset()
-
-    def evaluate(vector: np.ndarray) -> float:
-        return evaluate_batch([vector])[0]
-
-    history: List[float] = []
-    for _ in range(spec.iterations):
-        outcome = optimizer.run_iteration(
-            params, evaluate, evaluate_many=evaluate_batch
-        )
-        params = outcome.params
-        history.append(outcome.cost)
-    return params, history
+    return optimize(
+        make_optimizer(spec.optimizer, seed=spec.seed),
+        n_params,
+        spec.iterations,
+        lambda vector: evaluate_batch([vector])[0],
+        evaluate_many=evaluate_batch,
+        seed=spec.seed,
+    )
 
 
 class SessionServer(FrameServer):

@@ -10,7 +10,7 @@ returns both the optimisation trace and the platform's timing report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Sequence
+from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -18,18 +18,23 @@ from repro.analysis.breakdown import ExecutionReport
 from repro.quantum.circuit import QuantumCircuit
 from repro.quantum.parameters import Parameter
 from repro.quantum.pauli import PauliSum
-from repro.vqa.optimizers import Optimizer
+from repro.vqa.optimizers import (
+    BatchEvaluateFn,
+    EvaluateFn,
+    GradientEvaluateFn,
+    Optimizer,
+)
 
 
 class Platform(Protocol):
     """What a hybrid execution platform must provide.
 
-    Platforms *may* additionally expose
-    ``evaluate_many(values_list, shots) -> List[float]`` or the raw
-    vector form ``evaluate_vectors(parameters, vectors, shots)`` (see
-    :class:`repro.runtime.EvaluationEngine`); the runner feature-detects
-    them (vector form preferred) and routes the optimizers' independent
-    probe batches through the fastest one available.
+    Platforms *may* additionally expose the slot-vector batch form
+    ``evaluate_vectors(parameters, vectors, shots) -> List[float]``
+    (see :class:`repro.runtime.EvaluationEngine`); the runner
+    feature-detects it and routes the optimizers' independent probe
+    batches through it as raw vectors.  Without it every probe is one
+    ``evaluate`` call.
     """
 
     def prepare(self, ansatz: QuantumCircuit, observable: PauliSum) -> None: ...
@@ -83,47 +88,22 @@ class HybridRunner:
     def run(self, initial_params: Optional[np.ndarray] = None, seed: int = 0) -> HybridResult:
         """Execute the full hybrid loop.
 
-        Every run is self-contained: the optimizer is ``reset()`` to
-        its own seed before the first iteration, so a reused optimizer
-        (restarts, sweeps, the job service's retries) cannot leak RNG
-        state from one run into the next — two runs with the same
-        ``seed=`` are bit-identical.  All randomness flows through
-        per-object ``np.random.default_rng`` generators (the ``vqa``
-        package never touches the global numpy RNG), which the test
-        suite audits.
+        Prepares the platform, then runs :func:`optimize` over it.
         """
-        if initial_params is None:
-            rng = np.random.default_rng(seed)
-            params = rng.uniform(-0.5, 0.5, size=len(self.parameters))
-        else:
-            params = np.asarray(initial_params, dtype=float)
-            if params.size != len(self.parameters):
-                raise ValueError(
-                    f"got {params.size} initial values for {len(self.parameters)} parameters"
-                )
-
-        # A fresh run must not continue a previous run's random stream.
-        self.optimizer.reset()
         self.platform.prepare(self.ansatz, self.observable)
 
-        def bind(vector: np.ndarray) -> Dict[Parameter, float]:
-            return {p: float(v) for p, v in zip(self.parameters, vector)}
-
         def evaluate(vector: np.ndarray) -> float:
-            return self.platform.evaluate(bind(vector), self.shots)
+            return self.platform.evaluate(
+                {p: float(v) for p, v in zip(self.parameters, vector)}, self.shots
+            )
 
         evaluate_many = None
         platform_vectors = getattr(self.platform, "evaluate_vectors", None)
-        platform_many = getattr(self.platform, "evaluate_many", None)
         if callable(platform_vectors):
-            # Fastest batch form: hand the raw optimizer vectors over
-            # with the parameter ordering; the platform skips the dict
-            # round-trip per probe (repro.runtime.EvaluationEngine).
+            # Hand the raw optimizer vectors over with the parameter
+            # ordering; no dict is built per probe.
             def evaluate_many(vectors: Sequence[np.ndarray]) -> List[float]:
                 return platform_vectors(self.parameters, vectors, self.shots)
-        elif callable(platform_many):
-            def evaluate_many(vectors: Sequence[np.ndarray]) -> List[float]:
-                return platform_many([bind(v) for v in vectors], self.shots)
 
         evaluate_gradient = None
         platform_gradients = getattr(self.platform, "evaluate_gradients", None)
@@ -139,24 +119,77 @@ class HybridRunner:
                 energies, grads = result
                 return float(energies[0]), np.asarray(grads[0], dtype=np.float64)
 
-        history: List[float] = []
-        cost = float("nan")
-        for _ in range(self.iterations):
-            outcome = self.optimizer.run_iteration(
-                params,
-                evaluate,
-                evaluate_many=evaluate_many,
-                evaluate_gradient=evaluate_gradient,
-            )
-            params, cost = outcome.params, outcome.cost
-            history.append(cost)
-            self.platform.charge_optimizer_step(len(self.parameters), self.optimizer.method)
+        params, history = optimize(
+            self.optimizer,
+            len(self.parameters),
+            self.iterations,
+            evaluate,
+            evaluate_many=evaluate_many,
+            evaluate_gradient=evaluate_gradient,
+            initial_params=initial_params,
+            seed=seed,
+            after_step=lambda: self.platform.charge_optimizer_step(
+                len(self.parameters), self.optimizer.method
+            ),
+        )
 
         report = self.platform.finish()
         report.iterations = self.iterations
         return HybridResult(
             report=report,
             final_params=params,
-            final_cost=cost,
+            final_cost=history[-1] if history else float("nan"),
             cost_history=history,
         )
+
+
+def optimize(
+    optimizer: Optimizer,
+    n_params: int,
+    iterations: int,
+    evaluate: EvaluateFn,
+    evaluate_many: Optional[BatchEvaluateFn] = None,
+    evaluate_gradient: Optional[GradientEvaluateFn] = None,
+    initial_params: Optional[np.ndarray] = None,
+    seed: int = 0,
+    after_step: Optional[Callable[[], None]] = None,
+) -> Tuple[np.ndarray, List[float]]:
+    """The hybrid loop: ``iterations`` optimizer steps from a start point.
+
+    The start point is ``initial_params`` or a uniform draw in
+    ``[-0.5, 0.5)`` from ``default_rng(seed)``.  Every run is
+    self-contained: the optimizer is ``reset()`` to its own seed before
+    the first iteration, so a reused optimizer (restarts, sweeps, the
+    job service's retries) cannot leak RNG state from one run into the
+    next — two runs with the same ``seed=`` are bit-identical.  All
+    randomness flows through per-object ``np.random.default_rng``
+    generators (the ``vqa`` package never touches the global numpy
+    RNG), which the test suite audits.  :class:`HybridRunner` and a
+    streamed session (:func:`repro.service.drive_session`) both run this
+    loop, which is what makes their histories bit-identical.
+    ``after_step`` runs after every iteration.  Returns
+    ``(final_params, cost_history)``.
+    """
+    if initial_params is None:
+        params = np.random.default_rng(seed).uniform(-0.5, 0.5, size=n_params)
+    else:
+        params = np.asarray(initial_params, dtype=float)
+        if params.size != n_params:
+            raise ValueError(
+                f"got {params.size} initial values for {n_params} parameters"
+            )
+    # A fresh run must not continue a previous run's random stream.
+    optimizer.reset()
+    history: List[float] = []
+    for _ in range(iterations):
+        outcome = optimizer.run_iteration(
+            params,
+            evaluate,
+            evaluate_many=evaluate_many,
+            evaluate_gradient=evaluate_gradient,
+        )
+        params = outcome.params
+        history.append(outcome.cost)
+        if after_step is not None:
+            after_step()
+    return params, history

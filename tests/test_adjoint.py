@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import EvaluationEngine, HybridRunner, QtenonSystem
 from repro.compiler.transpile import transpile
+from repro.faults import FaultInjector, FaultPlan, WorkerFaults
 from repro.quantum import (
     PauliString,
     PauliSum,
@@ -331,6 +332,45 @@ class TestEngineGradients:
             for s_row, p_row in zip(s_grads, p_grads):
                 assert np.array_equal(s_row, p_row)
             assert pooled.stats.as_dict()["runtime.parallel_gradients"] > 0
+        finally:
+            serial.close()
+            pooled.close()
+
+    @pytest.mark.parametrize("crash", ["injected", "killed_worker"])
+    def test_crashed_pool_gradient_batch_retries_on_a_fresh_pool(self, crash):
+        """A gradient batch whose first pool dispatch dies retries once
+        on a respawned pool, as an evaluation batch does, instead of
+        falling straight back to the serial path."""
+        ansatz, parameters, observable = _workload()
+        rng = np.random.default_rng(7)
+        vectors = [rng.uniform(-1, 1, len(parameters)) for _ in range(4)]
+        injector = None
+        if crash == "injected":
+            injector = FaultInjector(FaultPlan(worker=WorkerFaults(crash_burst=1)))
+        serial = EvaluationEngine(QtenonSystem(QUBITS, seed=SEED), seed=SEED)
+        pooled = EvaluationEngine(
+            QtenonSystem(QUBITS, seed=SEED), max_workers=2, seed=SEED,
+            fault_injector=injector,
+        )
+        try:
+            serial.prepare(ansatz, observable)
+            pooled.prepare(ansatz, observable)
+            if crash == "killed_worker":
+                worker = pooled._ensure_pool()._state["procs"][0]
+                worker.kill()
+                worker.join(timeout=5.0)
+            s_energies, s_grads = serial.evaluate_gradients(
+                parameters, vectors, shots=0
+            )
+            p_energies, p_grads = pooled.evaluate_gradients(
+                parameters, vectors, shots=0
+            )
+            assert pooled.stats.counter("pool_restarts").value == 1
+            assert pooled.stats.counter("parallel_gradients").value == len(vectors)
+            assert pooled.stats.counter("serial_gradients").value == 0
+            assert s_energies == p_energies
+            for s_row, p_row in zip(s_grads, p_grads):
+                assert s_row.tobytes() == p_row.tobytes()
         finally:
             serial.close()
             pooled.close()

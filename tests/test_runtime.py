@@ -8,6 +8,9 @@ stream), so the parity tests compare histories with ``==``, not
 """
 
 import pickle
+import sys
+import threading
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -169,6 +172,86 @@ class TestEvalCache:
     def test_bound_must_be_positive(self):
         with pytest.raises(ValueError):
             EvalCache(0)
+
+    def test_put_cannot_evict_between_a_gets_read_and_refresh(self):
+        """Forces the cross-thread interleaving a shared cache (service
+        job threads, a cluster node's job threads) can hit: ``get``
+        reads an entry, another thread's ``put`` evicts it, and the
+        recency refresh then looks up a key that is gone."""
+        read, put_done = threading.Event(), threading.Event()
+
+        class HookedEntries(OrderedDict):
+            hooked = True
+
+            def __getitem__(self, digest):
+                value = super().__getitem__(digest)
+                if self.hooked:
+                    self.hooked = False
+                    read.set()
+                    # Held off by the cache's lock, the put cannot land
+                    # here; without one it evicts this very entry.
+                    put_done.wait(timeout=0.5)
+                return value
+
+        cache = EvalCache(1)
+        cache._entries = HookedEntries()
+        cache.put(self._key(0), 0.5)
+        errors = []
+
+        def put_other():
+            try:
+                assert read.wait(timeout=5.0)
+                cache.put(self._key(1), 1.5)
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+            finally:
+                put_done.set()
+
+        thread = threading.Thread(target=put_other)
+        thread.start()
+        try:
+            assert cache.get(self._key(0)) == 0.5
+        finally:
+            thread.join(timeout=5.0)
+        assert not thread.is_alive() and errors == []
+        assert self._key(1) in cache and self._key(0) not in cache
+        assert cache.hits == 1
+
+    def test_concurrent_gets_and_puts_keep_the_counters_consistent(self):
+        """More threads than cores hammer a two-entry cache with the
+        interpreter switching threads as often as it can; a lost update
+        would break the counter identities below."""
+        cache = EvalCache(2)
+        keys = [self._key(i) for i in range(5)]
+        threads, rounds = 6, 400
+        errors = []
+
+        def hammer(offset):
+            try:
+                for i in range(rounds):
+                    key = keys[(offset + i) % len(keys)]
+                    if cache.get(key) is None:
+                        cache.put(key, float(offset))
+            except BaseException as exc:  # pragma: no cover - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=hammer, args=(n,)) for n in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers) and errors == []
+        assert cache.hits + cache.misses == threads * rounds
+        inserted = cache.stats.counter("insertions").value
+        evicted = cache.stats.counter("evictions").value
+        assert inserted - evicted == len(cache) == 2
 
 
 class TestEvaluateSpec:
